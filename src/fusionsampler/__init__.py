@@ -1,6 +1,11 @@
 """Two-stage multi-condition diffusion sampling on analytically tractable Gaussian mixtures."""
 
-from fusionsampler.artifacts import dump_json, load_json, render_scatter_svg, write_csv
+from fusionsampler.artifacts import (
+    load_json,
+    render_csv,
+    render_json,
+    render_scatter_svg,
+)
 from fusionsampler.conditions import ConditionSet
 from fusionsampler.denoiser import ToyDenoiser, train_denoiser
 from fusionsampler.encoder import (
@@ -21,12 +26,7 @@ from fusionsampler.evaluate import (
     regularization_sweep,
     spearman,
 )
-from fusionsampler.guidance import (
-    GuidanceWeights,
-    cfg_independent,
-    cfg_multi,
-    cfg_single,
-)
+from fusionsampler.guidance import GuidanceWeights, cfg_independent, cfg_single
 from fusionsampler.mixture import (
     MixtureOracle,
     MixtureWorld,
@@ -56,13 +56,13 @@ from fusionsampler.schedule import (
 )
 from fusionsampler.verify import run_checks
 from fusionsampler.worlds import (
+    WORLD_PRESETS,
     conflict_world,
     identity_condition,
     leaky_identity_condition,
     product_world,
     single_gaussian_world,
     style_condition,
-    world_preset,
 )
 
 __version__ = "0.1.0"

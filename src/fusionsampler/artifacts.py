@@ -10,23 +10,16 @@ from __future__ import annotations
 import json
 
 __all__ = [
-    "dump_json",
     "render_json",
     "load_json",
     "format_cell",
     "render_csv",
-    "write_csv",
     "render_scatter_svg",
 ]
 
 
 def render_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def dump_json(obj, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(render_json(obj))
 
 
 def load_json(path: str):
@@ -44,42 +37,27 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def _resolve_columns(rows, columns) -> list[str]:
-    if columns is not None:
-        return list(columns)
-    out: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in out:
-                out.append(key)
-    return out
-
-
 def render_csv(rows, columns=None) -> str:
     """CSV text from dict rows; column order is given or first-seen order."""
-    columns = _resolve_columns(rows, columns)
+    if columns is None:
+        columns = []
+        for row in rows:
+            for key in row:
+                if key not in columns:
+                    columns.append(key)
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(format_cell(row.get(col)) for col in columns))
     return "\n".join(lines) + "\n"
 
 
-def write_csv(rows, path: str, columns=None) -> list[str]:
-    """Write dict rows; returns the resolved column order."""
-    columns = _resolve_columns(rows, columns)
-    with open(path, "w") as fh:
-        fh.write(render_csv(rows, columns))
-    return columns
-
-
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                "#8c564b", "#e377c2", "#7f7f7f")
 
 
-def render_scatter_svg(points, title: str, path: str | None = None,
-                       xlabel: str = "identity score",
-                       ylabel: str = "style score") -> str:
-    """Minimal labeled scatter over [0, 1]^2; returns the SVG text."""
+def render_scatter_svg(points, title: str) -> str:
+    """Minimal labeled scatter of (identity score, style score, label) points
+    over [0, 1]^2; returns the SVG text."""
     w, h, pad = 480, 360, 48
 
     def px(x):
@@ -95,9 +73,9 @@ def render_scatter_svg(points, title: str, path: str | None = None,
         f'<text x="{w / 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
         f'<line x1="{px(0)}" y1="{py(0)}" x2="{px(1)}" y2="{py(0)}" stroke="black"/>',
         f'<line x1="{px(0)}" y1="{py(0)}" x2="{px(0)}" y2="{py(1)}" stroke="black"/>',
-        f'<text x="{w / 2}" y="{h - 10}" text-anchor="middle" font-size="11">{xlabel}</text>',
+        f'<text x="{w / 2}" y="{h - 10}" text-anchor="middle" font-size="11">identity score</text>',
         f'<text x="14" y="{h / 2}" text-anchor="middle" font-size="11"'
-        f' transform="rotate(-90 14 {h / 2})">{ylabel}</text>',
+        f' transform="rotate(-90 14 {h / 2})">style score</text>',
     ]
     for tick in (0.0, 0.5, 1.0):
         parts.append(
@@ -113,8 +91,4 @@ def render_scatter_svg(points, title: str, path: str | None = None,
         parts.append(
             f'<text x="{cx + 8:.2f}" y="{cy - 6:.2f}" font-size="10">{label}</text>')
     parts.append("</svg>")
-    text = "\n".join(parts) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(parts) + "\n"

@@ -29,8 +29,8 @@ from fusionsampler.artifacts import (
     render_scatter_svg,
 )
 from fusionsampler.conditions import ConditionSet
-from fusionsampler.denoiser import train_denoiser
-from fusionsampler.encoder import promptnet_loss_and_grads, train_promptnet
+from fusionsampler.denoiser import prior_batch, train_denoiser
+from fusionsampler.encoder import heldout_metrics, train_promptnet
 from fusionsampler.evaluate import (
     ABLATION_COLUMNS,
     SWEEP_COLUMNS,
@@ -90,28 +90,14 @@ def _mode_sample(cfg: RunConfig) -> tuple[dict, dict]:
     return metrics, {**files, "record": rec.to_jsonable()}
 
 
-def _encoder_heldout(world, den, net, seed: int, n: int = 1000):
-    """Reconstruction error and mean embedding norm on fresh prior draws."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 13))))
-    flat = world.prior().reshape(-1)
-    cells = rng.choice(flat.size, size=n, p=flat)
-    x0 = world.cell_means().reshape(-1, world.d)[cells] \
-        + world.s * rng.standard_normal((n, world.d))
-    t = rng.integers(1, den.T + 1, size=n)
-    eps = rng.standard_normal((n, world.d))
-    ab = den.schedule.alpha_bar[t]
-    x_t = np.sqrt(ab)[:, None] * x0 + np.sqrt(1.0 - ab)[:, None] * eps
-    text = np.eye(world.n_styles)[cells % world.n_styles]
-    recon, _ = promptnet_loss_and_grads(net, den, x0, x_t, t, eps, text, 0.0)
-    s = net.encode(x0, x_t, t)
-    return float(recon), float(np.mean(np.linalg.norm(s, axis=1)))
-
-
 def _mode_train_encoder(cfg: RunConfig) -> tuple[dict, dict]:
     world = cfg.world if cfg.world is not None else product_world()
     den = train_denoiser(world, cfg.schedule, cfg.denoiser_steps, seed=cfg.seed)
     net = train_promptnet(world, den, cfg.training)
-    recon, norm = _encoder_heldout(world, den, net, cfg.seed)
+    # held-out error on 1000 fresh prior draws
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, 13))))
+    x0, cells = prior_batch(world, rng, 1000)
+    recon, norm = heldout_metrics(net, den, x0, cells % world.n_styles, rng)
     metrics = {"recon_error": recon, "embed_norm": norm,
                "lam": float(cfg.training.lam), "steps": int(cfg.training.steps)}
     files = {
@@ -180,12 +166,8 @@ def _ablation_config(cfg: RunConfig) -> AblationConfig:
 
 
 def _variant_summary(rows: list[dict]) -> list[dict]:
-    order = []
-    for row in rows:
-        if row["variant"] not in order:
-            order.append(row["variant"])
     out = []
-    for name in order:
+    for name in dict.fromkeys(row["variant"] for row in rows):
         ids = [r["identity_score"] for r in rows if r["variant"] == name]
         sty = [r["style_score"] for r in rows if r["variant"] == name]
         i_mean, s_mean = float(np.mean(ids)), float(np.mean(sty))
@@ -194,35 +176,24 @@ def _variant_summary(rows: list[dict]) -> list[dict]:
     return out
 
 
-def _variant_svg(summary: list[dict]) -> str:
+def _mode_ablate(cfg: RunConfig, per_variant: bool = False) -> tuple[dict, dict]:
+    """ablate writes one metrics row per (variant, seed); compare
+    (per_variant=True) aggregates them to one row per variant."""
+    rows = ablation_suite(_ablation_config(cfg))
+    summary = _variant_summary(rows)
+    best = max(summary, key=lambda row: row["min_score"])
+    metrics = {"best_variant": best["variant"], "best_min_score": best["min_score"]}
+    if per_variant:
+        metrics["n_variants"] = len(summary)
+        table = render_csv(summary)
+    else:
+        metrics["n_rows"] = len(rows)
+        table = render_csv(rows, columns=ABLATION_COLUMNS)
     points = [(row["identity_score"], row["style_score"], row["variant"])
               for row in summary]
-    return render_scatter_svg(points, "sampler variants")
-
-
-def _mode_ablate(cfg: RunConfig) -> tuple[dict, dict]:
-    rows = ablation_suite(_ablation_config(cfg))
-    summary = _variant_summary(rows)
-    best = max(summary, key=lambda row: row["min_score"])
-    metrics = {"n_rows": len(rows), "best_variant": best["variant"],
-               "best_min_score": best["min_score"]}
     files = {
-        "metrics.csv": render_csv(rows, columns=ABLATION_COLUMNS),
-        "variants.svg": _variant_svg(summary),
-    }
-    return metrics, {**files, "rows": rows}
-
-
-def _mode_compare(cfg: RunConfig) -> tuple[dict, dict]:
-    rows = ablation_suite(_ablation_config(cfg))
-    summary = _variant_summary(rows)
-    best = max(summary, key=lambda row: row["min_score"])
-    metrics = {"best_variant": best["variant"],
-               "best_min_score": best["min_score"],
-               "n_variants": len(summary)}
-    files = {
-        "metrics.csv": render_csv(summary),
-        "variants.svg": _variant_svg(summary),
+        "metrics.csv": table,
+        "variants.svg": render_scatter_svg(points, "sampler variants"),
     }
     return metrics, {**files, "rows": rows}
 
@@ -232,7 +203,7 @@ RUN_MODES = {
     "train-encoder": _mode_train_encoder,
     "sweep-lambda": _mode_sweep,
     "ablate": _mode_ablate,
-    "compare": _mode_compare,
+    "compare": lambda cfg: _mode_ablate(cfg, per_variant=True),
 }
 
 

@@ -23,6 +23,8 @@ __all__ = [
     "ToyDenoiser",
     "train_denoiser",
     "sample_training_batch",
+    "prior_batch",
+    "diffuse",
 ]
 
 N_TIME_FEATURES = 3
@@ -68,22 +70,21 @@ class ToyDenoiser:
         """Input columns holding the identity channel."""
         return slice(self._d, self._d + self.k_identity)
 
-    @property
-    def text_columns(self) -> slice:
-        return slice(self._d + self.k_identity,
-                     self._d + self.k_identity + self.k_text)
-
     def condition_channels(self, cond: ConditionSet | None, n: int) -> np.ndarray:
-        """Build the (n, k_identity + k_text) condition block for a batch."""
+        """Build the (n, k_identity + k_text) condition block for a batch.
+
+        The identity slot holds one channel vector of shape (k_identity,)
+        shared by the batch, or one per row, shape (n, k_identity).
+        """
         block = np.zeros((n, self.k_identity + self.k_text))
         if cond is None:
             return block
         if cond.identity is not None:
             ident = np.asarray(cond.identity, dtype=float)
-            if ident.shape != (self.k_identity,):
+            if ident.shape not in ((self.k_identity,), (n, self.k_identity)):
                 raise ValueError(
-                    f"identity channel must have shape ({self.k_identity},),"
-                    f" got {ident.shape}"
+                    f"identity channel must have shape ({self.k_identity},) or"
+                    f" ({n}, {self.k_identity}), got {ident.shape}"
                 )
             block[:, :self.k_identity] = cond.gamma * ident
         if cond.text is not None:
@@ -95,14 +96,13 @@ class ToyDenoiser:
             block[:, self.k_identity:] = text
         return block
 
-    def _inputs(self, x2: np.ndarray, channels: np.ndarray, t) -> np.ndarray:
+    def inputs(self, x2: np.ndarray, channels: np.ndarray, t) -> np.ndarray:
+        """Network input rows [x_t | channels | time features]."""
         feats = np.broadcast_to(time_features(t, self.T), (x2.shape[0], N_TIME_FEATURES))
         return np.concatenate([x2, channels, feats], axis=1)
 
     def predict_eps(self, x_t, cond: ConditionSet | None, t: int) -> np.ndarray:
         x = np.asarray(x_t, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("x_t must be finite")
         if not 1 <= t <= self.T:
             raise ValueError(f"t must lie in 1..{self.T}, got {t}")
         squeeze = x.ndim == 1
@@ -110,7 +110,7 @@ class ToyDenoiser:
         if x2.shape[1] != self._d:
             raise ValueError(f"x_t trailing dimension must be {self._d}, got {x2.shape[1]}")
         channels = self.condition_channels(cond, x2.shape[0])
-        y, _ = self.net.forward(self._inputs(x2, channels, t))
+        y, _ = self.net.forward(self.inputs(x2, channels, t))
         return y[0] if squeeze else y
 
     def to_jsonable(self) -> dict:
@@ -132,6 +132,29 @@ class ToyDenoiser:
                            self.k_text, self.schedule)
 
 
+def prior_batch(world: MixtureWorld, rng: np.random.Generator, n: int):
+    """n clean draws from the world's prior: (x0, cells), cells the flat
+    (identity * n_styles + style) indices. Draws the cells, then the noise."""
+    flat = world.prior().reshape(-1)
+    cells = rng.choice(flat.size, size=n, p=flat)
+    x0 = world.cell_means().reshape(-1, world.d)[cells] \
+        + world.s * rng.standard_normal((n, world.d))
+    return x0, cells
+
+
+def diffuse(schedule: DiffusionSchedule, x0: np.ndarray, rng: np.random.Generator):
+    """Forward-diffuse a clean batch at uniform random timesteps.
+
+    Returns (x_t, t, eps); draws t first and eps second, so every caller
+    consumes the generator in the same order.
+    """
+    t = rng.integers(1, schedule.T + 1, size=x0.shape[0])
+    eps = rng.standard_normal(x0.shape)
+    ab = schedule.alpha_bar[t]
+    x_t = np.sqrt(ab)[:, None] * x0 + np.sqrt(1.0 - ab)[:, None] * eps
+    return x_t, t, eps
+
+
 def sample_training_batch(world: MixtureWorld, schedule: DiffusionSchedule,
                           rng: np.random.Generator, batch: int,
                           p_drop: float = 0.15):
@@ -142,17 +165,11 @@ def sample_training_batch(world: MixtureWorld, schedule: DiffusionSchedule,
     visible the per-slot keep flags. The draw order is fixed so the batch is
     a pure function of the generator state.
     """
-    n_i, n_c = world.n_identities, world.n_styles
-    flat_prior = world.prior().reshape(-1)
-    cells = rng.choice(n_i * n_c, size=batch, p=flat_prior)
-    means = world.cell_means().reshape(-1, world.d)
-    x0 = means[cells] + world.s * rng.standard_normal((batch, world.d))
-    t = rng.integers(1, schedule.T + 1, size=batch)
-    eps = rng.standard_normal((batch, world.d))
-    ab = schedule.alpha_bar[t]
-    x_t = np.sqrt(ab)[:, None] * x0 + np.sqrt(1.0 - ab)[:, None] * eps
+    n_c = world.n_styles
+    x0, cells = prior_batch(world, rng, batch)
+    x_t, t, eps = diffuse(schedule, x0, rng)
     visible = rng.random((batch, 2)) >= p_drop
-    ident = np.eye(n_i)[cells // n_c] * visible[:, 0:1]
+    ident = np.eye(world.n_identities)[cells // n_c] * visible[:, 0:1]
     text = np.eye(n_c)[cells % n_c] * visible[:, 1:2]
     return x_t, np.concatenate([ident, text], axis=1), t, eps, cells, visible
 
@@ -173,8 +190,7 @@ def train_denoiser(world: MixtureWorld, schedule: DiffusionSchedule,
     for step in range(1, steps + 1):
         x_t, channels, t, eps, _, _ = sample_training_batch(
             world, schedule, rng, batch, p_drop)
-        feats = time_features(t, schedule.T)
-        y, acts = net.forward(np.concatenate([x_t, channels, feats], axis=1))
+        y, acts = net.forward(den.inputs(x_t, channels, t))
         resid = y - eps
         loss = float(np.mean(resid * resid))
         if not np.isfinite(loss):

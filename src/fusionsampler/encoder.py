@@ -11,12 +11,18 @@ touching only the denoiser rows that multiply the condition channels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from fusionsampler.conditions import ConditionSet
-from fusionsampler.denoiser import N_TIME_FEATURES, ToyDenoiser, time_features
+from fusionsampler.denoiser import (
+    N_TIME_FEATURES,
+    ToyDenoiser,
+    diffuse,
+    prior_batch,
+    time_features,
+)
 from fusionsampler.mixture import MixtureWorld, oracle_responsibilities
 from fusionsampler.nets import MLP, Adam, TrainingDiverged, flatten_grads
 
@@ -24,13 +30,13 @@ __all__ = [
     "ToyPromptNet",
     "TrainingConfig",
     "new_promptnet",
-    "encode",
     "train_promptnet",
     "finetune_customize",
     "EncoderConditionedDenoiser",
     "augment_reference",
     "default_anchor",
     "promptnet_loss_and_grads",
+    "heldout_metrics",
 ]
 
 
@@ -100,11 +106,6 @@ class ToyPromptNet:
                    None if const is None else np.asarray(const, dtype=float))
 
 
-def encode(net: ToyPromptNet, x_ref, x_t, t) -> np.ndarray:
-    """Deterministic embedding of a reference at one diffusion time."""
-    return net.encode(x_ref, x_t, t)
-
-
 def new_promptnet(denoiser: ToyDenoiser, hidden=(32, 32), seed: int = 0,
                   zero_head: bool = True) -> ToyPromptNet:
     """Fresh encoder sized for a denoiser; the zero head makes the initial
@@ -168,23 +169,6 @@ def default_anchor(world: MixtureWorld, denoiser: ToyDenoiser, x_ref) -> np.ndar
     return anchor
 
 
-def _data_scale(world: MixtureWorld) -> np.ndarray:
-    return np.sqrt(np.diag(world.data_cov()))
-
-
-def _draw_prior_batch(world: MixtureWorld, rng: np.random.Generator, n: int):
-    flat = world.prior().reshape(-1)
-    cells = rng.choice(flat.size, size=n, p=flat)
-    x0 = world.cell_means().reshape(-1, world.d)[cells] \
-        + world.s * rng.standard_normal((n, world.d))
-    return x0, cells
-
-
-def _diffuse(schedule, xbar, t, eps):
-    ab = schedule.alpha_bar[t]
-    return np.sqrt(ab)[:, None] * xbar + np.sqrt(1.0 - ab)[:, None] * eps
-
-
 def promptnet_loss_and_grads(net: ToyPromptNet, denoiser: ToyDenoiser,
                              xbar, x_t, t, eps, text, lam: float):
     """Chained loss mean|eps_hat - eps|^2 + lam mean|S|^2 on one fixed batch,
@@ -201,6 +185,20 @@ def promptnet_loss_and_grads(net: ToyPromptNet, denoiser: ToyDenoiser,
     g_s = grad_in[:, denoiser.identity_columns] + 2.0 * lam * s_out / batch
     grads_e, _ = net.net.backward(acts_e, g_s)
     return loss, flatten_grads(grads_e)
+
+
+def heldout_metrics(net: ToyPromptNet, denoiser: ToyDenoiser, xbar, styles,
+                    rng: np.random.Generator) -> tuple[float, float]:
+    """Reconstruction error and mean embedding norm on one diffused batch.
+
+    xbar holds the references, one row per sample, and styles their style
+    indices, fed as one-hot text channels; the batch is diffused with rng.
+    """
+    x_t, t, eps = diffuse(denoiser.schedule, xbar, rng)
+    text = np.eye(denoiser.k_text)[styles]
+    recon, _ = promptnet_loss_and_grads(net, denoiser, xbar, x_t, t, eps, text, 0.0)
+    s = net.encode(xbar, x_t, t)
+    return float(recon), float(np.mean(np.linalg.norm(s, axis=1)))
 
 
 def train_promptnet(world: MixtureWorld, denoiser: ToyDenoiser,
@@ -223,7 +221,7 @@ def train_promptnet(world: MixtureWorld, denoiser: ToyDenoiser,
     n_c = world.n_styles
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((tc.seed, 2))))
     net = new_promptnet(denoiser, hidden=hidden, seed=tc.seed)
-    scale = _data_scale(world)
+    scale = np.sqrt(np.diag(world.data_cov()))
 
     if free_embedding:
         if anchor is None:
@@ -240,13 +238,10 @@ def train_promptnet(world: MixtureWorld, denoiser: ToyDenoiser,
         for step in range(1, tc.steps + 1):
             x0 = np.broadcast_to(x_ref, (tc.batch, d))
             xbar = augment_reference(x0, rng, scale) if tc.augment else np.array(x0)
-            t = rng.integers(1, sched.T + 1, size=tc.batch)
-            eps = rng.standard_normal((tc.batch, d))
-            x_t = _diffuse(sched, xbar, t, eps)
+            x_t, t, eps = diffuse(sched, xbar, rng)
             channels = np.zeros((tc.batch, denoiser.k_identity + denoiser.k_text))
             channels[:, :denoiser.k_identity] = s_free
-            inputs = np.concatenate([x_t, channels, time_features(t, sched.T)], axis=1)
-            y, acts = denoiser.net.forward(inputs)
+            y, acts = denoiser.net.forward(denoiser.inputs(x_t, channels, t))
             resid = y - eps
             loss = float(np.mean(np.sum(resid * resid, axis=1))
                          + tc.lam * np.sum((s_free - anchor) ** 2))
@@ -261,11 +256,9 @@ def train_promptnet(world: MixtureWorld, denoiser: ToyDenoiser,
 
     opt = Adam(net.net.n_params, lr=tc.lr)
     for step in range(1, tc.steps + 1):
-        x0, cells = _draw_prior_batch(world, rng, tc.batch)
+        x0, cells = prior_batch(world, rng, tc.batch)
         xbar = augment_reference(x0, rng, scale) if tc.augment else x0
-        t = rng.integers(1, sched.T + 1, size=tc.batch)
-        eps = rng.standard_normal((tc.batch, d))
-        x_t = _diffuse(sched, xbar, t, eps)
+        x_t, t, eps = diffuse(sched, xbar, rng)
         text = np.eye(n_c)[cells % n_c]
         loss, flat_g = promptnet_loss_and_grads(
             net, denoiser, xbar, x_t, t, eps, text, tc.lam)
@@ -314,13 +307,10 @@ def finetune_customize(net: ToyPromptNet, denoiser: ToyDenoiser, x_ref, *,
     for step in range(1, steps + 1):
         x0 = np.broadcast_to(x_ref, (batch, d))
         xbar = augment_reference(x0, rng, scale) if augment else np.array(x0)
-        t = rng.integers(1, sched.T + 1, size=batch)
-        eps = rng.standard_normal((batch, d))
-        x_t = _diffuse(sched, xbar, t, eps)
+        x_t, t, eps = diffuse(sched, xbar, rng)
         s_out, acts_e = net2.net.forward(net2.inputs(xbar, x_t, t))
         channels = np.concatenate([s_out, np.zeros((batch, den2.k_text))], axis=1)
-        inputs = np.concatenate([x_t, channels, time_features(t, sched.T)], axis=1)
-        y, acts_d = den2.net.forward(inputs)
+        y, acts_d = den2.net.forward(den2.inputs(x_t, channels, t))
         resid = y - eps
         loss = float(np.mean(np.sum(resid * resid, axis=1)))
         if not np.isfinite(loss):
@@ -337,8 +327,9 @@ class EncoderConditionedDenoiser:
     """Noise predictor whose identity slot holds a reference point.
 
     predict_eps encodes cond.identity (interpreted as x_ref) at the current
-    (x_t, t), scales the embedding by cond.gamma, and feeds the result to
-    the wrapped denoiser's identity channel; the text slot passes through.
+    (x_t, t) and hands the per-row embeddings to the wrapped denoiser as its
+    identity channel, which the denoiser scales by cond.gamma; the text slot
+    passes through.
     """
 
     def __init__(self, encoder: ToyPromptNet, denoiser: ToyDenoiser):
@@ -352,35 +343,12 @@ class EncoderConditionedDenoiser:
         return self.denoiser.d
 
     def predict_eps(self, x_t, cond: ConditionSet | None, t: int) -> np.ndarray:
-        den = self.denoiser
-        x = np.asarray(x_t, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("x_t must be finite")
-        if not 1 <= t <= den.T:
-            raise ValueError(f"t must lie in 1..{den.T}, got {t}")
-        squeeze = x.ndim == 1
-        x2 = np.atleast_2d(x)
-        n = x2.shape[0]
-        channels = np.zeros((n, den.k_identity + den.k_text))
         if cond is not None and cond.identity is not None:
-            ref = np.asarray(cond.identity, dtype=float)
-            if ref.shape != (den.d,):
+            ref = cond.identity
+            if ref.shape != (self.d,):
                 raise ValueError(
-                    f"identity slot must hold a reference point of shape ({den.d},),"
+                    f"identity slot must hold a reference point of shape ({self.d},),"
                     f" got {ref.shape}"
                 )
-            s_out = self.encoder.encode(ref, x2, t)
-            channels[:, :den.k_identity] = cond.gamma * s_out
-        if cond is not None and cond.text is not None:
-            text = np.asarray(cond.text, dtype=float)
-            if text.shape != (den.k_text,):
-                raise ValueError(
-                    f"style channel must have shape ({den.k_text},), got {text.shape}"
-                )
-            channels[:, den.k_identity:] = text
-        inputs = np.concatenate(
-            [x2, channels, np.broadcast_to(time_features(t, den.T), (n, N_TIME_FEATURES))],
-            axis=1,
-        )
-        y, _ = den.net.forward(inputs)
-        return y[0] if squeeze else y
+            cond = replace(cond, identity=self.encoder.encode(ref, x_t, t))
+        return self.denoiser.predict_eps(x_t, cond, t)

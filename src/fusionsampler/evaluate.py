@@ -13,13 +13,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from fusionsampler.artifacts import write_csv
 from fusionsampler.conditions import ConditionSet
 from fusionsampler.denoiser import train_denoiser
 from fusionsampler.encoder import (
     EncoderConditionedDenoiser,
     TrainingConfig,
-    promptnet_loss_and_grads,
+    heldout_metrics,
     train_promptnet,
 )
 from fusionsampler.guidance import GuidanceWeights
@@ -164,32 +163,19 @@ class SweepConfig:
         return out
 
 
-def _reference_eval(net, den, world, x_ref, ref_style, seed: int, n: int):
-    """Held-out reconstruction error and embedding norm on one reference."""
-    sched = den.schedule
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 12))))
-    xbar = np.broadcast_to(x_ref, (n, world.d))
-    t = rng.integers(1, sched.T + 1, size=n)
-    eps = rng.standard_normal((n, world.d))
-    ab = sched.alpha_bar[t]
-    x_t = np.sqrt(ab)[:, None] * xbar + np.sqrt(1.0 - ab)[:, None] * eps
-    text = np.zeros((n, world.n_styles))
-    text[:, ref_style] = 1.0
-    recon, _ = promptnet_loss_and_grads(net, den, xbar, x_t, t, eps, text, 0.0)
-    s = net.encode(x_ref, x_t, t)
-    return float(recon), float(np.mean(np.linalg.norm(s, axis=1)))
-
-
 def regularization_sweep(lambdas, seeds, config: SweepConfig,
                          world: MixtureWorld | None = None,
-                         schedule: DiffusionSchedule | None = None,
-                         out_csv: str | None = None) -> list[dict]:
+                         schedule: DiffusionSchedule | None = None) -> list[dict]:
     """One row per (lambda, seed): train the encoder at that regularization,
     reconstruct the reference, then sample with a conflicting style prompt.
 
-    Training failures are recorded in the row's status and the sweep moves
-    on. The reference point and sampling noise are shared across lambdas
-    within a seed, so rows differ only through the trained encoder.
+    A failed cell is recorded in its row's status and the sweep moves on:
+    "backbone failed at step N" (denoiser training diverged; every lambda of
+    that seed), "failed at step N" (encoder training diverged) or "sampling
+    failed: <error>" (any other RuntimeError, such as a non-finite sampling
+    state; the row keeps its reconstruction columns). The reference point
+    and sampling noise are shared across lambdas within a seed, so rows
+    differ only through the trained encoder.
     """
     if len(lambdas) == 0 or len(seeds) == 0:
         raise ValueError("regularization_sweep needs nonempty lambdas and seeds")
@@ -223,8 +209,11 @@ def regularization_sweep(lambdas, seeds, config: SweepConfig,
             row = blank(lam, "ok")
             try:
                 net = train_promptnet(world, den, tc)
-                row["recon_error"], row["embed_norm"] = _reference_eval(
-                    net, den, world, x_ref, config.ref_style, seed, config.n_recon)
+                rng = np.random.Generator(
+                    np.random.PCG64(np.random.SeedSequence((seed, 12))))
+                row["recon_error"], row["embed_norm"] = heldout_metrics(
+                    net, den, np.broadcast_to(x_ref, (config.n_recon, world.d)),
+                    np.full(config.n_recon, config.ref_style), rng)
                 wrapper = EncoderConditionedDenoiser(net, den)
                 cond = ConditionSet(identity=x_ref, text=text)
                 rec = sample_trajectory(cond, config.fusion, wrapper, schedule,
@@ -235,9 +224,9 @@ def regularization_sweep(lambdas, seeds, config: SweepConfig,
                 row["style_score"] = rep.style_score
             except TrainingDiverged as err:
                 row["status"] = f"failed at step {err.step}"
+            except RuntimeError as err:
+                row["status"] = f"sampling failed: {err}"
             rows.append(row)
-    if out_csv is not None:
-        write_csv(rows, out_csv, columns=SWEEP_COLUMNS)
     return rows
 
 
@@ -266,8 +255,7 @@ def ablation_variants(base: FusionConfig) -> list[tuple[str, FusionConfig]]:
     ]
 
 
-def ablation_suite(config: AblationConfig, out_csv: str | None = None,
-                   predictor=None) -> list[dict]:
+def ablation_suite(config: AblationConfig, predictor=None) -> list[dict]:
     """Adherence per sampler variant and seed on one conditioned world.
 
     Samples are drawn with per-seed noise shared across variants, so rows
@@ -287,8 +275,6 @@ def ablation_suite(config: AblationConfig, out_csv: str | None = None,
             rows.append({"variant": name, "seed": int(seed),
                          "identity_score": rep.identity_score,
                          "style_score": rep.style_score})
-    if out_csv is not None:
-        write_csv(rows, out_csv, columns=ABLATION_COLUMNS)
     return rows
 
 

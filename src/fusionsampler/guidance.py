@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,7 +10,6 @@ __all__ = [
     "GuidanceWeights",
     "cfg_single",
     "cfg_independent",
-    "cfg_multi",
     "eps_to_score",
     "score_to_eps",
 ]
@@ -19,19 +18,16 @@ __all__ = [
 @dataclass(frozen=True)
 class GuidanceWeights:
     """Guidance strengths: omega for the joint rule, omega1/omega2 for the
-    independent two-condition rule, omega_list for the n-condition extension
-    (one entry per condition, the style weight last when present)."""
+    independent two-condition rule."""
 
     omega: float = 2.0
     omega1: float = 2.0
     omega2: float = 2.0
-    omega_list: tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        vals = (self.omega, self.omega1, self.omega2, *self.omega_list)
+        vals = (self.omega, self.omega1, self.omega2)
         if not all(np.isfinite(v) for v in vals):
             raise ValueError(f"guidance weights must be finite, got {vals!r}")
-        object.__setattr__(self, "omega_list", tuple(float(v) for v in self.omega_list))
 
 
 def _as_matching_arrays(*vecs: object) -> list[np.ndarray]:
@@ -54,20 +50,6 @@ def cfg_independent(eps_uncond, eps_S, eps_C, w: GuidanceWeights) -> np.ndarray:
     """Independent-conditions guidance with separate strengths per slot."""
     eu, es, ec = _as_matching_arrays(eps_uncond, eps_S, eps_C)
     return eu + (1.0 + w.omega1) * (es - eu) + (1.0 + w.omega2) * (ec - eu)
-
-
-def cfg_multi(eps_uncond, eps_conds, w: GuidanceWeights) -> np.ndarray:
-    """n-condition guidance: eps_uncond + sum_i (1 + omega_i) * (eps_i - eps_uncond)."""
-    if len(eps_conds) != len(w.omega_list):
-        raise ValueError(
-            f"need one weight per condition: {len(eps_conds)} conditions,"
-            f" {len(w.omega_list)} weights"
-        )
-    eu, *es = _as_matching_arrays(eps_uncond, *eps_conds)
-    out = eu.copy()
-    for om, e in zip(w.omega_list, es):
-        out += (1.0 + om) * (e - eu)
-    return out
 
 
 def eps_to_score(eps, alpha_bar_t: float) -> np.ndarray:

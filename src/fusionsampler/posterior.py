@@ -152,10 +152,10 @@ def renoise(x_prev, x0_hat, t: int, schedule: DiffusionSchedule, sigma_t: float,
             rng: np.random.Generator) -> np.ndarray:
     """Draw x_t ~ q(x_t | x_{t-1}, x_0): move forward again around the prediction."""
     ab_t, ab_prev = _ab_pair(schedule, t)
-    c = renoise_coefficients(x0_hat, ab_t, ab_prev, sigma_t)
-    x_prev = np.asarray(x_prev, dtype=float)
-    mean = c.Sigma_scale * (c.A_scale * c.L_scale * (x_prev - c.b) + c.B_scale * c.mu)
-    return mean + np.sqrt(c.Sigma_scale) * rng.standard_normal(mean.shape)
+    mean = renoise_mean(x_prev, x0_hat, ab_t, ab_prev, sigma_t)
+    # Sigma_scale of renoise_coefficients
+    var = (1.0 - ab_t) * sigma_t * sigma_t / (1.0 - ab_prev)
+    return mean + np.sqrt(var) * rng.standard_normal(mean.shape)
 
 
 def fused_update_coefficients(alpha_bar_t: float, alpha_bar_prev: float,

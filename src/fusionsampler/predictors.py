@@ -23,10 +23,10 @@ class NoisePredictor(Protocol):
 
 def predict_eps(predictor: NoisePredictor, x_t, cond: ConditionSet | None,
                 t: int) -> np.ndarray:
-    """Validated dispatch to a predictor: finite input, matching dimensions."""
+    """Validated dispatch to a predictor: matching dimensions in, a finite
+    prediction of the same shape out. This is the one finiteness check per
+    predictor call; a non-finite input is left to the predictor itself."""
     x = np.asarray(x_t, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x_t must be finite")
     if x.shape[-1] != predictor.d:
         raise ValueError(
             f"x_t trailing dimension {x.shape[-1]} does not match predictor d={predictor.d}"
@@ -34,4 +34,6 @@ def predict_eps(predictor: NoisePredictor, x_t, cond: ConditionSet | None,
     out = np.asarray(predictor.predict_eps(x, cond, t), dtype=float)
     if out.shape != x.shape:
         raise ValueError(f"predictor returned shape {out.shape}, expected {x.shape}")
+    if not np.all(np.isfinite(out)):
+        raise RuntimeError(f"sampling produced non-finite state at t={t}")
     return out

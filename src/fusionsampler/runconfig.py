@@ -29,7 +29,7 @@ from fusionsampler.schedule import (
     SigmaProfile,
     build_schedule,
 )
-from fusionsampler.worlds import conflict_world, product_world, single_gaussian_world
+from fusionsampler.worlds import WORLD_PRESETS
 
 __all__ = ["ConfigError", "RunConfig", "validate_config"]
 
@@ -37,12 +37,6 @@ __all__ = ["ConfigError", "RunConfig", "validate_config"]
 class ConfigError(ValueError):
     """A config payload violates the schema; the message carries key paths."""
 
-
-_WORLD_PRESETS = {
-    "single": single_gaussian_world,
-    "product": product_world,
-    "conflict": conflict_world,
-}
 
 _SECTIONS = ("seed", "out_dir", "world", "schedule", "sigma", "fusion", "weights",
              "training", "condition", "sampling", "sweep", "denoiser")
@@ -97,13 +91,13 @@ def _as_str(value, path: str) -> str:
 def _build_world(obj, path: str) -> MixtureWorld:
     obj = _require_mapping(obj, path)
     if "preset" not in obj:
-        raise ConfigError(f"{path}.preset: required (one of {sorted(_WORLD_PRESETS)})")
+        raise ConfigError(f"{path}.preset: required (one of {sorted(WORLD_PRESETS)})")
     name = _as_str(obj["preset"], f"{path}.preset")
-    if name not in _WORLD_PRESETS:
+    if name not in WORLD_PRESETS:
         raise ConfigError(
-            f"{path}.preset: unknown preset {name!r}; choose from {sorted(_WORLD_PRESETS)}"
+            f"{path}.preset: unknown preset {name!r}; choose from {sorted(WORLD_PRESETS)}"
         )
-    fn = _WORLD_PRESETS[name]
+    fn = WORLD_PRESETS[name]
     params = inspect.signature(fn).parameters
     kwargs = {k: v for k, v in obj.items() if k != "preset"}
     _reject_unknown(kwargs, path, params)
@@ -158,21 +152,13 @@ def _build_sigma(obj, path: str, T: int) -> tuple[SigmaProfile, dict]:
 
 def _build_weights(obj, path: str) -> tuple[GuidanceWeights, dict]:
     obj = _require_mapping(obj, path)
-    _reject_unknown(obj, path, ("omega", "omega1", "omega2", "omega_list"))
+    _reject_unknown(obj, path, ("omega", "omega1", "omega2"))
     resolved = {
         "omega": _as_num(obj.get("omega", 2.0), f"{path}.omega"),
         "omega1": _as_num(obj.get("omega1", 2.0), f"{path}.omega1"),
         "omega2": _as_num(obj.get("omega2", 2.0), f"{path}.omega2"),
     }
-    omega_list = obj.get("omega_list", [])
-    if not isinstance(omega_list, list):
-        raise ConfigError(f"{path}.omega_list: expected a list of numbers")
-    resolved["omega_list"] = [
-        _as_num(v, f"{path}.omega_list[{i}]") for i, v in enumerate(omega_list)
-    ]
-    return GuidanceWeights(omega=resolved["omega"], omega1=resolved["omega1"],
-                           omega2=resolved["omega2"],
-                           omega_list=tuple(resolved["omega_list"])), resolved
+    return GuidanceWeights(**resolved), resolved
 
 
 def _build_fusion(obj, path: str, weights: GuidanceWeights,

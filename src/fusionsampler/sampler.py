@@ -12,7 +12,6 @@ the two share one code path so bit-identity holds structurally.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,7 +79,6 @@ class FusionConfig:
                 "omega": self.weights.omega,
                 "omega1": self.weights.omega1,
                 "omega2": self.weights.omega2,
-                "omega_list": list(self.weights.omega_list),
             },
             "sigma": sig,
         }
@@ -102,7 +100,6 @@ class FusionConfig:
                 omega=float(w.get("omega", 2.0)),
                 omega1=float(w.get("omega1", 2.0)),
                 omega2=float(w.get("omega2", 2.0)),
-                omega_list=tuple(w.get("omega_list", ())),
             ),
             sigma=profile,
             mode=obj.get("mode", "fusion"),
@@ -111,20 +108,15 @@ class FusionConfig:
 
 @dataclass
 class RunRecord:
-    """Persisted output of one sampling run.
-
-    wall_clock is measured and kept on the object but left out of the
-    serialized form unless asked for, so rerun bytes stay identical.
-    """
+    """Persisted output of one sampling run."""
 
     config: dict
     seed: int
     samples: np.ndarray
     trajectories: np.ndarray | None = None
     metrics: dict = field(default_factory=dict)
-    wall_clock: float | None = None
 
-    def to_jsonable(self, include_timing: bool = False) -> dict:
+    def to_jsonable(self) -> dict:
         out = {
             "config": self.config,
             "seed": int(self.seed),
@@ -133,8 +125,6 @@ class RunRecord:
         }
         if self.trajectories is not None:
             out["trajectories"] = self.trajectories.tolist()
-        if include_timing and self.wall_clock is not None:
-            out["wall_clock"] = float(self.wall_clock)
         return out
 
 
@@ -265,7 +255,6 @@ def sample_trajectory(cond: ConditionSet, cfg: FusionConfig,
     """Run the configured per-step operator from x_T ~ Normal(0, I) down to x_0."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
-    start = time.perf_counter()
     step_fn = _STEP_FNS[cfg.mode]
     streams = SampleStreams(seed, n_samples)
     x = streams.standard_normal((n_samples, predictor.d))
@@ -294,5 +283,4 @@ def sample_trajectory(cond: ConditionSet, cfg: FusionConfig,
         seed=seed,
         samples=x,
         trajectories=traj,
-        wall_clock=time.perf_counter() - start,
     )

@@ -22,7 +22,7 @@ __all__ = [
     "identity_condition",
     "style_condition",
     "leaky_identity_condition",
-    "world_preset",
+    "WORLD_PRESETS",
 ]
 
 
@@ -120,13 +120,8 @@ def leaky_identity_condition(world: MixtureWorld, i: int, c_ref: int,
     return w
 
 
-def world_preset(name: str, **kwargs) -> MixtureWorld:
-    """Factory used by run configs: single | product | conflict."""
-    presets = {
-        "single": single_gaussian_world,
-        "product": product_world,
-        "conflict": conflict_world,
-    }
-    if name not in presets:
-        raise ValueError(f"unknown world preset {name!r}; choose from {sorted(presets)}")
-    return presets[name](**kwargs)
+WORLD_PRESETS = {
+    "single": single_gaussian_world,
+    "product": product_world,
+    "conflict": conflict_world,
+}

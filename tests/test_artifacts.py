@@ -4,24 +4,23 @@ import numpy as np
 import pytest
 
 from fusionsampler.artifacts import (
-    dump_json,
     format_cell,
     load_json,
+    render_csv,
+    render_json,
     render_scatter_svg,
-    write_csv,
 )
 
 
 def test_json_round_trip_and_stable_bytes(tmp_path):
     obj = {"b": [1, 2.5, None], "a": {"nested": True, "s": "x"}}
-    p1 = tmp_path / "one.json"
-    p2 = tmp_path / "two.json"
-    dump_json(obj, str(p1))
-    dump_json({"a": {"s": "x", "nested": True}, "b": [1, 2.5, None]}, str(p2))
-    assert load_json(str(p1)) == obj
+    text = render_json(obj)
+    path = tmp_path / "one.json"
+    path.write_text(text)
+    assert load_json(str(path)) == obj
     # key order in the input dict must not leak into the bytes
-    assert p1.read_bytes() == p2.read_bytes()
-    assert p1.read_bytes().endswith(b"\n")
+    assert render_json({"a": {"s": "x", "nested": True}, "b": [1, 2.5, None]}) == text
+    assert text.endswith("\n")
 
 
 def test_format_cell_rules():
@@ -35,43 +34,32 @@ def test_format_cell_rules():
     assert float(format_cell(v)) == v
 
 
-def test_write_csv_column_union_and_blanks(tmp_path):
+def test_write_csv_column_union_and_blanks():
     rows = [
         {"a": 1, "b": 2.0},
         {"b": 3.5, "c": None},
         {"c": "text", "a": False},
     ]
-    path = tmp_path / "t.csv"
-    cols = write_csv(rows, str(path))
-    assert cols == ["a", "b", "c"]
-    lines = path.read_text().splitlines()
+    lines = render_csv(rows).splitlines()
     assert lines[0] == "a,b,c"
     assert lines[1] == "1,2.0,"
     assert lines[2] == ",3.5,"
     assert lines[3] == "false,,text"
 
 
-def test_write_csv_explicit_columns(tmp_path):
+def test_write_csv_explicit_columns():
     rows = [{"x": 1, "y": 2}]
-    path = tmp_path / "t.csv"
-    cols = write_csv(rows, str(path), columns=["y", "x", "missing"])
-    assert cols == ["y", "x", "missing"]
-    assert path.read_text() == "y,x,missing\n2,1,\n"
+    assert render_csv(rows, columns=["y", "x", "missing"]) == "y,x,missing\n2,1,\n"
 
 
-def test_write_csv_rerun_identical_bytes(tmp_path):
+def test_write_csv_rerun_identical_bytes():
     rows = [{"v": float(x)} for x in np.linspace(0.0, 1.0, 7)]
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(rows, str(p1))
-    write_csv(rows, str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
+    assert render_csv(rows) == render_csv([dict(row) for row in rows])
 
 
-def test_scatter_svg_content_and_clamping(tmp_path):
+def test_scatter_svg_content_and_clamping():
     pts = [(0.5, 0.5, "mid"), (2.0, -1.0, "out")]
-    path = tmp_path / "p.svg"
-    text = render_scatter_svg(pts, "demo", path=str(path))
-    assert path.read_text() == text
+    text = render_scatter_svg(pts, "demo")
     assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
     assert "demo" in text and "mid" in text and "out" in text
     assert text.count("<circle") == 2

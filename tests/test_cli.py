@@ -85,13 +85,19 @@ def test_run_sample_writes_record_samples_metrics(tmp_path):
 
 
 def test_run_rerun_is_byte_identical(tmp_path):
+    # every mode at the FAST smoke config: T=20, 12 samples, 40 denoiser and
+    # 8 encoder steps
     cfg = _config(tmp_path)
-    for sub in ("a", "b"):
-        assert main(["run", "--config", cfg, "--mode", "sample",
-                     "--out", str(tmp_path / sub)]) == 0
-    for name in ("run_record.json", "samples.csv", "metrics.csv"):
-        assert (tmp_path / "a" / name).read_bytes() \
-            == (tmp_path / "b" / name).read_bytes()
+    for mode in ("sample", "train-encoder", "sweep-lambda", "ablate", "compare"):
+        outs = [tmp_path / mode / sub for sub in ("a", "b")]
+        for out in outs:
+            assert main(["run", "--config", cfg, "--mode", mode,
+                         "--out", str(out)]) == 0, mode
+        names = sorted(os.listdir(outs[0]))
+        assert "run_record.json" in names and sorted(os.listdir(outs[1])) == names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), \
+                (mode, name)
 
 
 def test_run_seed_flag_overrides_config(tmp_path):

@@ -13,7 +13,6 @@ from fusionsampler.encoder import (
     ToyPromptNet,
     TrainingConfig,
     default_anchor,
-    encode,
     finetune_customize,
     new_promptnet,
     promptnet_loss_and_grads,
@@ -51,11 +50,11 @@ def test_encode_is_deterministic_and_zero_at_init():
     net = new_promptnet(DEN, seed=4)
     x_ref = np.array([2.0, -2.0])
     x_t = np.array([[0.1, 0.2], [1.0, -1.0]])
-    a = encode(net, x_ref, x_t, 10)
-    b = encode(net, x_ref, x_t, 10)
+    a = net.encode(x_ref, x_t, 10)
+    b = net.encode(x_ref, x_t, 10)
     assert a.tobytes() == b.tobytes()
     assert np.all(a == 0.0)
-    single = encode(net, x_ref, x_t[0], 10)
+    single = net.encode(x_ref, x_t[0], 10)
     assert single.shape == (2,)
 
 
@@ -194,6 +193,26 @@ def test_wrapper_gamma_zero_equals_null_identity():
     assert a.tobytes() == b.tobytes()
     c = wrap.predict_eps(x, ConditionSet(identity=ref, gamma=1.0), 15)
     assert c.tobytes() != a.tobytes()
+
+
+def test_wrapper_is_the_denoiser_fed_the_embedding():
+    # the wrapper adds nothing to the denoiser beyond encoding the reference
+    tc = TrainingConfig(lam=0.1, steps=30, batch=16, seed=3)
+    net = train_promptnet(WORLD, DEN, tc)
+    wrap = EncoderConditionedDenoiser(net, DEN)
+    ref = np.array([2.0, -2.0])
+    text = np.array([0.0, 1.0])
+    x = np.random.default_rng(1).standard_normal((6, 2))
+    for gamma in (0.0, 0.4, 1.0):
+        for t in (1, 37, SCHED.T):
+            for x_t in (x, x[2]):
+                got = wrap.predict_eps(
+                    x_t, ConditionSet(identity=ref, text=text, gamma=gamma), t)
+                want = DEN.predict_eps(
+                    x_t, ConditionSet(identity=net.encode(ref, x_t, t), text=text,
+                                      gamma=gamma), t)
+                assert got.shape == np.shape(x_t)
+                assert got.tobytes() == want.tobytes()
 
 
 def test_wrapper_validation_and_shapes():

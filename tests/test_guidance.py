@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 from fusionsampler.guidance import (
     GuidanceWeights,
     cfg_independent,
-    cfg_multi,
     cfg_single,
     eps_to_score,
     score_to_eps,
@@ -46,31 +45,6 @@ def test_cfg_independent_cancellation_and_zero_deltas():
     assert_allclose(cfg_independent(eu, eu, eu, w2), eu)
 
 
-def test_cfg_multi_reduces_to_independent_with_one_slot_nulled():
-    eu = np.array([0.2, -0.5])
-    es = np.array([1.0, 0.3])
-    w = GuidanceWeights(omega1=1.7, omega2=0.0, omega_list=(1.7,))
-    got = cfg_multi(eu, [es], w)
-    want = cfg_independent(eu, es, eu, GuidanceWeights(omega1=1.7, omega2=123.0))
-    assert_allclose(got, want)
-
-
-def test_cfg_multi_symmetry_and_arithmetic():
-    eu = np.array([0.0])
-    e1, e2 = np.array([1.0]), np.array([2.0])
-    w = GuidanceWeights(omega_list=(0.5, 0.5))
-    assert_allclose(cfg_multi(eu, [e1, e2], w), cfg_multi(eu, [e2, e1], w))
-    w3 = GuidanceWeights(omega_list=(0.0, 0.0, 0.0))
-    out = cfg_multi(eu, [np.array([1.0]), np.array([2.0]), np.array([3.0])], w3)
-    assert_allclose(out, [6.0])
-
-
-def test_cfg_multi_length_mismatch():
-    w = GuidanceWeights(omega_list=(0.5,))
-    with pytest.raises(ValueError, match="one weight per condition"):
-        cfg_multi(np.zeros(2), [np.ones(2), np.ones(2)], w)
-
-
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError, match="shapes disagree"):
         cfg_single(np.zeros(2), np.zeros(3), 1.0)
@@ -99,7 +73,7 @@ def test_nonfinite_weights_rejected():
     with pytest.raises(ValueError, match="finite"):
         GuidanceWeights(omega=float("nan"))
     with pytest.raises(ValueError, match="finite"):
-        GuidanceWeights(omega_list=(1.0, float("inf")))
+        GuidanceWeights(omega2=float("inf"))
 
 
 @settings(max_examples=60, deadline=None)
@@ -111,7 +85,7 @@ def test_nonfinite_weights_rejected():
 def test_combiners_are_homogeneous(eu, scale, om):
     # scaling every eps input by a constant scales the output by the same constant
     ej = np.linspace(-1.0, 1.0, eu.size)
-    w = GuidanceWeights(omega1=om, omega2=-om, omega_list=(om,))
+    w = GuidanceWeights(omega1=om, omega2=-om)
     assert_allclose(
         cfg_single(scale * ej, scale * eu, om),
         scale * cfg_single(ej, eu, om),
@@ -121,12 +95,6 @@ def test_combiners_are_homogeneous(eu, scale, om):
     assert_allclose(
         cfg_independent(scale * eu, scale * ej, scale * eu, w),
         scale * cfg_independent(eu, ej, eu, w),
-        rtol=1e-9,
-        atol=1e-6,
-    )
-    assert_allclose(
-        cfg_multi(scale * eu, [scale * ej], w),
-        scale * cfg_multi(eu, [ej], w),
         rtol=1e-9,
         atol=1e-6,
     )

@@ -107,6 +107,12 @@ def test_violations_name_the_offending_path(payload, fragment):
     assert fragment in str(err.value)
 
 
+def test_omega_list_is_an_unknown_key():
+    # n-condition weights have no sampler behind them, so the key is refused
+    with pytest.raises(ConfigError, match="unknown key.*weights.omega_list"):
+        validate_config({"weights": {"omega_list": [1.0]}})
+
+
 def test_multiple_unknown_keys_all_listed():
     with pytest.raises(ConfigError) as err:
         validate_config({"fusion": {"mm": 1, "gamma2": 2}})
