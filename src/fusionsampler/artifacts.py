@@ -37,6 +37,14 @@ def format_cell(value) -> str:
     return str(value)
 
 
+def _csv_field(text: str) -> str:
+    # RFC 4180: quote a field holding a delimiter, quote or line break and
+    # double its quotes; every other field is written as is
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def render_csv(rows, columns=None) -> str:
     """CSV text from dict rows; column order is given or first-seen order."""
     if columns is None:
@@ -45,9 +53,10 @@ def render_csv(rows, columns=None) -> str:
             for key in row:
                 if key not in columns:
                     columns.append(key)
-    lines = [",".join(columns)]
+    lines = [",".join(_csv_field(col) for col in columns)]
     for row in rows:
-        lines.append(",".join(format_cell(row.get(col)) for col in columns))
+        lines.append(",".join(_csv_field(format_cell(row.get(col)))
+                              for col in columns))
     return "\n".join(lines) + "\n"
 
 

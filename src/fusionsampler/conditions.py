@@ -16,7 +16,11 @@ def _frozen_array(value) -> np.ndarray | None:
     if np.any(np.isnan(arr)) or np.any(arr == np.inf):
         # -inf is a legal log-weight (excluded cell); +inf and nan are not
         raise ValueError("condition arrays may contain -inf but not nan or +inf")
-    arr.setflags(write=False)
+    if arr.flags.writeable:
+        # the caller may hold this array (or its memory): freeze a copy of it;
+        # an already read-only array, such as another ConditionSet's, is shared
+        arr = arr.copy()
+        arr.setflags(write=False)
     return arr
 
 

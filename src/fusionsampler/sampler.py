@@ -12,6 +12,7 @@ the two share one code path so bit-identity holds structurally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,10 +132,25 @@ class RunRecord:
 class SampleStreams:
     """Per-sample RNG streams derived from (seed, sample_index).
 
-    Draws for a batch stack row i from stream i, so each sample's noise
+    Draws for a batch take row i from stream i, so each sample's noise
     sequence depends only on (seed, i) and the number of draws made, never on
     the batch size or on other samples.
+
+    Values are served from a per-stream buffer that is refilled in place with
+    one generator call per stream every _CHUNK values, instead of n generator
+    calls per draw. Above 4096 streams the buffer is narrower, so that it
+    holds at most _BUFFER_VALUES values in all. A PCG64 generator yields the
+    same normals whether k values are drawn in one call or split over
+    several, so the buffered sequence is bit-identical to drawing each value
+    on demand. The buffer widens only when a single draw needs more than its
+    width. Every draw returns a fresh array: writing to it cannot change
+    later draws, and an array held across later draws keeps its values.
     """
+
+    _CHUNK = 64  # values drawn per stream at each refill
+    # 2 MB: at n = 40000 a full-width buffer would add 20 MB to the 37 MB
+    # that the generators take
+    _BUFFER_VALUES = 2**18
 
     def __init__(self, seed: int, n: int):
         if n < 1:
@@ -145,11 +161,34 @@ class SampleStreams:
             np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
             for i in range(n)
         ]
+        width = min(self._CHUNK, self._BUFFER_VALUES // self.n)
+        self._buf = np.empty((self.n, width))
+        self._pos = width  # next unserved column; the buffer starts empty
 
     def standard_normal(self, shape) -> np.ndarray:
         if isinstance(shape, int) or len(shape) == 0 or shape[0] != self.n:
             raise ValueError(f"leading dimension must be n={self.n}, got {shape!r}")
-        return np.stack([g.standard_normal(shape[1:]) for g in self._gens])
+        shape = tuple(shape)
+        if any(dim < 0 for dim in shape[1:]):
+            raise ValueError(f"negative dimensions are not allowed, got {shape!r}")
+        k = math.prod(shape[1:])
+        if self._pos + k > self._buf.shape[1]:
+            self._refill(k)
+        out = self._buf[:, self._pos:self._pos + k].reshape(shape).copy()
+        self._pos += k
+        return out
+
+    def _refill(self, k: int) -> None:
+        """Move the unserved values to the front, then draw each stream's
+        remaining columns in place; widen first if k exceeds the buffer."""
+        left = self._buf[:, self._pos:]
+        kept = left.shape[1]
+        if k > self._buf.shape[1]:
+            self._buf = np.empty((self.n, k))
+        self._buf[:, :kept] = left
+        for gen, row in zip(self._gens, self._buf[:, kept:]):
+            gen.standard_normal(out=row)
+        self._pos = 0
 
 
 def ddim_step(x_t, t: int, eps_tilde, schedule: DiffusionSchedule, sigma_t: float,

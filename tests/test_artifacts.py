@@ -1,5 +1,8 @@
 """Writer determinism and formatting rules."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from fusionsampler.artifacts import (
     render_json,
     render_scatter_svg,
 )
+from fusionsampler.evaluate import SWEEP_COLUMNS
 
 
 def test_json_round_trip_and_stable_bytes(tmp_path):
@@ -55,6 +59,24 @@ def test_write_csv_explicit_columns():
 def test_write_csv_rerun_identical_bytes():
     rows = [{"v": float(x)} for x in np.linspace(0.0, 1.0, 7)]
     assert render_csv(rows) == render_csv([dict(row) for row in rows])
+
+
+def test_write_csv_quotes_cells_that_need_it():
+    rows = [
+        {"lam": 1.0, "seed": 0, "status": "sampling failed: a, b",
+         "recon_error": 0.25},
+        {"lam": 10.0, "seed": 1, "status": 'say "hi"\r\nbye', "recon_error": None},
+        {"lam": 0.0, "seed": 2, "status": "ok", "recon_error": 0.5},
+    ]
+    text = render_csv(rows, columns=SWEEP_COLUMNS)
+    back = list(csv.DictReader(io.StringIO(text, newline="")))
+    assert [list(r) for r in back] == [SWEEP_COLUMNS] * 3
+    assert [r["status"] for r in back] == [row["status"] for row in rows]
+    assert [r["recon_error"] for r in back] == ["0.25", "", "0.5"]
+    # cells without a delimiter, quote or line break keep their bytes
+    assert text.splitlines()[-1] == "0.0,2,ok,0.5,,,"
+    header = render_csv([{"a,b": 1, 'c"': 2}])
+    assert next(csv.reader(io.StringIO(header))) == ["a,b", 'c"']
 
 
 def test_scatter_svg_content_and_clamping():

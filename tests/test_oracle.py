@@ -204,6 +204,17 @@ def test_condition_set_helpers():
         ConditionSet(identity=np.array([np.inf]))
 
 
+def test_condition_set_leaves_the_callers_array_writeable():
+    a = np.array([1.0, 0.0])
+    cond = ConditionSet(identity=a)
+    a[0] = 2.0  # raised "assignment destination is read-only" when frozen in place
+    assert_array_equal(cond.identity, [1.0, 0.0])
+    assert not cond.identity.flags.writeable
+    # derived sets share the frozen array instead of copying it again
+    assert cond.with_gamma(0.5).identity is cond.identity
+    assert ConditionSet(identity=cond.identity).identity is cond.identity
+
+
 def test_condition_set_json_round_trip():
     import json
 

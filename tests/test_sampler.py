@@ -9,6 +9,7 @@ recursion at Monte Carlo tolerances.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -80,7 +81,61 @@ def test_streams_reject_wrong_leading_dim():
     streams = SampleStreams(seed=3, n=4)
     with pytest.raises(ValueError, match="leading dimension"):
         streams.standard_normal((5, 2))
+    with pytest.raises(ValueError, match="negative"):
+        streams.standard_normal((4, -1))
     assert streams.standard_normal((4, 2)).shape == (4, 2)
+
+
+CHUNK = SampleStreams._CHUNK
+TAILS = [(), (0,), (3,), (2,), (2, 3), (CHUNK + 5,)]
+
+
+class NarrowStreams(SampleStreams):
+    # the large-n cap at small n: widths 7, 3, 2, 1 and 1 for n = 1..5
+    _BUFFER_VALUES = 7
+
+
+def _unbuffered(seed, n):
+    gens = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
+            for i in range(n)]
+    return lambda tail: np.stack([g.standard_normal(tail) for g in gens])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    cls=st.sampled_from([SampleStreams, NarrowStreams]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    tails=st.lists(st.sampled_from(TAILS), max_size=60).flatmap(
+        lambda extra: st.permutations(TAILS + extra)),
+)
+def test_buffered_streams_equal_per_value_draws(cls, seed, n, tails):
+    # every tail appears at least once, one of them wider than a refill; the
+    # filler makes every sequence cross several refills
+    while sum(math.prod(tail) for tail in tails) < 4 * CHUNK:
+        tails.append((3,))
+    streams = cls(seed, n)
+    reference = _unbuffered(seed, n)
+    for tail in tails:
+        got = streams.standard_normal((n, *tail))
+        want = reference(tail)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_stream_draws_are_fresh_arrays():
+    streams = SampleStreams(6, 3)
+    reference = _unbuffered(6, 3)
+    held = streams.standard_normal((3, 2))
+    kept = held.copy()
+    assert held.tobytes() == reference((2,)).tobytes()
+    scribbled = streams.standard_normal((3, 4))
+    scribbled[:] = np.nan  # must not reach the values served next
+    reference((4,))
+    for _ in range(3 * CHUNK // 5):
+        assert streams.standard_normal((3, 5)).tobytes() == reference((5,)).tobytes()
+    # held across several refills, the first draw keeps its values
+    assert held.tobytes() == kept.tobytes()
 
 
 def test_same_seed_reproduces_bitwise():

@@ -1,6 +1,8 @@
 """The self-check battery: clean pass, filtering, and failure capture."""
 
+import numpy as np
 
+import fusionsampler.sampler as sampler
 import fusionsampler.verify as verify
 from fusionsampler.posterior import fused_update_coefficients
 from fusionsampler.verify import CHECK_NAMES, run_checks
@@ -37,6 +39,23 @@ def test_injected_coefficient_drift_is_caught(monkeypatch):
     assert not by_name["posterior_two_path"].passed
     assert not by_name["boundary_sigma_collapse"].passed
     assert by_name["variance_bound"].passed
+
+
+def test_injected_batch_dependent_stream_is_caught(monkeypatch):
+    # one generator shared by the whole batch: row i's noise then depends on
+    # how many rows came before it in every earlier draw
+    class SharedStream:
+        def __init__(self, seed, n):
+            self.n = n
+            self._gen = np.random.default_rng(seed)
+
+        def standard_normal(self, shape):
+            return self._gen.standard_normal(shape)
+
+    monkeypatch.setattr(sampler, "SampleStreams", SharedStream)
+    (result,) = run_checks("batch_prefix_invariance")
+    assert not result.passed
+    assert "rows differ" in result.detail
 
 
 def test_raising_check_reported_as_failure(monkeypatch):
