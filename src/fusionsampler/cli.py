@@ -3,7 +3,9 @@
 verify prints one CSV row per check on stdout and exits nonzero when any
 fails. run executes one mode from a JSON config; every mode stages its
 artifacts in memory and writes them only after the whole mode finishes, so a
-failed run leaves no partial files. report scans a directory (and its
+failed run leaves no partial files. The write goes through temp files renamed
+into place; an output that cannot be written exits 1 with no truncated
+artifact and no temp file left. report scans a directory (and its
 immediate subdirectories) for run_record.json files and rolls them up into
 summary.csv, naming unreadable records in warnings instead of aborting.
 
@@ -87,7 +89,9 @@ def _mode_sample(cfg: RunConfig) -> tuple[dict, dict]:
         "samples.csv": render_csv(_sample_rows(rec.samples)),
         "metrics.csv": render_csv([metrics]),
     }
-    return metrics, {**files, "record": rec.to_jsonable()}
+    record = rec.to_jsonable()
+    del record["samples"]  # samples.csv is the one copy
+    return metrics, {**files, "record": record}
 
 
 def _mode_train_encoder(cfg: RunConfig) -> tuple[dict, dict]:
@@ -259,13 +263,35 @@ def cmd_run(args) -> int:
     files["run_record.json"] = render_json(record)
 
     out_dir = _resolve_out(args.out, cfg.out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    for name in sorted(files):
-        path = os.path.join(out_dir, name)
-        with open(path, "w") as fh:
-            fh.write(files[name])
+    try:
+        paths = _write_run_dir(out_dir, files)
+    except OSError as err:
+        print(f"error: cannot write run directory: {err}", file=sys.stderr)
+        return 1
+    for path in paths:
         print(path)
     return 0
+
+
+def _write_run_dir(out_dir: str, files: dict) -> list[str]:
+    """Write every artifact to a .tmp file beside its target, then rename them
+    all into place. A failed write removes the temp files, so it never leaves
+    a truncated artifact behind."""
+    os.makedirs(out_dir, exist_ok=True)
+    names = sorted(files)
+    paths = [os.path.join(out_dir, name) for name in names]
+    try:
+        for name, path in zip(names, paths):
+            with open(path + ".tmp", "w") as fh:
+                fh.write(files[name])
+        for path in paths:
+            os.replace(path + ".tmp", path)
+    except OSError:
+        for path in paths:
+            if os.path.exists(path + ".tmp"):
+                os.remove(path + ".tmp")
+        raise
+    return paths
 
 
 def _record_paths(root: str) -> list[str]:
@@ -281,6 +307,24 @@ def _record_paths(root: str) -> list[str]:
     return paths
 
 
+def _summary_row(path: str, root: str) -> dict:
+    """The summary.csv row of one run record: its path, mode, seed and flat
+    scalar metrics. Raises ValueError when the file is not a record object."""
+    obj = load_json(path)
+    if not isinstance(obj, dict):
+        raise ValueError("record is not a JSON object")
+    metrics = obj.get("metrics", {})
+    if not isinstance(metrics, dict):
+        raise ValueError("record metrics is not a JSON object")
+    row = {"path": os.path.relpath(path, root), "mode": obj["mode"],
+           "seed": obj["seed"]}
+    for key in sorted(metrics):
+        value = metrics[key]
+        if isinstance(value, (int, float, str, bool)) or value is None:
+            row[key] = value
+    return row
+
+
 def cmd_report(args) -> int:
     root = _resolve_out(args.out)
     paths = _record_paths(root)
@@ -288,19 +332,12 @@ def cmd_report(args) -> int:
     unreadable = 0
     for path in paths:
         try:
-            obj = load_json(path)
-            row = {"path": os.path.relpath(path, root),
-                   "mode": obj["mode"], "seed": obj["seed"]}
-        except (json.JSONDecodeError, KeyError, OSError) as err:
+            rows.append(_summary_row(path, root))
+        except (ValueError, KeyError, OSError) as err:
+            # ValueError covers JSONDecodeError and UnicodeDecodeError
             print(f"warning: skipping {path}: {type(err).__name__}: {err}",
                   file=sys.stderr)
             unreadable += 1
-            continue
-        for key in sorted(obj.get("metrics", {})):
-            value = obj["metrics"][key]
-            if isinstance(value, (int, float, str, bool)) or value is None:
-                row[key] = value
-        rows.append(row)
 
     if not paths:
         print(f"warning: no run records found under {root}", file=sys.stderr)

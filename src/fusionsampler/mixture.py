@@ -6,11 +6,26 @@ data for cell (i, c) is Normal(A_c mu_i + b_c, s^2 I). Forward noising at
 signal level alpha_bar diffuses cell (i, c) to
 Normal(sqrt(alpha_bar) m_ic, (alpha_bar s^2 + 1 - alpha_bar) I), so scores,
 densities and responsibilities all have closed forms.
+
+The oracle works cell-major: for a batch of n points and K = n_i * n_c
+cells, x is copied once to (d, n), the per-cell log-likelihoods are (K, n)
+and every reduction over cells or dims is a Python loop over the short axis
+whose body is a vector op across n. numpy's reductions over a short inner
+axis cost several times the arithmetic at these sizes.
+
+Every sum over cells goes through _cell_sum, which adds them in index order.
+np.add.reduce(a, axis=0) is not used: for a lone row numpy makes the cell
+axis its inner loop and sums 8 or more cells pairwise, so a row's bits would
+depend on the batch size. The squared dims are likewise added in index
+order. Below 8 cells and below 8 dims that is also the order numpy used in
+the earlier row-major formulas, so the results are bit-identical to them;
+with 8 or more cells or dims the last bits can differ from those formulas,
+but never with the batch size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +54,8 @@ class MixtureWorld:
     style_A: np.ndarray
     style_b: np.ndarray
     log_prior: np.ndarray
+    # cell means flattened to (n_i * n_c, d), computed once at construction
+    _flat_means: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         means = np.asarray(self.means, dtype=float)
@@ -63,8 +80,10 @@ class MixtureWorld:
         if not (np.isfinite(self.s) and self.s > 0.0):
             raise ValueError(f"s must be a positive std, got {self.s!r}")
         lp = lp - _logsumexp(lp.reshape(-1))
-        for arr in (means, A, b, lp):
+        flat = (np.einsum("cde,ie->icd", A, means) + b[None, :, :]).reshape(-1, d)
+        for arr in (means, A, b, lp, flat):
             arr.setflags(write=False)
+        object.__setattr__(self, "_flat_means", flat)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "style_A", A)
         object.__setattr__(self, "style_b", b)
@@ -83,9 +102,8 @@ class MixtureWorld:
         return self.style_A.shape[0]
 
     def cell_means(self) -> np.ndarray:
-        """Means of all (i, c) cells, shape (n_i, n_c, d)."""
-        mapped = np.einsum("cde,ie->icd", self.style_A, self.means)
-        return mapped + self.style_b[None, :, :]
+        """Means of all (i, c) cells, shape (n_i, n_c, d), read-only."""
+        return self._flat_means.reshape(self.n_identities, self.n_styles, self.d)
 
     def prior(self) -> np.ndarray:
         return np.exp(self.log_prior)
@@ -142,21 +160,21 @@ class MixtureWorld:
 
 
 def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
+    m = a.max(axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    out = np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m
+    out = np.log(np.exp(a - m).sum(axis=axis, keepdims=True)) + m
     return out if axis is None else np.squeeze(out, axis=axis)
 
 
 def _slot_grid(world: MixtureWorld, values: np.ndarray, slot: str) -> np.ndarray:
-    """Broadcast a slot's log-weights to the (n_i, n_c) cell grid."""
+    """A slot's log-weights shaped to broadcast against the (n_i, n_c) grid."""
     n_i, n_c = world.n_identities, world.n_styles
     if values.shape == (n_i, n_c):
         return values
     if slot == "identity" and values.shape == (n_i,):
-        return np.broadcast_to(values[:, None], (n_i, n_c))
+        return values[:, None]
     if slot == "text" and values.shape == (n_c,):
-        return np.broadcast_to(values[None, :], (n_i, n_c))
+        return values[None, :]
     raise ValueError(
         f"{slot} log-weights must have shape ({n_i},)"
         f" / ({n_c},) / ({n_i}, {n_c}) as appropriate, got {values.shape}"
@@ -175,12 +193,28 @@ def cell_log_weights(world: MixtureWorld, cond: ConditionSet | None) -> np.ndarr
             w = w + cond.gamma * _slot_grid(world, cond.identity, "identity")
         if cond.text is not None:
             w = w + _slot_grid(world, cond.text, "text")
-    if not np.any(w > -np.inf):
+    if not (w > -np.inf).any():
         raise ValueError("condition selects an empty subset of mixture cells")
     return w - _logsumexp(w.reshape(-1))
 
 
+def _cell_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the leading (cell) axis, adding the cells in index order.
+
+    Not np.add.reduce(a, axis=0): when the trailing axes hold one element,
+    numpy makes the cell axis its inner loop and sums 8 or more cells
+    pairwise, so a row's bits would depend on the batch size. Starting from
+    +0.0 matches numpy's own in-order reduction, signed zeros included.
+    """
+    acc = a[0] + 0.0
+    for k in range(1, a.shape[0]):
+        acc += a[k]
+    return acc
+
+
 def _diffused_stats(world: MixtureWorld, x, alpha_bar_t: float):
+    """Validate x; return (squeeze, v, xT, loglik) with x transposed to
+    (d, n) and the per-cell log-likelihoods of the diffused cells as (K, n)."""
     if not 0.0 < alpha_bar_t < 1.0:
         raise ValueError(f"alpha_bar_t must lie in (0, 1), got {alpha_bar_t!r}")
     x = np.asarray(x, dtype=float)
@@ -191,46 +225,55 @@ def _diffused_stats(world: MixtureWorld, x, alpha_bar_t: float):
     if not np.all(np.isfinite(x2)):
         raise ValueError("x must be finite")
     v = alpha_bar_t * world.s**2 + 1.0 - alpha_bar_t
-    m = world.cell_means().reshape(-1, world.d)
-    diff = x2[:, None, :] - np.sqrt(alpha_bar_t) * m[None, :, :]
-    loglik = -0.5 * np.sum(diff * diff, axis=-1) / v \
-        - 0.5 * world.d * np.log(2.0 * np.pi * v)
-    return x2, squeeze, v, m, loglik
+    xT = np.ascontiguousarray(x2.T)
+    diff = xT[None, :, :] - np.sqrt(alpha_bar_t) * world._flat_means[:, :, None]
+    sq = diff[:, 0] * diff[:, 0]
+    for j in range(1, world.d):
+        sq += diff[:, j] * diff[:, j]
+    loglik = -0.5 * sq / v - 0.5 * world.d * np.log(2.0 * np.pi * v)
+    return squeeze, v, xT, loglik
+
+
+def _cell_posterior(world: MixtureWorld, x, cond: ConditionSet | None,
+                    alpha_bar_t: float):
+    """Shared front of the oracle functions: (squeeze, v, xT, logits, lse)
+    with cell logits log w_k + log N_k(x) as (K, n) and their log-sum over
+    cells as (n,)."""
+    logw = cell_log_weights(world, cond).reshape(-1)
+    squeeze, v, xT, loglik = _diffused_stats(world, x, alpha_bar_t)
+    logits = logw[:, None] + loglik
+    top = logits.max(axis=0)
+    top = np.where(np.isfinite(top), top, 0.0)
+    lse = np.log(_cell_sum(np.exp(logits - top))) + top
+    return squeeze, v, xT, logits, lse
 
 
 def oracle_log_density(world: MixtureWorld, x, cond: ConditionSet | None,
                        alpha_bar_t: float):
     """log p_t(x | cond), the diffused mixture density under condition weights."""
-    logw = cell_log_weights(world, cond).reshape(-1)
-    x2, squeeze, _, _, loglik = _diffused_stats(world, x, alpha_bar_t)
-    out = _logsumexp(logw[None, :] + loglik, axis=1)
-    return float(out[0]) if squeeze else out
+    squeeze, _, _, _, lse = _cell_posterior(world, x, cond, alpha_bar_t)
+    return float(lse[0]) if squeeze else lse
 
 
 def oracle_responsibilities(world: MixtureWorld, x, cond: ConditionSet | None,
                             alpha_bar_t: float) -> np.ndarray:
     """Posterior cell probabilities r_ic(x) at noise level alpha_bar_t,
     shape (n_i, n_c) for a single x or (n, n_i, n_c) for a batch."""
-    logw = cell_log_weights(world, cond).reshape(-1)
-    x2, squeeze, _, _, loglik = _diffused_stats(world, x, alpha_bar_t)
-    logits = logw[None, :] + loglik
-    r = np.exp(logits - _logsumexp(logits, axis=1)[:, None])
-    r = r.reshape(x2.shape[0], world.n_identities, world.n_styles)
+    squeeze, _, _, logits, lse = _cell_posterior(world, x, cond, alpha_bar_t)
+    r = np.exp(logits - lse).T.reshape(-1, world.n_identities, world.n_styles)
     return r[0] if squeeze else r
 
 
 def oracle_eps(world: MixtureWorld, x, cond: ConditionSet | None,
                alpha_bar_t: float) -> np.ndarray:
     """Exact eps = -sqrt(1 - alpha_bar) * grad log p_t(x | cond)."""
-    logw = cell_log_weights(world, cond).reshape(-1)
-    x2, squeeze, v, m, loglik = _diffused_stats(world, x, alpha_bar_t)
-    logits = logw[None, :] + loglik
-    r = np.exp(logits - _logsumexp(logits, axis=1)[:, None])
-    # fixed-order reduction instead of r @ m: BLAS picks kernels by batch
+    squeeze, v, xT, logits, lse = _cell_posterior(world, x, cond, alpha_bar_t)
+    r = np.exp(logits - lse)
+    # in-order cell sum instead of a matmul: BLAS picks kernels by batch
     # shape, which would make a row's bits depend on the batch size
-    post_mean = np.sum(r[:, :, None] * m[None, :, :], axis=1)
-    eps = np.sqrt(1.0 - alpha_bar_t) * (x2 - np.sqrt(alpha_bar_t) * post_mean) / v
-    return eps[0] if squeeze else eps
+    post_mean = _cell_sum(r[:, None, :] * world._flat_means[:, :, None])
+    eps = np.sqrt(1.0 - alpha_bar_t) * (xT - np.sqrt(alpha_bar_t) * post_mean) / v
+    return eps[:, 0] if squeeze else np.ascontiguousarray(eps.T)
 
 
 def oracle_predict_eps(world: MixtureWorld, x_t, cond: ConditionSet | None, t: int,

@@ -177,25 +177,53 @@ def _check_m0_matches_independent():
     return True, f"{len(trials)} configurations bit-identical at n=6 T={schedule.T}"
 
 
+class _FirstRows:
+    """Predictor wrapper that keeps the bytes of the first n rows of every
+    prediction it passes on."""
+
+    def __init__(self, inner, n: int):
+        self.inner, self.n, self.rows = inner, n, []
+
+    @property
+    def d(self) -> int:
+        return self.inner.d
+
+    def predict_eps(self, x_t, cond, t):
+        eps = self.inner.predict_eps(x_t, cond, t)
+        self.rows.append(eps[:self.n].tobytes())
+        return eps
+
+
 def _check_batch_prefix_invariance():
     """Sample i's noise comes from (seed, i) alone and the oracle treats rows
-    independently, so a fusion trajectory at n + 3 samples must reproduce the
-    n-sample run in its first n rows, bit for bit. m=2 and T=40 draw about
-    400 values per stream, so every stream refills its noise buffer several
-    times."""
-    world = product_world()
+    independently, so the first n rows of a fusion trajectory, and of every
+    oracle call in it, must not depend on how many samples run beside them,
+    bit for bit. The oracle calls are compared too because a last-bit
+    difference in eps is often rounded away in the next state. Two cases:
+    - the 2x2 product world at n=5 and n=8: m=2 and T=40 draw about 400
+      values per stream, so every stream refills its noise buffer several
+      times;
+    - a 4x3 product world at n=1 and n=4: for a lone row numpy would sum its
+      12 cells pairwise instead of in order, if the oracle let it."""
     schedule = build_schedule(T=40, beta_end=0.15)
-    predictor = MixtureOracle(world, schedule)
-    cond = ConditionSet(identity=identity_condition(world, 0, 2.0),
-                        text=style_condition(world, 1, 2.0))
     cfg = FusionConfig(m=2, gamma=0.5)
-    n = 5
-    small = sample_trajectory(cond, cfg, predictor, schedule, n, seed=77).samples
-    big = sample_trajectory(cond, cfg, predictor, schedule, n + 3, seed=77).samples
-    if big[:n].tobytes() != small.tobytes():
-        gap = np.max(np.abs(big[:n] - small))
-        return False, f"first {n} rows differ at n={n + 3}; max abs gap {gap:.2e}"
-    return True, (f"first {n} rows bit-identical at n={n} and n={n + 3};"
+    for world, n, n_big in ((product_world(), 5, 8), (product_world(4, 3), 1, 4)):
+        cond = ConditionSet(identity=identity_condition(world, 0, 2.0),
+                            text=style_condition(world, 1, 2.0))
+        runs = []
+        for size in (n, n_big):
+            oracle = _FirstRows(MixtureOracle(world, schedule), n)
+            samples = sample_trajectory(cond, cfg, oracle, schedule, size, seed=77).samples
+            runs.append((samples[:n].tobytes(), oracle.rows))
+        (small, small_calls), (big, big_calls) = runs
+        differ = sum(a != b for a, b in zip(small_calls, big_calls))
+        if small != big or differ:
+            return False, (f"{world.n_identities}x{world.n_styles} world: first {n}"
+                           f" rows differ at n={n_big}; samples"
+                           f" {'differ' if small != big else 'equal'}; eps differs"
+                           f" in {differ} of {len(small_calls)} oracle calls")
+    return True, ("first rows of samples and oracle calls bit-identical: 2x2"
+                  " world n=5 vs 8 and 4x3 world n=1 vs 4;"
                   f" fusion m={cfg.m} T={schedule.T}")
 
 

@@ -76,7 +76,7 @@ def test_run_sample_writes_record_samples_metrics(tmp_path):
     record = load_json(out / "run_record.json")
     assert record["mode"] == "sample" and record["seed"] == 0
     assert record["config"]["schedule"]["T"] == 20
-    assert len(record["record"]["samples"]) == 12
+    assert sorted(record["record"]) == ["config", "metrics", "seed"]
     lines = (out / "samples.csv").read_text().splitlines()
     assert lines[0] == "x0,x1"
     assert len(lines) == 13
@@ -204,6 +204,66 @@ def test_run_failure_leaves_no_partial_outputs(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_into_a_regular_file_exits_1(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("keep me")
+    assert main(["run", "--config", _config(tmp_path), "--mode", "sample",
+                 "--out", str(target)]) == 1
+    assert "error: cannot write run directory" in capsys.readouterr().err
+    assert target.read_text() == "keep me"
+    assert list(tmp_path.glob("**/*.tmp")) == []
+
+
+def test_run_write_failing_partway_leaves_no_truncated_artifact(
+        tmp_path, monkeypatch, capsys):
+    cfg = _config(tmp_path)
+    ref = tmp_path / "ref"
+    assert main(["run", "--config", cfg, "--mode", "sample", "--out", str(ref)]) == 0
+    real_open = open
+
+    class HalfWritten:
+        # writes the first half of the text, then fails like a full disk
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError(28, "No space left on device")
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        if "w" in mode and str(path).endswith("samples.csv.tmp"):
+            return HalfWritten(fh)
+        return fh
+
+    real_replace = os.replace
+    calls = []
+
+    def failing_replace(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError(5, "Input/output error")
+        real_replace(src, dst)
+
+    for target, patch in (("builtins.open", failing_open),
+                          ("os.replace", failing_replace)):
+        out = tmp_path / target
+        with monkeypatch.context() as m:
+            m.setattr(target, patch)
+            assert main(["run", "--config", cfg, "--mode", "sample",
+                         "--out", str(out)]) == 1, target
+        assert "error: cannot write run directory" in capsys.readouterr().err
+        assert list(out.glob("*.tmp")) == [], target
+        for path in out.iterdir():
+            assert path.read_bytes() == (ref / path.name).read_bytes(), target
+
+
 def test_out_dir_precedence_flag_config_env(tmp_path, monkeypatch):
     monkeypatch.setenv("PROFUSION_OUT", str(tmp_path / "from_env"))
     cfg = _config(tmp_path)
@@ -256,5 +316,31 @@ def test_report_names_corrupt_record_and_keeps_going(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "bad" in captured.err and "skipping" in captured.err
     assert "1 run record(s)" in captured.out
+    lines = (tmp_path / "runs" / "summary.csv").read_text().splitlines()
+    assert len(lines) == 2 and "good" in lines[1]
+
+
+def test_report_skips_malformed_records(tmp_path, capsys):
+    cfg = _config(tmp_path)
+    main(["run", "--config", cfg, "--mode", "sample",
+          "--out", str(tmp_path / "runs" / "good")])
+    bad = {
+        "list": b"[1, 2]",
+        "bytes": b"\xff\xfe{\x80\x81}",
+        "metrics": b'{"mode": "sample", "seed": 1, "metrics": [1, 2]}',
+    }
+    for name, content in bad.items():
+        (tmp_path / "runs" / name).mkdir()
+        (tmp_path / "runs" / name / "run_record.json").write_bytes(content)
+    capsys.readouterr()
+    assert main(["report", "--out", str(tmp_path / "runs")]) == 0
+    captured = capsys.readouterr()
+    warnings = [line for line in captured.err.splitlines()
+                if line.startswith("warning: skipping")]
+    assert len(warnings) == 3
+    for name in bad:
+        assert any(os.path.join("runs", name, "run_record.json") in line
+                   for line in warnings), name
+    assert "1 run record(s)" in captured.out and "(3 unreadable)" in captured.out
     lines = (tmp_path / "runs" / "summary.csv").read_text().splitlines()
     assert len(lines) == 2 and "good" in lines[1]

@@ -258,3 +258,123 @@ def test_oracle_batch_matches_per_sample(seed, ab, gamma):
     assert np.all(np.isfinite(batch))
     for k in range(5):
         assert_allclose(batch[k], oracle_eps(w, xs[k], cond, ab), rtol=1e-12, atol=1e-14)
+
+
+# Row-major reference: the oracle formulas as they stood before the
+# cell-major layout, with numpy's own reductions over the cell and dim axes.
+def _ref_logsumexp(a, axis=None):
+    m = np.max(a, axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    out = np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m
+    return out if axis is None else np.squeeze(out, axis=axis)
+
+
+def _ref_slot_grid(world, values, slot):
+    n_i, n_c = world.n_identities, world.n_styles
+    if values.shape == (n_i, n_c):
+        return values
+    if slot == "identity":
+        return np.broadcast_to(values[:, None], (n_i, n_c))
+    return np.broadcast_to(values[None, :], (n_i, n_c))
+
+
+def _ref_cell_log_weights(world, cond):
+    w = world.log_prior
+    if cond is not None:
+        if cond.identity is not None and cond.gamma != 0.0:
+            w = w + cond.gamma * _ref_slot_grid(world, cond.identity, "identity")
+        if cond.text is not None:
+            w = w + _ref_slot_grid(world, cond.text, "text")
+    if not np.any(w > -np.inf):
+        raise ValueError("condition selects an empty subset of mixture cells")
+    return w - _ref_logsumexp(w.reshape(-1))
+
+
+def _ref_oracle(world, x, cond, ab):
+    """(eps, responsibilities, log density) by the row-major formulas."""
+    logw = _ref_cell_log_weights(world, cond).reshape(-1)
+    x2 = np.atleast_2d(x)
+    v = ab * world.s**2 + 1.0 - ab
+    m = (np.einsum("cde,ie->icd", world.style_A, world.means)
+         + world.style_b[None, :, :]).reshape(-1, world.d)
+    diff = x2[:, None, :] - np.sqrt(ab) * m[None, :, :]
+    loglik = -0.5 * np.sum(diff * diff, axis=-1) / v \
+        - 0.5 * world.d * np.log(2.0 * np.pi * v)
+    logits = logw[None, :] + loglik
+    lse = _ref_logsumexp(logits, axis=1)
+    r = np.exp(logits - lse[:, None])
+    post_mean = np.sum(r[:, :, None] * m[None, :, :], axis=1)
+    eps = np.sqrt(1.0 - ab) * (x2 - np.sqrt(ab) * post_mean) / v
+    resp = r.reshape(x2.shape[0], world.n_identities, world.n_styles)
+    if x.ndim == 1:
+        return eps[0], resp[0], float(lse[0])
+    return eps, resp, lse
+
+
+def _excluding(rng, values, share, keep_one=False):
+    # set a random share of the log-weights to -inf (excluded cells),
+    # optionally keeping one entry finite
+    values = values.copy()
+    values[rng.random(values.shape) < share] = -np.inf
+    if keep_one:
+        values.flat[rng.integers(values.size)] = 0.0
+    return values
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n_i=st.integers(min_value=1, max_value=4),
+    n_c=st.integers(min_value=1, max_value=4),
+    d=st.integers(min_value=1, max_value=9),
+    n=st.one_of(st.none(), st.integers(min_value=1, max_value=600)),
+    ab=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    gamma=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+    grid_identity=st.booleans(),
+)
+def test_oracle_matches_row_major_reference(seed, n_i, n_c, d, n, ab, gamma,
+                                            grid_identity):
+    # n=None is a single point of shape (d,)
+    rng = np.random.default_rng(seed)
+    world = MixtureWorld(
+        means=rng.normal(0.0, 2.0, (n_i, d)),
+        s=float(rng.uniform(0.2, 1.5)),
+        style_A=rng.normal(0.0, 0.7, (n_c, d, d)),
+        style_b=rng.normal(0.0, 1.0, (n_c, d)),
+        log_prior=_excluding(rng, rng.normal(0.0, 1.0, (n_i, n_c)), 0.2, keep_one=True),
+    )
+    id_shape = (n_i, n_c) if grid_identity else (n_i,)
+    cond = ConditionSet(
+        identity=_excluding(rng, rng.normal(0.0, 2.0, id_shape), 0.2),
+        text=_excluding(rng, rng.normal(0.0, 2.0, n_c), 0.2),
+        gamma=gamma,
+    )
+    x = rng.normal(0.0, 3.0, d if n is None else (n, d))
+    try:
+        ref = _ref_oracle(world, x, cond, ab)
+    except ValueError:
+        # every cell excluded: the oracle must refuse it as well
+        with pytest.raises(ValueError, match="empty subset"):
+            cell_log_weights(world, cond)
+        return
+    for c in (None, cond):
+        assert cell_log_weights(world, c).tobytes() == \
+            _ref_cell_log_weights(world, c).tobytes()
+    got = (oracle_eps(world, x, cond, ab),
+           oracle_responsibilities(world, x, cond, ab),
+           oracle_log_density(world, x, cond, ab))
+    for new, old in zip(got, ref):
+        assert np.shape(new) == np.shape(old)
+    if n_i * n_c < 8 and d < 8:
+        # cells and dims summed in index order, as numpy does below 8 terms
+        for new, old in zip(got, ref):
+            assert np.asarray(new).tobytes() == np.asarray(old).tobytes()
+    else:
+        # numpy sums 8 or more terms pairwise, so last bits may differ; eps
+        # is a difference x - sqrt(ab) * post_mean, so it also gets an
+        # absolute slack at the scale of its two terms
+        scale = np.sqrt(1.0 - ab) / (ab * world.s**2 + 1.0 - ab) \
+            * (np.abs(x).max() + np.abs(world.cell_means()).max())
+        assert_allclose(got[0], ref[0], rtol=1e-12, atol=1e-12 * scale)
+        assert_allclose(got[1], ref[1], rtol=1e-12)
+        assert_allclose(got[2], ref[2], rtol=1e-12)

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+import fusionsampler.mixture as mixture
 import fusionsampler.sampler as sampler
 import fusionsampler.verify as verify
 from fusionsampler.posterior import fused_update_coefficients
@@ -56,6 +57,15 @@ def test_injected_batch_dependent_stream_is_caught(monkeypatch):
     (result,) = run_checks("batch_prefix_invariance")
     assert not result.passed
     assert "rows differ" in result.detail
+
+
+def test_injected_pairwise_cell_sum_is_caught(monkeypatch):
+    # numpy's own reduction sums 8 or more cells pairwise for a lone row but
+    # in order across a batch, so row 0's bits would depend on the batch size
+    monkeypatch.setattr(mixture, "_cell_sum", lambda a: np.add.reduce(a, axis=0))
+    (result,) = run_checks("batch_prefix_invariance")
+    assert not result.passed
+    assert "4x3 world: first 1 rows differ" in result.detail
 
 
 def test_raising_check_reported_as_failure(monkeypatch):
