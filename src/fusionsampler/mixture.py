@@ -21,6 +21,27 @@ order. Below 8 cells and below 8 dims that is also the order numpy used in
 the earlier row-major formulas, so the results are bit-identical to them;
 with 8 or more cells or dims the last bits can differ from those formulas,
 but never with the batch size.
+
+The oracle front has two halves. The x-half, _diffused_stats, validates x,
+copies it to (d, n) and builds the (K, n) log-likelihoods; it depends on x
+and t only. The condition half, _cell_logits, adds the flat cell
+log-weights of one condition and takes the log-sum over cells. A guided
+sampler step asks for 2 or 3 conditions at the same (x, t), so
+MixtureOracle.predict_eps keeps two caches in front of the shared eps tail:
+
+- a one-entry memo of the last call's x-half, keyed by t and the bits of x
+  (its shape and bytes). It is stored only after x has passed validation,
+  and its (d, n) array is a copy, so a caller that changes its array in
+  place cannot be served a stale entry. The key compares bits, not values:
+  == takes -0.0 for 0.0, and the sign of a zero can reach eps through
+  xT - sqrt(alpha_bar) * post_mean;
+- the flat cell log-weights of each condition object seen, keyed by object
+  identity and holding the object, so that its id cannot be reused. This is
+  safe because a ConditionSet is frozen and its arrays are read-only;
+  ConditionSet returns the same derived objects on repeated calls, so a
+  trajectory uses at most 5 of them, and the cache is cleared above 8.
+
+Every result is bit-identical to a fresh oracle_predict_eps call.
 """
 
 from __future__ import annotations
@@ -40,8 +61,6 @@ __all__ = [
     "oracle_responsibilities",
     "oracle_predict_eps",
 ]
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -77,6 +96,9 @@ class MixtureWorld:
             raise ValueError("world parameters must be finite")
         if np.any(np.isnan(lp)) or np.any(lp == np.inf):
             raise ValueError("log_prior may contain -inf but not nan or +inf")
+        if not (lp > -np.inf).any():
+            raise ValueError(
+                "log_prior must leave at least one cell with finite log-weight")
         if not (np.isfinite(self.s) and self.s > 0.0):
             raise ValueError(f"s must be a positive std, got {self.s!r}")
         lp = lp - _logsumexp(lp.reshape(-1))
@@ -213,8 +235,9 @@ def _cell_sum(a: np.ndarray) -> np.ndarray:
 
 
 def _diffused_stats(world: MixtureWorld, x, alpha_bar_t: float):
-    """Validate x; return (squeeze, v, xT, loglik) with x transposed to
-    (d, n) and the per-cell log-likelihoods of the diffused cells as (K, n)."""
+    """The x-half of the oracle: validate x; return (squeeze, v, xT, loglik)
+    with x transposed to (d, n) and the per-cell log-likelihoods of the
+    diffused cells as (K, n). Nothing here depends on the condition."""
     if not 0.0 < alpha_bar_t < 1.0:
         raise ValueError(f"alpha_bar_t must lie in (0, 1), got {alpha_bar_t!r}")
     x = np.asarray(x, dtype=float)
@@ -225,7 +248,7 @@ def _diffused_stats(world: MixtureWorld, x, alpha_bar_t: float):
     if not np.all(np.isfinite(x2)):
         raise ValueError("x must be finite")
     v = alpha_bar_t * world.s**2 + 1.0 - alpha_bar_t
-    xT = np.ascontiguousarray(x2.T)
+    xT = x2.T.copy()  # a copy even for one row: the memo must not alias x
     diff = xT[None, :, :] - np.sqrt(alpha_bar_t) * world._flat_means[:, :, None]
     sq = diff[:, 0] * diff[:, 0]
     for j in range(1, world.d):
@@ -234,40 +257,28 @@ def _diffused_stats(world: MixtureWorld, x, alpha_bar_t: float):
     return squeeze, v, xT, loglik
 
 
-def _cell_posterior(world: MixtureWorld, x, cond: ConditionSet | None,
-                    alpha_bar_t: float):
-    """Shared front of the oracle functions: (squeeze, v, xT, logits, lse)
-    with cell logits log w_k + log N_k(x) as (K, n) and their log-sum over
-    cells as (n,)."""
-    logw = cell_log_weights(world, cond).reshape(-1)
-    squeeze, v, xT, loglik = _diffused_stats(world, x, alpha_bar_t)
+def _cell_logits(logw: np.ndarray, loglik: np.ndarray):
+    """The condition half: cell logits log w_k + log N_k(x) as (K, n) from the
+    flat cell log-weights (K,), and their log-sum over cells as (n,)."""
     logits = logw[:, None] + loglik
     top = logits.max(axis=0)
     top = np.where(np.isfinite(top), top, 0.0)
     lse = np.log(_cell_sum(np.exp(logits - top))) + top
-    return squeeze, v, xT, logits, lse
+    return logits, lse
 
 
-def oracle_log_density(world: MixtureWorld, x, cond: ConditionSet | None,
-                       alpha_bar_t: float):
-    """log p_t(x | cond), the diffused mixture density under condition weights."""
-    squeeze, _, _, _, lse = _cell_posterior(world, x, cond, alpha_bar_t)
-    return float(lse[0]) if squeeze else lse
+def _cell_posterior(world: MixtureWorld, x, cond: ConditionSet | None,
+                    alpha_bar_t: float):
+    """Both halves for one call: (squeeze, logits, lse)."""
+    logw = cell_log_weights(world, cond).reshape(-1)
+    squeeze, _, _, loglik = _diffused_stats(world, x, alpha_bar_t)
+    return (squeeze, *_cell_logits(logw, loglik))
 
 
-def oracle_responsibilities(world: MixtureWorld, x, cond: ConditionSet | None,
-                            alpha_bar_t: float) -> np.ndarray:
-    """Posterior cell probabilities r_ic(x) at noise level alpha_bar_t,
-    shape (n_i, n_c) for a single x or (n, n_i, n_c) for a batch."""
-    squeeze, _, _, logits, lse = _cell_posterior(world, x, cond, alpha_bar_t)
-    r = np.exp(logits - lse).T.reshape(-1, world.n_identities, world.n_styles)
-    return r[0] if squeeze else r
-
-
-def oracle_eps(world: MixtureWorld, x, cond: ConditionSet | None,
-               alpha_bar_t: float) -> np.ndarray:
-    """Exact eps = -sqrt(1 - alpha_bar) * grad log p_t(x | cond)."""
-    squeeze, v, xT, logits, lse = _cell_posterior(world, x, cond, alpha_bar_t)
+def _eps(world: MixtureWorld, logw: np.ndarray, stats, alpha_bar_t: float) -> np.ndarray:
+    """eps from the flat cell log-weights and the x-half's stats."""
+    squeeze, v, xT, loglik = stats
+    logits, lse = _cell_logits(logw, loglik)
     r = np.exp(logits - lse)
     # in-order cell sum instead of a matmul: BLAS picks kernels by batch
     # shape, which would make a row's bits depend on the batch size
@@ -276,24 +287,88 @@ def oracle_eps(world: MixtureWorld, x, cond: ConditionSet | None,
     return eps[:, 0] if squeeze else np.ascontiguousarray(eps.T)
 
 
+def oracle_log_density(world: MixtureWorld, x, cond: ConditionSet | None,
+                       alpha_bar_t: float):
+    """log p_t(x | cond), the diffused mixture density under condition weights."""
+    squeeze, _, lse = _cell_posterior(world, x, cond, alpha_bar_t)
+    return float(lse[0]) if squeeze else lse
+
+
+def oracle_responsibilities(world: MixtureWorld, x, cond: ConditionSet | None,
+                            alpha_bar_t: float) -> np.ndarray:
+    """Posterior cell probabilities r_ic(x) at noise level alpha_bar_t,
+    shape (n_i, n_c) for a single x or (n, n_i, n_c) for a batch."""
+    squeeze, logits, lse = _cell_posterior(world, x, cond, alpha_bar_t)
+    r = np.exp(logits - lse).T.reshape(-1, world.n_identities, world.n_styles)
+    return r[0] if squeeze else r
+
+
+def oracle_eps(world: MixtureWorld, x, cond: ConditionSet | None,
+               alpha_bar_t: float) -> np.ndarray:
+    """Exact eps = -sqrt(1 - alpha_bar) * grad log p_t(x | cond)."""
+    logw = cell_log_weights(world, cond).reshape(-1)
+    return _eps(world, logw, _diffused_stats(world, x, alpha_bar_t), alpha_bar_t)
+
+
+def _alpha_bar_at(schedule: DiffusionSchedule, t: int) -> float:
+    if not 1 <= t <= schedule.T:
+        raise ValueError(f"t must lie in 1..{schedule.T}, got {t!r}")
+    return float(schedule.alpha_bar[t])
+
+
 def oracle_predict_eps(world: MixtureWorld, x_t, cond: ConditionSet | None, t: int,
                        schedule: DiffusionSchedule) -> np.ndarray:
     """Timestep-indexed oracle prediction (the NoisePredictor entry point)."""
-    if not 1 <= t <= schedule.T:
-        raise ValueError(f"t must lie in 1..{schedule.T}, got {t!r}")
-    return oracle_eps(world, x_t, cond, float(schedule.alpha_bar[t]))
+    return oracle_eps(world, x_t, cond, _alpha_bar_at(schedule, t))
+
+
+def _input_key(t, x: np.ndarray):
+    """Memo key of one oracle input: equal keys mean the same t and the same
+    bits of x. Not ==, which takes -0.0 for 0.0."""
+    return t, x.shape, x.tobytes()
 
 
 class MixtureOracle:
-    """NoisePredictor realization backed by the closed-form mixture score."""
+    """NoisePredictor realization backed by the closed-form mixture score.
+
+    Shares work across the calls of one guided step: the x-half of the last
+    call is reused while (t, x) repeats bit for bit, and each condition's
+    flat cell log-weights are computed once (see the module docstring).
+    """
+
+    # a trajectory uses at most 5 condition objects
+    _MAX_CONDITIONS = 8
 
     def __init__(self, world: MixtureWorld, schedule: DiffusionSchedule):
         self.world = world
         self.schedule = schedule
+        self._last_key = None
+        self._last_stats = None
+        # id(cond) -> (cond, flat log-weights); holding cond keeps its id
+        # from being reused while the entry lives
+        self._log_weights: dict[int, tuple] = {}
 
     @property
     def d(self) -> int:
         return self.world.d
 
+    def _flat_log_weights(self, cond: ConditionSet | None) -> np.ndarray:
+        hit = self._log_weights.get(id(cond))
+        if hit is not None:
+            return hit[1]
+        logw = cell_log_weights(self.world, cond).reshape(-1)
+        if len(self._log_weights) >= self._MAX_CONDITIONS:
+            self._log_weights.clear()
+        self._log_weights[id(cond)] = (cond, logw)
+        return logw
+
     def predict_eps(self, x_t, cond: ConditionSet | None, t: int) -> np.ndarray:
-        return oracle_predict_eps(self.world, x_t, cond, t, self.schedule)
+        alpha_bar_t = _alpha_bar_at(self.schedule, t)
+        logw = self._flat_log_weights(cond)
+        x = np.asarray(x_t, dtype=float)
+        key = _input_key(t, x)
+        if key != self._last_key:
+            # validates x; a key is kept only once its input has passed
+            self._last_stats = _diffused_stats(self.world, x, alpha_bar_t)
+            self._last_key = key
+        return _eps(self.world, logw, self._last_stats, alpha_bar_t)

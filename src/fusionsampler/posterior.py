@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fusionsampler.guidance import eps_to_score
 from fusionsampler.schedule import DiffusionSchedule, SigmaProfile, sigma_values
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "renoise_mean",
     "fused_update",
     "fused_update_coefficients",
-    "langevin_update",
     "check_variance_bound",
 ]
 
@@ -208,18 +206,6 @@ def fused_update(x_t, eps_tilde, t: int, schedule: DiffusionSchedule, sigma_t: f
     if sigma_t == 0.0:
         return x_t.copy()
     return x_t - eps_coeff * eps_tilde + noise_coeff * rng.standard_normal(x_t.shape)
-
-
-def langevin_update(x_t, eps_tilde, alpha_bar_t: float, lam: float,
-                    rng: np.random.Generator) -> np.ndarray:
-    """One Langevin step x + lam * score + sqrt(2 * lam) * z at noise level t."""
-    if not np.isfinite(lam) or lam <= 0.0:
-        raise ValueError(f"step size lam must be positive, got {lam!r}")
-    x_t = np.asarray(x_t, dtype=float)
-    score = eps_to_score(eps_tilde, alpha_bar_t)
-    if x_t.shape != score.shape:
-        raise ValueError(f"shape mismatch: x_t {x_t.shape} vs eps {score.shape}")
-    return x_t + lam * score + np.sqrt(2.0 * lam) * rng.standard_normal(x_t.shape)
 
 
 def check_variance_bound(schedule: DiffusionSchedule,

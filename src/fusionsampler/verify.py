@@ -17,7 +17,12 @@ from fusionsampler.conditions import ConditionSet
 from fusionsampler.encoder import new_promptnet, promptnet_loss_and_grads
 from fusionsampler.denoiser import N_TIME_FEATURES, ToyDenoiser
 from fusionsampler.guidance import GuidanceWeights
-from fusionsampler.mixture import MixtureOracle, oracle_eps, oracle_log_density
+from fusionsampler.mixture import (
+    MixtureOracle,
+    oracle_eps,
+    oracle_log_density,
+    oracle_predict_eps,
+)
 from fusionsampler.nets import MLP, fd_gradient, flatten_grads
 from fusionsampler.posterior import (
     check_variance_bound,
@@ -227,6 +232,51 @@ def _check_batch_prefix_invariance():
                   f" fusion m={cfg.m} T={schedule.T}")
 
 
+class _MemoFreeOracle:
+    """The mixture oracle without MixtureOracle's caches: every call is a
+    fresh oracle_predict_eps."""
+
+    def __init__(self, world, schedule):
+        self.world, self.schedule = world, schedule
+
+    @property
+    def d(self) -> int:
+        return self.world.d
+
+    def predict_eps(self, x_t, cond, t):
+        return oracle_predict_eps(self.world, x_t, cond, t, self.schedule)
+
+
+def _check_oracle_memo_exact():
+    """MixtureOracle reuses the x-half of its last call while (t, x) repeats
+    bit for bit, and each condition's cell log-weights. A fusion trajectory
+    through it must match one through memo-free oracle calls bit for bit, in
+    its samples and in every eps. With m=2 each t sees three inputs at the
+    same t (two fusion passes and the refinement), and each input serves 2
+    or 3 conditions. Run on the 2x2 and 4x3 product worlds."""
+    schedule = build_schedule(T=40, beta_end=0.15)
+    cfg = FusionConfig(m=2, gamma=0.5)
+    n = 6
+    for world in (product_world(), product_world(4, 3)):
+        cond = ConditionSet(identity=identity_condition(world, 0, 2.0),
+                            text=style_condition(world, 1, 2.0))
+        runs = []
+        for predictor in (MixtureOracle(world, schedule),
+                          _MemoFreeOracle(world, schedule)):
+            calls = _FirstRows(predictor, n)
+            samples = sample_trajectory(cond, cfg, calls, schedule, n, seed=78).samples
+            runs.append((samples.tobytes(), calls.rows))
+        (memo, memo_calls), (fresh, fresh_calls) = runs
+        differ = sum(a != b for a, b in zip(memo_calls, fresh_calls))
+        if memo != fresh or differ or len(memo_calls) != len(fresh_calls):
+            return False, (f"{world.n_identities}x{world.n_styles} world: memo"
+                           f" samples {'differ' if memo != fresh else 'equal'};"
+                           f" eps differs in {differ} of {len(fresh_calls)}"
+                           " oracle calls")
+    return True, ("samples and every eps bit-identical to memo-free calls: 2x2"
+                  f" and 4x3 worlds; fusion m={cfg.m} T={schedule.T} n={n}")
+
+
 def _check_mlp_gradient_fd():
     """Backprop through the plain net against finite differences."""
     net = MLP((4, 7, 3), seed=5)
@@ -283,6 +333,7 @@ _CHECKS = (
     ("variance_bound", _check_variance_bound),
     ("fusion_m0_matches_independent", _check_m0_matches_independent),
     ("batch_prefix_invariance", _check_batch_prefix_invariance),
+    ("oracle_memo_exact", _check_oracle_memo_exact),
     ("mlp_gradient_fd", _check_mlp_gradient_fd),
     ("encoder_chain_gradient_fd", _check_encoder_chain_gradient_fd),
 )

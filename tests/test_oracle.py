@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,6 +195,21 @@ def test_world_validation_and_serialization():
         )
 
 
+def test_world_rejects_a_log_prior_with_no_finite_cell():
+    # used to normalize -inf - (-inf) into a NaN prior with only a
+    # RuntimeWarning, after which every oracle call blamed the condition
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at least one cell with finite"):
+            MixtureWorld(
+                means=np.zeros((1, 2)),
+                s=1.0,
+                style_A=np.eye(2)[None],
+                style_b=np.zeros((1, 2)),
+                log_prior=np.array([[-np.inf]]),
+            )
+
+
 def test_condition_set_helpers():
     cond = ConditionSet(identity=np.ones(2), text=np.zeros(3), gamma=0.5)
     assert cond.identity_only().text is None
@@ -202,6 +220,23 @@ def test_condition_set_helpers():
         ConditionSet(gamma=1.5)
     with pytest.raises(ValueError, match="-inf"):
         ConditionSet(identity=np.array([np.inf]))
+
+
+def test_condition_set_derives_each_set_once():
+    cond = ConditionSet(identity=np.ones(2), text=np.zeros(3), gamma=0.5)
+    for derive in (ConditionSet.nulled, ConditionSet.identity_only,
+                   ConditionSet.text_only, lambda c: c.with_gamma(0.25)):
+        assert derive(cond) is derive(cond)
+    assert cond.with_gamma(0.25) is not cond.with_gamma(0.75)
+    # equal gammas that serialize differently stay different sets
+    assert repr(cond.with_gamma(1)) == repr(replace(cond, gamma=1))
+    assert repr(cond.with_gamma(1.0)) == repr(replace(cond, gamma=1.0))
+    assert cond.with_gamma(-0.0).to_jsonable()["gamma"] == -0.0
+    assert str(cond.with_gamma(-0.0).to_jsonable()["gamma"]) == "-0.0"
+    assert str(cond.with_gamma(0.0).to_jsonable()["gamma"]) == "0.0"
+    # the cache is not a field: repr and the JSON form are unchanged
+    assert repr(cond) == repr(replace(cond))
+    assert cond.to_jsonable() == replace(cond).to_jsonable()
 
 
 def test_condition_set_leaves_the_callers_array_writeable():
@@ -378,3 +413,119 @@ def test_oracle_matches_row_major_reference(seed, n_i, n_c, d, n, ab, gamma,
         assert_allclose(got[0], ref[0], rtol=1e-12, atol=1e-12 * scale)
         assert_allclose(got[1], ref[1], rtol=1e-12)
         assert_allclose(got[2], ref[2], rtol=1e-12)
+
+
+# MixtureOracle reuses the x-half of its last call and each condition's
+# log-weights; every result must equal a fresh oracle_predict_eps bit for bit.
+_MEMO_T = 12
+_MEMO_SCHEDULE = build_schedule(T=_MEMO_T, beta_end=0.2)
+
+
+def _assert_fresh(oracle, x, cond, t):
+    got = oracle.predict_eps(x, cond, t)
+    want = oracle_predict_eps(oracle.world, np.array(x), cond, t, oracle.schedule)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
+def _step_conditions(world, rng):
+    cond = ConditionSet(
+        identity=identity_condition(world, int(rng.integers(world.n_identities)), 2.0),
+        text=style_condition(world, int(rng.integers(world.n_styles)), 2.0),
+    )
+    fused = cond.with_gamma(0.4)
+    return [cond, fused, fused.nulled(), cond.nulled(), cond.identity_only(),
+            cond.text_only(), None]
+
+
+_MEMO_OPS = ("repeat", "condition", "new_t", "nudge", "in_place", "resize",
+             "fresh_condition")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    shape=st.sampled_from([(2, 2), (4, 3), (1, 1)]),
+    ops=st.lists(st.sampled_from(_MEMO_OPS), min_size=1, max_size=14),
+    sizes=st.lists(st.one_of(st.none(), st.integers(min_value=1, max_value=600)),
+                   min_size=1, max_size=4),
+)
+def test_oracle_memo_matches_fresh_calls(seed, shape, ops, sizes):
+    # n=None is a single point of shape (d,)
+    rng = np.random.default_rng(seed)
+    world = product_world(*shape)
+    oracle = MixtureOracle(world, _MEMO_SCHEDULE)
+    conds = _step_conditions(world, rng)
+
+    def draw(n):
+        return rng.normal(0.0, 2.0, world.d if n is None else (n, world.d))
+
+    x, cond, t = draw(sizes[0]), conds[0], _MEMO_T
+    _assert_fresh(oracle, x, cond, t)
+    for i, op in enumerate(ops):
+        if op == "condition":
+            cond = conds[int(rng.integers(len(conds)))]
+        elif op == "new_t":
+            t = int(rng.integers(1, _MEMO_T + 1))
+        elif op == "nudge":
+            x = x.copy()
+            x.flat[int(rng.integers(x.size))] += float(rng.normal())
+        elif op == "in_place":
+            x.flat[int(rng.integers(x.size))] = float(rng.normal())
+        elif op == "resize":
+            x = draw(sizes[i % len(sizes)])
+        elif op == "fresh_condition":
+            # new objects with equal contents: the cache must key on identity
+            # and survive eviction
+            conds = _step_conditions(world, rng)
+            cond = conds[int(rng.integers(len(conds)))]
+        _assert_fresh(oracle, x, cond, t)
+
+
+def test_oracle_memo_sees_an_in_place_change():
+    world = product_world()
+    oracle = MixtureOracle(world, _MEMO_SCHEDULE)
+    cond = ConditionSet(identity=identity_condition(world, 0, 2.0))
+    x = np.random.default_rng(3).normal(size=(7, 2))
+    before = _assert_fresh(oracle, x, cond, 5).copy()
+    x[3, 1] += 0.5
+    assert _assert_fresh(oracle, x, cond, 5).tobytes() != before.tobytes()
+    # one point: its (d, n) copy must not alias the caller's array either
+    point = np.array([0.3, -1.2])
+    kept = point.copy()
+    _assert_fresh(oracle, point, cond, 5)
+    point[:] = (2.0, 2.0)
+    _assert_fresh(oracle, kept, cond, 5)
+    _assert_fresh(oracle, point, cond, 5)
+
+
+def test_oracle_memo_tells_signed_zeros_apart():
+    # every cell mean has a zero first coordinate, so the posterior mean
+    # there is +0.0 and eps keeps the sign of x's zero; == would take one
+    # zero for the other
+    world = MixtureWorld(
+        means=np.array([[0.0, 1.0], [0.0, -1.0]]),
+        s=0.5,
+        style_A=np.eye(2)[None],
+        style_b=np.zeros((1, 2)),
+        log_prior=np.zeros((2, 1)),
+    )
+    oracle = MixtureOracle(world, _MEMO_SCHEDULE)
+    pos = _assert_fresh(oracle, np.array([[0.0, 0.4]]), None, 4)
+    neg = _assert_fresh(oracle, np.array([[-0.0, 0.4]]), None, 4)
+    assert np.signbit(neg[0, 0]) and not np.signbit(pos[0, 0])
+
+
+def test_oracle_memo_does_not_hide_a_non_finite_input():
+    world = product_world()
+    oracle = MixtureOracle(world, _MEMO_SCHEDULE)
+    x = np.array([[0.5, -0.5], [1.0, 2.0]])
+    _assert_fresh(oracle, x, None, 6)
+    bad = x.copy()
+    bad[1, 0] = np.nan
+    with pytest.raises(ValueError, match="x must be finite"):
+        oracle.predict_eps(bad, None, 6)
+    x[1, 0] = np.nan  # the same array, changed in place
+    with pytest.raises(ValueError, match="x must be finite"):
+        oracle.predict_eps(x, None, 6)

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from fusionsampler.guidance import eps_to_score
 from fusionsampler.posterior import (
     check_variance_bound,
     fused_update,
     fused_update_coefficients,
-    langevin_update,
     predict_x0,
     renoise,
     renoise_coefficients,
@@ -254,6 +254,18 @@ def test_two_path_equivalence_monte_carlo():
     for draws in (back, fused):
         assert abs(draws.mean() - want_mean[0]) < 4 * se_mean
         assert abs(draws.var() - want_var) < 4 * se_var
+
+
+def langevin_update(x_t, eps_tilde, alpha_bar_t, lam, rng):
+    """One Langevin step x + lam * score + sqrt(2 * lam) * z at noise level t:
+    the single-step alternative the fused update is compared against."""
+    if not np.isfinite(lam) or lam <= 0.0:
+        raise ValueError(f"step size lam must be positive, got {lam!r}")
+    x_t = np.asarray(x_t, dtype=float)
+    score = eps_to_score(eps_tilde, alpha_bar_t)
+    if x_t.shape != score.shape:
+        raise ValueError(f"shape mismatch: x_t {x_t.shape} vs eps {score.shape}")
+    return x_t + lam * score + np.sqrt(2.0 * lam) * rng.standard_normal(x_t.shape)
 
 
 def test_langevin_zero_drift():

@@ -68,6 +68,15 @@ def test_injected_pairwise_cell_sum_is_caught(monkeypatch):
     assert "4x3 world: first 1 rows differ" in result.detail
 
 
+def test_injected_memo_keyed_on_t_alone_is_caught(monkeypatch):
+    # a memo that ignores x hands the refinement pass the likelihoods of the
+    # last fusion pass at the same t
+    monkeypatch.setattr(mixture, "_input_key", lambda t, x: t)
+    (result,) = run_checks("oracle_memo_exact")
+    assert not result.passed
+    assert "2x2 world: memo samples differ" in result.detail
+
+
 def test_raising_check_reported_as_failure(monkeypatch):
     def boom(schedule, profile):
         raise RuntimeError("synthetic fault")
