@@ -12,7 +12,6 @@ from fusionsampler.encoder import (
     EncoderConditionedDenoiser,
     ToyPromptNet,
     TrainingConfig,
-    finetune_customize,
     new_promptnet,
     train_promptnet,
 )

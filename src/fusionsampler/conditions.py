@@ -24,7 +24,7 @@ def _frozen_array(value) -> np.ndarray | None:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionSet:
     """The pair (identity, style) plus the identity scaling gamma.
 
@@ -38,7 +38,10 @@ class ConditionSet:
     once and the same object is returned on every later call, so a sampler
     that derives its 2-3 step conditions at every step reuses 5 objects, and
     a predictor may cache per-condition work by object identity. The cache
-    is an attribute, not a field: ==, repr and to_jsonable ignore it.
+    is an attribute, not a field: repr and to_jsonable ignore it.
+
+    Equality and hashing are by identity (eq=False), the key that such a
+    per-condition cache uses; compare to_jsonable() forms for value equality.
     """
 
     identity: np.ndarray | None = None

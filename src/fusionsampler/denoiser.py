@@ -127,10 +127,6 @@ class ToyDenoiser:
         return cls(MLP.from_jsonable(obj["net"]), obj["d"], obj["k_identity"],
                    obj["k_text"], schedule_from_betas(obj["beta"]))
 
-    def copy(self) -> "ToyDenoiser":
-        return ToyDenoiser(self.net.copy(), self._d, self.k_identity,
-                           self.k_text, self.schedule)
-
 
 def prior_batch(world: MixtureWorld, rng: np.random.Generator, n: int):
     """n clean draws from the world's prior: (x0, cells), cells the flat

@@ -1,12 +1,9 @@
-"""Reference-conditioned embedding encoder and its training protocols.
+"""Reference-conditioned embedding encoder and its training protocol.
 
 ToyPromptNet maps (reference point, current noisy point, time features) to
 an embedding consumed by ToyDenoiser's identity channel. Training minimizes
 the denoising loss through the frozen denoiser plus an L2 penalty
-lam * |S|^2 on the emitted embedding; the free-embedding variant instead
-freezes the encoder and optimizes a single vector pulled toward an anchor.
-finetune_customize adapts encoder and denoiser jointly to one reference,
-touching only the denoiser rows that multiply the condition channels.
+lam * |S|^2 on the emitted embedding.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from fusionsampler.denoiser import (
     prior_batch,
     time_features,
 )
-from fusionsampler.mixture import MixtureWorld, oracle_responsibilities
+from fusionsampler.mixture import MixtureWorld
 from fusionsampler.nets import MLP, Adam, TrainingDiverged, flatten_grads
 
 __all__ = [
@@ -31,25 +28,18 @@ __all__ = [
     "TrainingConfig",
     "new_promptnet",
     "train_promptnet",
-    "finetune_customize",
     "EncoderConditionedDenoiser",
     "augment_reference",
-    "default_anchor",
     "promptnet_loss_and_grads",
     "heldout_metrics",
 ]
 
 
 class ToyPromptNet:
-    """Encoder (x_ref, x_t, time) -> S in R^k.
+    """Encoder (x_ref, x_t, time) -> S in R^k: one MLP over the row
+    [x_ref (d) | x_t (d) | time features (3)]."""
 
-    constant, when set, short-circuits the network: encode() returns that
-    vector for every input. That is how the free-embedding variant is
-    represented after training.
-    """
-
-    def __init__(self, net: MLP, d: int, k: int, T: int,
-                 constant: np.ndarray | None = None):
+    def __init__(self, net: MLP, d: int, k: int, T: int):
         expected = 2 * d + N_TIME_FEATURES
         if net.d_in != expected or net.d_out != k:
             raise ValueError(
@@ -59,9 +49,6 @@ class ToyPromptNet:
         self.d = int(d)
         self.k = int(k)
         self.T = int(T)
-        self.constant = None if constant is None else np.asarray(constant, dtype=float)
-        if self.constant is not None and self.constant.shape != (self.k,):
-            raise ValueError(f"constant embedding must have shape ({self.k},)")
 
     def inputs(self, x_ref, x_t, t) -> np.ndarray:
         x2 = np.atleast_2d(np.asarray(x_t, dtype=float))
@@ -79,16 +66,11 @@ class ToyPromptNet:
 
     def encode(self, x_ref, x_t, t) -> np.ndarray:
         squeeze = np.asarray(x_t).ndim == 1
-        if self.constant is not None:
-            n = 1 if squeeze else np.asarray(x_t).shape[0]
-            out = np.tile(self.constant, (n, 1))
-        else:
-            out, _ = self.net.forward(self.inputs(x_ref, x_t, t))
+        out, _ = self.net.forward(self.inputs(x_ref, x_t, t))
         return out[0] if squeeze else out
 
     def copy(self) -> "ToyPromptNet":
-        return ToyPromptNet(self.net.copy(), self.d, self.k, self.T,
-                            None if self.constant is None else self.constant.copy())
+        return ToyPromptNet(self.net.copy(), self.d, self.k, self.T)
 
     def to_jsonable(self) -> dict:
         return {
@@ -96,14 +78,11 @@ class ToyPromptNet:
             "d": self.d,
             "k": self.k,
             "T": self.T,
-            "constant": None if self.constant is None else self.constant.tolist(),
         }
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "ToyPromptNet":
-        const = obj["constant"]
-        return cls(MLP.from_jsonable(obj["net"]), obj["d"], obj["k"], obj["T"],
-                   None if const is None else np.asarray(const, dtype=float))
+        return cls(MLP.from_jsonable(obj["net"]), obj["d"], obj["k"], obj["T"])
 
 
 def new_promptnet(denoiser: ToyDenoiser, hidden=(32, 32), seed: int = 0,
@@ -160,15 +139,6 @@ def augment_reference(x0: np.ndarray, rng: np.random.Generator,
     return x0 * factors + jitter
 
 
-def default_anchor(world: MixtureWorld, denoiser: ToyDenoiser, x_ref) -> np.ndarray:
-    """Channel embedding of the reference's most plausible identity class."""
-    r = oracle_responsibilities(world, np.asarray(x_ref, dtype=float), None, 1.0 - 1e-9)
-    ident = r.reshape(world.n_identities, world.n_styles).sum(axis=1)
-    anchor = np.zeros(denoiser.k_identity)
-    anchor[int(np.argmax(ident))] = 1.0
-    return anchor
-
-
 def promptnet_loss_and_grads(net: ToyPromptNet, denoiser: ToyDenoiser,
                              xbar, x_t, t, eps, text, lam: float):
     """Chained loss mean|eps_hat - eps|^2 + lam mean|S|^2 on one fixed batch,
@@ -202,63 +172,23 @@ def heldout_metrics(net: ToyPromptNet, denoiser: ToyDenoiser, xbar, styles,
 
 
 def train_promptnet(world: MixtureWorld, denoiser: ToyDenoiser,
-                    tc: TrainingConfig, *, free_embedding: bool = False,
-                    x_ref=None, anchor=None, hidden=(32, 32)) -> ToyPromptNet:
+                    tc: TrainingConfig) -> ToyPromptNet:
     """Fit the encoder through the frozen denoiser.
 
-    Standard mode minimizes E|eps - eps_hat|^2 + lam |S|^2 over the world's
-    prior, feeding each draw's style one-hot as the text channel and the
-    augmented view of the draw as the reference. free_embedding freezes the
-    network and optimizes one embedding vector on views of x_ref with a null
-    text channel, the regularizer becoming lam |S - anchor|^2; the anchor
-    (default: the reference class's channel embedding) is also the starting
-    point. tc.steps=0 returns the initialization unchanged.
+    Minimizes E|eps - eps_hat|^2 + lam |S|^2 over the world's prior, feeding
+    each draw's style one-hot as the text channel and the augmented view of
+    the draw as the reference. tc.steps=0 returns the initialization
+    unchanged.
     """
-    if free_embedding and x_ref is None:
-        raise ValueError("free_embedding mode needs x_ref")
-    sched = denoiser.schedule
-    d = world.d
     n_c = world.n_styles
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((tc.seed, 2))))
-    net = new_promptnet(denoiser, hidden=hidden, seed=tc.seed)
+    net = new_promptnet(denoiser, seed=tc.seed)
     scale = np.sqrt(np.diag(world.data_cov()))
-
-    if free_embedding:
-        if anchor is None:
-            anchor = default_anchor(world, denoiser, x_ref)
-        anchor = np.asarray(anchor, dtype=float)
-        if anchor.shape != (denoiser.k_identity,):
-            raise ValueError(
-                f"anchor must have shape ({denoiser.k_identity},), got {anchor.shape}"
-            )
-        net.constant = anchor.copy()
-        x_ref = np.asarray(x_ref, dtype=float)
-        s_free = anchor.copy()
-        opt = Adam(denoiser.k_identity, lr=tc.lr)
-        for step in range(1, tc.steps + 1):
-            x0 = np.broadcast_to(x_ref, (tc.batch, d))
-            xbar = augment_reference(x0, rng, scale) if tc.augment else np.array(x0)
-            x_t, t, eps = diffuse(sched, xbar, rng)
-            channels = np.zeros((tc.batch, denoiser.k_identity + denoiser.k_text))
-            channels[:, :denoiser.k_identity] = s_free
-            y, acts = denoiser.net.forward(denoiser.inputs(x_t, channels, t))
-            resid = y - eps
-            loss = float(np.mean(np.sum(resid * resid, axis=1))
-                         + tc.lam * np.sum((s_free - anchor) ** 2))
-            if not np.isfinite(loss):
-                raise TrainingDiverged(step, loss)
-            _, grad_in = denoiser.net.backward(acts, 2.0 * resid / tc.batch)
-            g = grad_in[:, denoiser.identity_columns].sum(axis=0) \
-                + 2.0 * tc.lam * (s_free - anchor)
-            s_free = opt.step(s_free, g)
-        net.constant = s_free
-        return net
-
     opt = Adam(net.net.n_params, lr=tc.lr)
     for step in range(1, tc.steps + 1):
         x0, cells = prior_batch(world, rng, tc.batch)
         xbar = augment_reference(x0, rng, scale) if tc.augment else x0
-        x_t, t, eps = diffuse(sched, xbar, rng)
+        x_t, t, eps = diffuse(denoiser.schedule, xbar, rng)
         text = np.eye(n_c)[cells % n_c]
         loss, flat_g = promptnet_loss_and_grads(
             net, denoiser, xbar, x_t, t, eps, text, tc.lam)
@@ -266,61 +196,6 @@ def train_promptnet(world: MixtureWorld, denoiser: ToyDenoiser,
             raise TrainingDiverged(step, loss)
         net.net.set_flat(opt.step(net.net.get_flat(), flat_g))
     return net
-
-
-def _condition_row_mask(denoiser: ToyDenoiser) -> np.ndarray:
-    """Flat-parameter mask selecting the first-layer rows that multiply the
-    condition channels; everything else stays frozen under the mask."""
-    mask = np.zeros(denoiser.net.n_params)
-    h = denoiser.net.sizes[1]
-    lo = denoiser.d
-    hi = denoiser.d + denoiser.k_identity + denoiser.k_text
-    for row in range(lo, hi):
-        mask[row * h:(row + 1) * h] = 1.0
-    return mask
-
-
-def finetune_customize(net: ToyPromptNet, denoiser: ToyDenoiser, x_ref, *,
-                       steps: int = 50, batch: int = 8, augment: bool = True,
-                       seed: int = 0, lr: float = 2e-3):
-    """Per-reference customization pass; returns updated copies.
-
-    Jointly trains the encoder and the denoiser's condition-interaction rows
-    (first-layer weights multiplying the condition channels, nothing else)
-    on denoising draws around the single reference. Originals are untouched.
-    """
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise ValueError(f"steps must be a positive integer, got {steps!r}")
-    if net.constant is not None:
-        raise ValueError("cannot fine-tune a constant-embedding encoder")
-    sched = denoiser.schedule
-    d = denoiser.d
-    x_ref = np.asarray(x_ref, dtype=float)
-    net2 = net.copy()
-    den2 = denoiser.copy()
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 3))))
-    # jitter scale from the reference magnitude, the only data in sight
-    scale = np.maximum(np.abs(x_ref), 1.0)
-    mask = _condition_row_mask(den2)
-    opt_e = Adam(net2.net.n_params, lr=lr)
-    opt_d = Adam(den2.net.n_params, lr=lr)
-    for step in range(1, steps + 1):
-        x0 = np.broadcast_to(x_ref, (batch, d))
-        xbar = augment_reference(x0, rng, scale) if augment else np.array(x0)
-        x_t, t, eps = diffuse(sched, xbar, rng)
-        s_out, acts_e = net2.net.forward(net2.inputs(xbar, x_t, t))
-        channels = np.concatenate([s_out, np.zeros((batch, den2.k_text))], axis=1)
-        y, acts_d = den2.net.forward(den2.inputs(x_t, channels, t))
-        resid = y - eps
-        loss = float(np.mean(np.sum(resid * resid, axis=1)))
-        if not np.isfinite(loss):
-            raise TrainingDiverged(step, loss)
-        grads_d, grad_in = den2.net.backward(acts_d, 2.0 * resid / batch)
-        grads_e, _ = net2.net.backward(acts_e, grad_in[:, den2.identity_columns])
-        den2.net.set_flat(
-            opt_d.step(den2.net.get_flat(), flatten_grads(grads_d) * mask))
-        net2.net.set_flat(opt_e.step(net2.net.get_flat(), flatten_grads(grads_e)))
-    return net2, den2
 
 
 class EncoderConditionedDenoiser:

@@ -1,4 +1,4 @@
-"""Classifier-free guidance combiners and the eps/score identity."""
+"""Classifier-free guidance combiners."""
 
 from __future__ import annotations
 
@@ -10,8 +10,6 @@ __all__ = [
     "GuidanceWeights",
     "cfg_single",
     "cfg_independent",
-    "eps_to_score",
-    "score_to_eps",
 ]
 
 
@@ -50,17 +48,3 @@ def cfg_independent(eps_uncond, eps_S, eps_C, w: GuidanceWeights) -> np.ndarray:
     """Independent-conditions guidance with separate strengths per slot."""
     eu, es, ec = _as_matching_arrays(eps_uncond, eps_S, eps_C)
     return eu + (1.0 + w.omega1) * (es - eu) + (1.0 + w.omega2) * (ec - eu)
-
-
-def eps_to_score(eps, alpha_bar_t: float) -> np.ndarray:
-    """score = -eps / sqrt(1 - alpha_bar_t); requires alpha_bar_t in (0, 1)."""
-    if not 0.0 < alpha_bar_t < 1.0:
-        raise ValueError(f"alpha_bar_t must lie in (0, 1), got {alpha_bar_t!r}")
-    return -np.asarray(eps, dtype=float) / np.sqrt(1.0 - alpha_bar_t)
-
-
-def score_to_eps(score, alpha_bar_t: float) -> np.ndarray:
-    """Inverse of eps_to_score."""
-    if not 0.0 < alpha_bar_t < 1.0:
-        raise ValueError(f"alpha_bar_t must lie in (0, 1), got {alpha_bar_t!r}")
-    return -np.asarray(score, dtype=float) * np.sqrt(1.0 - alpha_bar_t)

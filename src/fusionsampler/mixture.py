@@ -63,10 +63,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureWorld:
     """means: (n_i, d); s: isotropic std; style_A: (n_c, d, d);
-    style_b: (n_c, d); log_prior: (n_i, n_c), normalized at construction."""
+    style_b: (n_c, d); log_prior: (n_i, n_c), normalized at construction.
+
+    Equality and hashing are by identity (eq=False), as for ConditionSet;
+    compare to_jsonable() forms for value equality.
+    """
 
     means: np.ndarray
     s: float
@@ -74,7 +78,7 @@ class MixtureWorld:
     style_b: np.ndarray
     log_prior: np.ndarray
     # cell means flattened to (n_i * n_c, d), computed once at construction
-    _flat_means: np.ndarray = field(init=False, repr=False, compare=False)
+    _flat_means: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         means = np.asarray(self.means, dtype=float)

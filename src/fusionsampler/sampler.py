@@ -114,19 +114,15 @@ class RunRecord:
     config: dict
     seed: int
     samples: np.ndarray
-    trajectories: np.ndarray | None = None
     metrics: dict = field(default_factory=dict)
 
     def to_jsonable(self) -> dict:
-        out = {
+        return {
             "config": self.config,
             "seed": int(self.seed),
             "samples": self.samples.tolist(),
             "metrics": {k: self.metrics[k] for k in sorted(self.metrics)},
         }
-        if self.trajectories is not None:
-            out["trajectories"] = self.trajectories.tolist()
-        return out
 
 
 class SampleStreams:
@@ -289,24 +285,17 @@ _STEP_FNS = {
 
 def sample_trajectory(cond: ConditionSet, cfg: FusionConfig,
                       predictor: NoisePredictor, schedule: DiffusionSchedule,
-                      n_samples: int, seed: int,
-                      record_trajectories: bool = False) -> RunRecord:
+                      n_samples: int, seed: int) -> RunRecord:
     """Run the configured per-step operator from x_T ~ Normal(0, I) down to x_0."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
     step_fn = _STEP_FNS[cfg.mode]
     streams = SampleStreams(seed, n_samples)
     x = streams.standard_normal((n_samples, predictor.d))
-    traj = None
-    if record_trajectories:
-        traj = np.empty((n_samples, schedule.T + 1, predictor.d))
-        traj[:, schedule.T] = x
     for t in range(schedule.T, 0, -1):
         x = step_fn(x, t, cond, cfg, predictor, schedule, streams)
         if not np.all(np.isfinite(x)):
             raise RuntimeError(f"sampling produced non-finite state at t={t}")
-        if traj is not None:
-            traj[:, t - 1] = x
     config = {
         "fusion": cfg.to_jsonable(),
         "schedule": {
@@ -317,9 +306,4 @@ def sample_trajectory(cond: ConditionSet, cfg: FusionConfig,
         "n_samples": int(n_samples),
         "condition": cond.to_jsonable(),
     }
-    return RunRecord(
-        config=config,
-        seed=seed,
-        samples=x,
-        trajectories=traj,
-    )
+    return RunRecord(config=config, seed=seed, samples=x)

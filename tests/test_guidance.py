@@ -9,8 +9,6 @@ from fusionsampler.guidance import (
     GuidanceWeights,
     cfg_independent,
     cfg_single,
-    eps_to_score,
-    score_to_eps,
 )
 
 finite_vec = hnp.arrays(
@@ -50,23 +48,6 @@ def test_dimension_mismatch_rejected():
         cfg_single(np.zeros(2), np.zeros(3), 1.0)
     with pytest.raises(ValueError, match="shapes disagree"):
         cfg_independent(np.zeros(2), np.zeros(2), np.zeros(1), GuidanceWeights())
-
-
-def test_eps_to_score_values():
-    assert_allclose(eps_to_score(np.array([1.0]), 0.75), [-2.0])
-    assert_allclose(eps_to_score(np.array([0.0]), 0.3), [0.0])
-
-
-def test_eps_score_round_trip():
-    eps = np.array([0.3, -1.2, 4.0])
-    back = score_to_eps(eps_to_score(eps, 0.42), 0.42)
-    assert_allclose(back, eps, rtol=1e-12)
-
-
-def test_eps_to_score_domain():
-    for ab in (0.0, 1.0, 1.5, -0.1):
-        with pytest.raises(ValueError, match="alpha_bar_t"):
-            eps_to_score(np.array([1.0]), ab)
 
 
 def test_nonfinite_weights_rejected():

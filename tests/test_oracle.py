@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from fusionsampler.conditions import ConditionSet
-from fusionsampler.guidance import eps_to_score, score_to_eps
 from fusionsampler.mixture import (
     MixtureOracle,
     MixtureWorld,
@@ -132,13 +131,6 @@ def test_empty_cell_subset_rejected():
         cell_log_weights(w, cond)
 
 
-def test_eps_score_round_trip_through_oracle():
-    w = conflict_world()
-    x = np.array([0.5, -0.25])
-    eps = oracle_eps(w, x, None, 0.44)
-    assert_allclose(score_to_eps(eps_to_score(eps, 0.44), 0.44), eps, rtol=1e-12)
-
-
 def test_data_moments_match_monte_carlo():
     w = conflict_world(a=2.0, s=0.35)
     rng = np.random.default_rng(9)
@@ -237,6 +229,18 @@ def test_condition_set_derives_each_set_once():
     # the cache is not a field: repr and the JSON form are unchanged
     assert repr(cond) == repr(replace(cond))
     assert cond.to_jsonable() == replace(cond).to_jsonable()
+
+
+def test_condition_set_and_world_compare_and_hash_by_identity():
+    # value equality over array fields raised ValueError, and hash() TypeError
+    cond = ConditionSet(identity=np.ones(2), text=np.zeros(3))
+    twin = ConditionSet(identity=np.ones(2), text=np.zeros(3))
+    world, world_twin = product_world(), product_world()
+    for a, b in ((cond, twin), (world, world_twin)):
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        table = {a: "a", b: "b"}
+        assert table[a] == "a" and table[b] == "b"
 
 
 def test_condition_set_leaves_the_callers_array_writeable():

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from fusionsampler.guidance import eps_to_score
 from fusionsampler.posterior import (
     check_variance_bound,
     fused_update,
@@ -262,7 +261,7 @@ def langevin_update(x_t, eps_tilde, alpha_bar_t, lam, rng):
     if not np.isfinite(lam) or lam <= 0.0:
         raise ValueError(f"step size lam must be positive, got {lam!r}")
     x_t = np.asarray(x_t, dtype=float)
-    score = eps_to_score(eps_tilde, alpha_bar_t)
+    score = -np.asarray(eps_tilde, dtype=float) / np.sqrt(1.0 - alpha_bar_t)
     if x_t.shape != score.shape:
         raise ValueError(f"shape mismatch: x_t {x_t.shape} vs eps {score.shape}")
     return x_t + lam * score + np.sqrt(2.0 * lam) * rng.standard_normal(x_t.shape)

@@ -273,16 +273,6 @@ def test_final_step_runs_refinement_only():
     assert a.tobytes() == b.tobytes()
 
 
-def test_trajectory_recording():
-    cfg = FusionConfig(m=1, gamma=0.5)
-    rec = sample_trajectory(conditioned(), cfg, ORACLE_8, SCHED_8, 4, seed=2,
-                            record_trajectories=True)
-    assert rec.trajectories.shape == (4, SCHED_8.T + 1, 2)
-    assert_array_equal(rec.trajectories[:, SCHED_8.T],
-                       SampleStreams(2, 4).standard_normal((4, 2)))
-    assert_array_equal(rec.trajectories[:, 0], rec.samples)
-
-
 def test_record_serialization_is_deterministic():
     cfg = FusionConfig(m=1, gamma=0.5)
     runs = [
