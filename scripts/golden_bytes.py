@@ -56,6 +56,8 @@ CASES = [
      {**_PRODUCT_SAMPLE, "fusion": {"mode": "vanilla_cfg"}}),
     ("sample-independent", "sample",
      {**_PRODUCT_SAMPLE, "fusion": {"mode": "independent"}}),
+    ("sample-no-refinement", "sample",
+     {**_PRODUCT_SAMPLE, "fusion": {"use_refinement": False}}),
     ("train-encoder", "train-encoder", _TRAINING),
     ("sweep-lambda", "sweep-lambda",
      {**_TRAINING, "sweep": {"lambdas": [0.0, 1.0, 10.0], "seeds": [0, 1]}}),

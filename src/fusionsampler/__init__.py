@@ -16,8 +16,6 @@ from fusionsampler.encoder import (
     train_promptnet,
 )
 from fusionsampler.evaluate import (
-    AblationConfig,
-    SweepConfig,
     ablation_suite,
     adherence_scores,
     component_responsibility,
@@ -42,7 +40,6 @@ from fusionsampler.posterior import (
 from fusionsampler.runconfig import ConfigError, RunConfig, validate_config
 from fusionsampler.sampler import (
     FusionConfig,
-    RunRecord,
     fusion_step,
     sample_trajectory,
 )

@@ -12,7 +12,8 @@ summary.csv, naming unreadable records in warnings instead of aborting.
 Output directory precedence for run: --out, then the config's out_dir, then
 the PROFUSION_OUT environment variable, then ./runs. report resolves the
 directory to scan the same way, minus the config. The sweep.seeds list does
-double duty as the seed list for the ablate and compare modes.
+double duty as the seed list for the ablate and compare modes. Every mode
+hands the validated RunConfig itself to the driver it runs.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from fusionsampler.encoder import heldout_metrics, train_promptnet
 from fusionsampler.evaluate import (
     ABLATION_COLUMNS,
     SWEEP_COLUMNS,
-    AblationConfig,
-    SweepConfig,
     ablation_suite,
     degeneration_benchmark,
     regularization_sweep,
@@ -82,16 +81,14 @@ def _mode_sample(cfg: RunConfig) -> tuple[dict, dict]:
     world = cfg.world if cfg.world is not None else product_world()
     cond = cfg.condition if cfg.condition is not None else ConditionSet()
     predictor = MixtureOracle(world, cfg.schedule)
-    rec = sample_trajectory(cond, cfg.fusion, predictor, cfg.schedule,
-                            cfg.n_samples, seed=cfg.seed)
-    metrics = _moment_metrics(rec.samples)
+    samples = sample_trajectory(cond, cfg.fusion, predictor, cfg.schedule,
+                                cfg.n_samples, seed=cfg.seed)
+    metrics = _moment_metrics(samples)
     files = {
-        "samples.csv": render_csv(_sample_rows(rec.samples)),
+        "samples.csv": render_csv(_sample_rows(samples)),
         "metrics.csv": render_csv([metrics]),
     }
-    record = rec.to_jsonable()
-    del record["samples"]  # samples.csv is the one copy
-    return metrics, {**files, "record": record}
+    return metrics, files
 
 
 def _mode_train_encoder(cfg: RunConfig) -> tuple[dict, dict]:
@@ -113,17 +110,7 @@ def _mode_train_encoder(cfg: RunConfig) -> tuple[dict, dict]:
 
 
 def _mode_sweep(cfg: RunConfig) -> tuple[dict, dict]:
-    sweep_cfg = SweepConfig(
-        denoiser_steps=cfg.denoiser_steps,
-        encoder_steps=cfg.training.steps,
-        batch=cfg.training.batch,
-        lr=cfg.training.lr,
-        augment=cfg.training.augment,
-        n_samples=cfg.n_samples,
-        fusion=cfg.fusion,
-    )
-    rows = regularization_sweep(cfg.lambdas, cfg.sweep_seeds, sweep_cfg,
-                                world=cfg.world, schedule=cfg.schedule)
+    rows = regularization_sweep(cfg)
     ok = [r for r in rows if r["status"] == "ok"]
     metrics: dict = {"n_rows": len(rows), "n_failed": len(rows) - len(ok)}
     if len(cfg.lambdas) >= 2:
@@ -153,18 +140,30 @@ def _mode_sweep(cfg: RunConfig) -> tuple[dict, dict]:
     return metrics, {**files, "rows": rows}
 
 
-def _ablation_config(cfg: RunConfig) -> AblationConfig:
+# the settings the built-in benchmark fixes itself, as payload sections
+_BUILTIN_FIXED = ("schedule", "sigma", "fusion", "weights", "sampling")
+
+
+def _ablation_config(cfg: RunConfig) -> RunConfig:
     # both set: the config describes the protocol; neither: the built-in
-    # conflicting-condition benchmark runs verbatim. One without the other
-    # is ambiguous, so it is refused.
+    # conflicting-condition benchmark runs verbatim, so a setting it would
+    # override is refused rather than dropped. One of world and condition
+    # without the other is ambiguous, so it is refused too.
     if cfg.world is not None and cfg.condition is not None:
-        return AblationConfig(world=cfg.world, condition=cfg.condition,
-                              base=cfg.fusion, schedule=cfg.schedule,
-                              n_samples=cfg.n_samples, seeds=cfg.sweep_seeds)
+        return cfg
     if cfg.world is not None or cfg.condition is not None:
         raise ValueError(
             "ablate and compare need both world and condition (or neither,"
             " which runs the built-in benchmark)"
+        )
+    given, default = cfg.payload, validate_config({}).payload
+    changed = [key for key in _BUILTIN_FIXED if given[key] != default[key]]
+    if given["sweep"]["seeds"] != default["sweep"]["seeds"]:
+        changed.append("sweep.seeds")
+    if changed:
+        raise ValueError(
+            "the built-in benchmark (neither world nor condition) fixes its"
+            " own settings; remove or reset " + ", ".join(changed)
         )
     return degeneration_benchmark()
 
@@ -257,9 +256,8 @@ def cmd_run(args) -> int:
 
     record = {"mode": args.mode, "seed": cfg.seed, "config": cfg.payload,
               "metrics": metrics}
-    for key in ("record", "rows"):
-        if key in files:
-            record[key] = files.pop(key)
+    if "rows" in files:
+        record["rows"] = files.pop("rows")
     files["run_record.json"] = render_json(record)
 
     out_dir = _resolve_out(args.out, cfg.out_dir)

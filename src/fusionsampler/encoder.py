@@ -115,21 +115,6 @@ class TrainingConfig:
         if not (np.isfinite(self.lr) and self.lr > 0.0):
             raise ValueError(f"lr must be positive, got {self.lr!r}")
 
-    def to_jsonable(self) -> dict:
-        return {
-            "lam": float(self.lam),
-            "steps": int(self.steps),
-            "batch": int(self.batch),
-            "augment": bool(self.augment),
-            "lr": float(self.lr),
-            "seed": int(self.seed),
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj: dict) -> "TrainingConfig":
-        return cls(lam=obj["lam"], steps=obj["steps"], batch=obj["batch"],
-                   augment=obj["augment"], lr=obj["lr"], seed=obj["seed"])
-
 
 def augment_reference(x0: np.ndarray, rng: np.random.Generator,
                       scale: np.ndarray) -> np.ndarray:

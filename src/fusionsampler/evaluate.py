@@ -3,13 +3,13 @@
 Identity and style adherence are exact posterior responsibilities of the
 target index under the clean-data mixture, marginalizing the other factor;
 both live in [0, 1] and higher means closer adherence. The drivers are pure
-given their configs: every random draw comes from seeds recorded in the
-emitted rows.
+given their validated RunConfig: every random draw comes from seeds recorded
+in the emitted rows. The protocol values below are fixed, not configured.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,30 +17,21 @@ from fusionsampler.conditions import ConditionSet
 from fusionsampler.denoiser import train_denoiser
 from fusionsampler.encoder import (
     EncoderConditionedDenoiser,
-    TrainingConfig,
     heldout_metrics,
     train_promptnet,
 )
-from fusionsampler.guidance import GuidanceWeights
 from fusionsampler.mixture import MixtureOracle, MixtureWorld, _logsumexp
 from fusionsampler.nets import TrainingDiverged
+from fusionsampler.runconfig import RunConfig, validate_config
 from fusionsampler.sampler import FusionConfig, sample_trajectory
-from fusionsampler.schedule import DiffusionSchedule, SigmaProfile, build_schedule
-from fusionsampler.worlds import (
-    conflict_world,
-    leaky_identity_condition,
-    product_world,
-    style_condition,
-)
+from fusionsampler.worlds import product_world
 
 __all__ = [
     "AdherenceReport",
     "component_responsibility",
     "adherence_scores",
     "spearman",
-    "SweepConfig",
     "regularization_sweep",
-    "AblationConfig",
     "ablation_suite",
     "degeneration_benchmark",
     "SWEEP_COLUMNS",
@@ -50,6 +41,15 @@ __all__ = [
 SWEEP_COLUMNS = ["lam", "seed", "status", "recon_error", "embed_norm",
                  "identity_score", "style_score"]
 ABLATION_COLUMNS = ["variant", "seed", "identity_score", "style_score"]
+
+# sweep protocol: reconstruct a reference drawn from cell (REF_IDENTITY,
+# REF_STYLE) over N_RECON rows, then prompt for TARGET_STYLE
+N_RECON = 1000
+REF_IDENTITY = 0
+REF_STYLE = 0
+TARGET_STYLE = 1
+# (identity, style) the ablation scores adherence to
+ABLATION_TARGETS = (0, 1)
 
 
 def _posterior_t0(world: MixtureWorld, x) -> tuple[np.ndarray, bool]:
@@ -90,13 +90,6 @@ class AdherenceReport:
     identity_score: float
     style_score: float
     rows: np.ndarray
-
-    def to_jsonable(self) -> dict:
-        return {
-            "identity_score": float(self.identity_score),
-            "style_score": float(self.style_score),
-            "n_samples": int(self.rows.shape[0]),
-        }
 
 
 def adherence_scores(samples, world: MixtureWorld, target_identity: int,
@@ -139,35 +132,15 @@ def spearman(a, b) -> float:
     return float(np.sum(ra * rb) / denom)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Protocol knobs for the regularization sweep."""
+def regularization_sweep(cfg: RunConfig) -> list[dict]:
+    """One row per (lambda, seed) of cfg.lambdas x cfg.sweep_seeds: train the
+    encoder at that regularization, reconstruct the reference, then sample
+    with a conflicting style prompt.
 
-    denoiser_steps: int = 4000
-    encoder_steps: int = 600
-    batch: int = 128
-    lr: float = 2e-3
-    augment: bool = True
-    n_samples: int = 300
-    n_recon: int = 1000
-    ref_identity: int = 0
-    ref_style: int = 0
-    target_style: int = 1
-    fusion: FusionConfig = field(default_factory=FusionConfig)
-
-    def to_jsonable(self) -> dict:
-        out = {k: getattr(self, k) for k in (
-            "denoiser_steps", "encoder_steps", "batch", "lr", "augment",
-            "n_samples", "n_recon", "ref_identity", "ref_style", "target_style")}
-        out["fusion"] = self.fusion.to_jsonable()
-        return out
-
-
-def regularization_sweep(lambdas, seeds, config: SweepConfig,
-                         world: MixtureWorld | None = None,
-                         schedule: DiffusionSchedule | None = None) -> list[dict]:
-    """One row per (lambda, seed): train the encoder at that regularization,
-    reconstruct the reference, then sample with a conflicting style prompt.
+    Each seed trains its own denoiser for cfg.denoiser_steps; each cell trains
+    the encoder with cfg.training at that lambda and seed, and draws
+    cfg.n_samples samples with cfg.fusion on cfg.schedule. cfg.world falls
+    back to a product world with closer cells.
 
     A failed cell is recorded in its row's status and the sweep moves on:
     "backbone failed at step N" (denoiser training diverged; every lambda of
@@ -177,49 +150,43 @@ def regularization_sweep(lambdas, seeds, config: SweepConfig,
     and sampling noise are shared across lambdas within a seed, so rows
     differ only through the trained encoder.
     """
-    if len(lambdas) == 0 or len(seeds) == 0:
-        raise ValueError("regularization_sweep needs nonempty lambdas and seeds")
+    world = cfg.world
     if world is None:
         # closer cells and a wider component std keep the responsibilities
         # graded, so the tradeoff shows up in the adherence columns too
         world = product_world(identity_spacing=1.5, style_offset=1.5, s=0.7)
-    schedule = build_schedule() if schedule is None else schedule
     rows = []
-    for seed in seeds:
+    for seed in cfg.sweep_seeds:
         def blank(lam, note):
             return {"lam": float(lam), "seed": int(seed), "status": note,
                     "recon_error": None, "embed_norm": None,
                     "identity_score": None, "style_score": None}
 
         try:
-            den = train_denoiser(world, schedule, config.denoiser_steps, seed=seed)
+            den = train_denoiser(world, cfg.schedule, cfg.denoiser_steps, seed=seed)
         except TrainingDiverged as err:
             rows.extend(blank(lam, f"backbone failed at step {err.step}")
-                        for lam in lambdas)
+                        for lam in cfg.lambdas)
             continue
         ref_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 11))))
-        x_ref = world.sample(1, ref_rng, identity=config.ref_identity,
-                             style=config.ref_style)[0]
+        x_ref = world.sample(1, ref_rng, identity=REF_IDENTITY, style=REF_STYLE)[0]
         text = np.zeros(world.n_styles)
-        text[config.target_style] = 1.0
-        for lam in lambdas:
-            tc = TrainingConfig(lam=float(lam), steps=config.encoder_steps,
-                                batch=config.batch, augment=config.augment,
-                                lr=config.lr, seed=seed)
+        text[TARGET_STYLE] = 1.0
+        for lam in cfg.lambdas:
             row = blank(lam, "ok")
             try:
-                net = train_promptnet(world, den, tc)
+                net = train_promptnet(world, den,
+                                      replace(cfg.training, lam=float(lam), seed=seed))
                 rng = np.random.Generator(
                     np.random.PCG64(np.random.SeedSequence((seed, 12))))
                 row["recon_error"], row["embed_norm"] = heldout_metrics(
-                    net, den, np.broadcast_to(x_ref, (config.n_recon, world.d)),
-                    np.full(config.n_recon, config.ref_style), rng)
+                    net, den, np.broadcast_to(x_ref, (N_RECON, world.d)),
+                    np.full(N_RECON, REF_STYLE), rng)
                 wrapper = EncoderConditionedDenoiser(net, den)
                 cond = ConditionSet(identity=x_ref, text=text)
-                rec = sample_trajectory(cond, config.fusion, wrapper, schedule,
-                                        config.n_samples, seed=seed)
-                rep = adherence_scores(rec.samples, world, config.ref_identity,
-                                       config.target_style)
+                samples = sample_trajectory(cond, cfg.fusion, wrapper, cfg.schedule,
+                                            cfg.n_samples, seed=seed)
+                rep = adherence_scores(samples, world, REF_IDENTITY, TARGET_STYLE)
                 row["identity_score"] = rep.identity_score
                 row["style_score"] = rep.style_score
             except TrainingDiverged as err:
@@ -230,77 +197,63 @@ def regularization_sweep(lambdas, seeds, config: SweepConfig,
     return rows
 
 
-@dataclass(frozen=True)
-class AblationConfig:
-    """A world, a condition pair, and the base sampler to ablate."""
-
-    world: MixtureWorld
-    condition: ConditionSet
-    base: FusionConfig
-    schedule: DiffusionSchedule
-    n_samples: int = 500
-    seeds: tuple = (0, 1, 2, 3, 4)
-    target_identity: int = 0
-    target_style: int = 1
-
-
 def ablation_variants(base: FusionConfig) -> list[tuple[str, FusionConfig]]:
     return [
         ("vanilla_cfg", replace(base, mode="vanilla_cfg")),
         ("independent", replace(base, mode="independent")),
-        ("fusion_no_refinement", replace(base, mode="fusion", use_refinement=False)),
+        # without refinement a step is one fusion pass, whatever base.m is
+        ("fusion_no_refinement", replace(base, mode="fusion", m=1,
+                                         use_refinement=False)),
         ("fusion_no_fusion_stage", replace(base, mode="fusion", m=0,
                                            use_refinement=True)),
         ("fusion", replace(base, mode="fusion")),
     ]
 
 
-def ablation_suite(config: AblationConfig, predictor=None) -> list[dict]:
-    """Adherence per sampler variant and seed on one conditioned world.
+def ablation_suite(cfg: RunConfig) -> list[dict]:
+    """Adherence to ABLATION_TARGETS per sampler variant of cfg.fusion and
+    per seed of cfg.sweep_seeds, on cfg.world under cfg.condition; both
+    must be set.
 
     Samples are drawn with per-seed noise shared across variants, so rows
     compare the samplers and nothing else; with m=0 the two-stage sampler is
     the independent-guidance sampler by construction, and their rows match
     bit for bit.
     """
-    if predictor is None:
-        predictor = MixtureOracle(config.world, config.schedule)
+    if cfg.world is None or cfg.condition is None:
+        raise ValueError("ablation_suite needs a config with world and condition")
+    predictor = MixtureOracle(cfg.world, cfg.schedule)
+    target_identity, target_style = ABLATION_TARGETS
     rows = []
-    for name, cfg in ablation_variants(config.base):
-        for seed in config.seeds:
-            rec = sample_trajectory(config.condition, cfg, predictor,
-                                    config.schedule, config.n_samples, seed=seed)
-            rep = adherence_scores(rec.samples, config.world,
-                                   config.target_identity, config.target_style)
+    for name, fusion in ablation_variants(cfg.fusion):
+        for seed in cfg.sweep_seeds:
+            samples = sample_trajectory(cfg.condition, fusion, predictor,
+                                        cfg.schedule, cfg.n_samples, seed=seed)
+            rep = adherence_scores(samples, cfg.world, target_identity, target_style)
             rows.append({"variant": name, "seed": int(seed),
                          "identity_score": rep.identity_score,
                          "style_score": rep.style_score})
     return rows
 
 
-def degeneration_benchmark() -> AblationConfig:
+def degeneration_benchmark() -> RunConfig:
     """Reference ablation setup where single-pass joint guidance collapses.
 
     The identity condition is deliberately over-strong and leaks its
-    reference's style (the overfit-embedding failure mode), while the style
-    prompt asks for the other style; the prior also favors the leaked cell.
-    Joint classifier-free guidance then ignores the prompt entirely, and the
-    calibrated two-stage sampler recovers both factors: its min(identity,
-    style) dominates every ablated variant by a wide margin across seeds.
+    reference's style (the overfit-embedding failure mode): its grid is
+    leaky_identity_condition(conflict_world(), 0, 0, 10, 6). The style
+    prompt, style_condition(conflict_world(), 1, 4), asks for the other
+    style; the prior also favors the leaked cell. Joint classifier-free
+    guidance then ignores the prompt entirely, and the calibrated two-stage
+    sampler recovers both factors: its min(identity, style) dominates every
+    ablated variant by a wide margin across seeds.
     """
-    world = conflict_world()
-    condition = ConditionSet(
-        identity=leaky_identity_condition(world, 0, 0, 10.0, 6.0),
-        text=style_condition(world, 1, 4.0),
-    )
-    base = FusionConfig(
-        m=3,
-        gamma=0.06,
-        use_refinement=True,
-        weights=GuidanceWeights(omega=4.0, omega1=0.6, omega2=5.0),
-        sigma=SigmaProfile("boundary"),
-        mode="fusion",
-    )
-    return AblationConfig(world=world, condition=condition, base=base,
-                          schedule=build_schedule(), n_samples=500,
-                          seeds=(0, 1, 2, 3, 4))
+    return validate_config({
+        "world": {"preset": "conflict"},
+        "condition": {"identity": [[16.0, 10.0], [0.0, 0.0]], "text": [0.0, 4.0]},
+        "fusion": {"m": 3, "gamma": 0.06, "use_refinement": True, "mode": "fusion"},
+        "weights": {"omega": 4.0, "omega1": 0.6, "omega2": 5.0},
+        "sigma": {"kind": "boundary"},
+        "sampling": {"n_samples": 500},
+        "sweep": {"seeds": [0, 1, 2, 3, 4]},
+    })

@@ -69,7 +69,7 @@ class MixtureWorld:
     style_b: (n_c, d); log_prior: (n_i, n_c), normalized at construction.
 
     Equality and hashing are by identity (eq=False), as for ConditionSet;
-    compare to_jsonable() forms for value equality.
+    compare the arrays for value equality.
     """
 
     means: np.ndarray
@@ -164,25 +164,6 @@ class MixtureWorld:
         cells = rng.choice(flat.size, size=n, p=flat)
         m = self.cell_means().reshape(-1, self.d)
         return m[cells] + self.s * rng.standard_normal((n, self.d))
-
-    def to_jsonable(self) -> dict:
-        return {
-            "means": self.means.tolist(),
-            "s": float(self.s),
-            "style_A": self.style_A.tolist(),
-            "style_b": self.style_b.tolist(),
-            "log_prior": self.log_prior.tolist(),
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj: dict) -> "MixtureWorld":
-        return cls(
-            means=np.asarray(obj["means"], dtype=float),
-            s=float(obj["s"]),
-            style_A=np.asarray(obj["style_A"], dtype=float),
-            style_b=np.asarray(obj["style_b"], dtype=float),
-            log_prior=np.asarray(obj["log_prior"], dtype=float),
-        )
 
 
 def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray:

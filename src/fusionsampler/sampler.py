@@ -7,7 +7,9 @@ the clean sample, stepping back to t-1, and re-noising to t again; then a
 refinement step computing the independent-conditions guided prediction on the
 unscaled conditions and performing one classifier-free reverse step. m=0
 skips straight to the refinement step, which is exactly independent mode, and
-the two share one code path so bit-identity holds structurally.
+the two share one code path so bit-identity holds structurally. Without the
+refinement step a fusion step is its first joint pass alone, so that setting
+takes m=1.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from fusionsampler.schedule import DiffusionSchedule, SigmaProfile, sigma_at
 
 __all__ = [
     "FusionConfig",
-    "RunRecord",
     "SampleStreams",
     "ddim_step",
     "fusion_step",
@@ -41,8 +42,9 @@ class FusionConfig:
 
     gamma scales the identity slot during the fusion stage only; vanilla,
     independent, and the refinement step consume the conditions as given.
-    m=0 with refinement disabled is rejected: the step would produce nothing
-    (the loop body is skipped and no refinement step runs).
+    Without refinement a step is one fusion pass and ends there, so
+    use_refinement=False requires m=1: any other m would either do nothing
+    (m=0) or be silently cut to one pass.
     """
 
     m: int = 1
@@ -59,70 +61,11 @@ class FusionConfig:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma!r}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.m == 0 and not self.use_refinement:
+        if not self.use_refinement and self.m != 1:
             raise ValueError(
-                "m=0 with use_refinement=False would produce nothing; the m=0"
-                " special case is the refinement step alone"
+                "use_refinement=False runs exactly one fusion pass per step,"
+                f" so it needs m=1, got m={self.m!r}"
             )
-
-    def to_jsonable(self) -> dict:
-        sig: dict = {"kind": self.sigma.kind}
-        if self.sigma.kind == "ddim_eta":
-            sig["eta"] = float(self.sigma.eta)
-        if self.sigma.kind == "custom":
-            sig["values"] = self.sigma.values.tolist()
-        return {
-            "m": int(self.m),
-            "gamma": float(self.gamma),
-            "use_refinement": bool(self.use_refinement),
-            "mode": self.mode,
-            "weights": {
-                "omega": self.weights.omega,
-                "omega1": self.weights.omega1,
-                "omega2": self.weights.omega2,
-            },
-            "sigma": sig,
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj: dict) -> "FusionConfig":
-        w = obj.get("weights", {})
-        sig = obj.get("sigma", {"kind": "boundary"})
-        profile = SigmaProfile(
-            kind=sig["kind"],
-            eta=float(sig.get("eta", 0.0)),
-            values=None if "values" not in sig else np.asarray(sig["values"], float),
-        )
-        return cls(
-            m=int(obj.get("m", 1)),
-            gamma=float(obj.get("gamma", 0.4)),
-            use_refinement=bool(obj.get("use_refinement", True)),
-            weights=GuidanceWeights(
-                omega=float(w.get("omega", 2.0)),
-                omega1=float(w.get("omega1", 2.0)),
-                omega2=float(w.get("omega2", 2.0)),
-            ),
-            sigma=profile,
-            mode=obj.get("mode", "fusion"),
-        )
-
-
-@dataclass
-class RunRecord:
-    """Persisted output of one sampling run."""
-
-    config: dict
-    seed: int
-    samples: np.ndarray
-    metrics: dict = field(default_factory=dict)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "config": self.config,
-            "seed": int(self.seed),
-            "samples": self.samples.tolist(),
-            "metrics": {k: self.metrics[k] for k in sorted(self.metrics)},
-        }
 
 
 class SampleStreams:
@@ -285,8 +228,9 @@ _STEP_FNS = {
 
 def sample_trajectory(cond: ConditionSet, cfg: FusionConfig,
                       predictor: NoisePredictor, schedule: DiffusionSchedule,
-                      n_samples: int, seed: int) -> RunRecord:
-    """Run the configured per-step operator from x_T ~ Normal(0, I) down to x_0."""
+                      n_samples: int, seed: int) -> np.ndarray:
+    """Run the configured per-step operator from x_T ~ Normal(0, I) down to
+    x_0; returns the (n_samples, d) samples."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
     step_fn = _STEP_FNS[cfg.mode]
@@ -296,14 +240,4 @@ def sample_trajectory(cond: ConditionSet, cfg: FusionConfig,
         x = step_fn(x, t, cond, cfg, predictor, schedule, streams)
         if not np.all(np.isfinite(x)):
             raise RuntimeError(f"sampling produced non-finite state at t={t}")
-    config = {
-        "fusion": cfg.to_jsonable(),
-        "schedule": {
-            "T": schedule.T,
-            "beta_start": float(schedule.beta[0]),
-            "beta_end": float(schedule.beta[-1]),
-        },
-        "n_samples": int(n_samples),
-        "condition": cond.to_jsonable(),
-    }
-    return RunRecord(config=config, seed=seed, samples=x)
+    return x

@@ -174,10 +174,10 @@ def _check_m0_matches_independent():
                                   sigma=sigma, mode="fusion")
         cfg_indep = FusionConfig(m=0, use_refinement=True, weights=weights,
                                  sigma=sigma, mode="independent")
-        rec_a = sample_trajectory(cond, cfg_fusion, predictor, schedule, 6, seed=40 + i)
-        rec_b = sample_trajectory(cond, cfg_indep, predictor, schedule, 6, seed=40 + i)
-        if rec_a.samples.tobytes() != rec_b.samples.tobytes():
-            gap = np.max(np.abs(rec_a.samples - rec_b.samples))
+        a = sample_trajectory(cond, cfg_fusion, predictor, schedule, 6, seed=40 + i)
+        b = sample_trajectory(cond, cfg_indep, predictor, schedule, 6, seed=40 + i)
+        if a.tobytes() != b.tobytes():
+            gap = np.max(np.abs(a - b))
             return False, f"trial {i} differs; max abs gap {gap:.2e}"
     return True, f"{len(trials)} configurations bit-identical at n=6 T={schedule.T}"
 
@@ -218,7 +218,7 @@ def _check_batch_prefix_invariance():
         runs = []
         for size in (n, n_big):
             oracle = _FirstRows(MixtureOracle(world, schedule), n)
-            samples = sample_trajectory(cond, cfg, oracle, schedule, size, seed=77).samples
+            samples = sample_trajectory(cond, cfg, oracle, schedule, size, seed=77)
             runs.append((samples[:n].tobytes(), oracle.rows))
         (small, small_calls), (big, big_calls) = runs
         differ = sum(a != b for a, b in zip(small_calls, big_calls))
@@ -264,7 +264,7 @@ def _check_oracle_memo_exact():
         for predictor in (MixtureOracle(world, schedule),
                           _MemoFreeOracle(world, schedule)):
             calls = _FirstRows(predictor, n)
-            samples = sample_trajectory(cond, cfg, calls, schedule, n, seed=78).samples
+            samples = sample_trajectory(cond, cfg, calls, schedule, n, seed=78)
             runs.append((samples.tobytes(), calls.rows))
         (memo, memo_calls), (fresh, fresh_calls) = runs
         differ = sum(a != b for a, b in zip(memo_calls, fresh_calls))

@@ -14,7 +14,7 @@ from fusionsampler.artifacts import render_json
 from fusionsampler.cli import main as cli_main
 from fusionsampler.conditions import ConditionSet
 from fusionsampler.evaluate import ablation_suite, degeneration_benchmark, \
-    regularization_sweep, spearman, SweepConfig
+    regularization_sweep, spearman
 from fusionsampler.guidance import GuidanceWeights
 from fusionsampler.mixture import MixtureOracle, oracle_eps, oracle_log_density
 from fusionsampler.posterior import (
@@ -28,6 +28,7 @@ from fusionsampler.posterior import (
     sample_prev,
     sample_prev_mean,
 )
+from fusionsampler.runconfig import validate_config
 from fusionsampler.sampler import FusionConfig, sample_trajectory
 from fusionsampler.schedule import SigmaProfile, build_schedule, schedule_from_betas
 from fusionsampler.worlds import identity_condition, product_world, style_condition
@@ -166,13 +167,13 @@ def test_oracle_agrees_with_finite_differences_and_ddim_moments():
                        weights=GuidanceWeights(omega=1.0),
                        sigma=SigmaProfile("ddim_eta", eta=0.0),
                        mode="vanilla_cfg")
-    rec = sample_trajectory(ConditionSet(), cfg, MixtureOracle(world, sched),
-                            sched, 100_000, seed=45)
+    samples = sample_trajectory(ConditionSet(), cfg, MixtureOracle(world, sched),
+                                sched, 100_000, seed=45)
     mean_target = world.data_mean()
     cov_target = world.data_cov()
     scale = float(np.sqrt(np.max(np.diag(cov_target))))
-    mean_err = float(np.max(np.abs(rec.samples.mean(axis=0) - mean_target)))
-    cov_emp = np.cov(rec.samples.T)
+    mean_err = float(np.max(np.abs(samples.mean(axis=0) - mean_target)))
+    cov_emp = np.cov(samples.T)
     cov_err = float(np.max(np.abs(cov_emp - cov_target)))
     cov_tol = 0.05 * float(np.max(np.abs(cov_target)))
     ok = worst_fd < 1e-4 and mean_err <= 0.02 * scale and cov_err <= cov_tol
@@ -215,7 +216,7 @@ def test_zero_fusion_iterations_reduce_to_independent_sampling():
                                                  weights=w, sigma=profile,
                                                  mode="independent"),
                               predictor, sched, 5, seed=700 + i)
-        mismatches += int(a.samples.tobytes() != b.samples.tobytes())
+        mismatches += int(a.tobytes() != b.tobytes())
     ok = mismatches == 0
     _report("zero fusion iterations reduce to independent sampling", ok,
             f"10 random configurations; {mismatches} byte mismatches (tol 0)")
@@ -252,7 +253,9 @@ def test_conflicting_conditions_benchmark_ordering():
 def test_regularization_rank_correlations():
     lambdas = [0.0, 0.01, 0.1, 1.0, 10.0]
     seeds = [0, 1, 2]
-    rows = regularization_sweep(lambdas, seeds, SweepConfig())
+    rows = regularization_sweep(validate_config({
+        "sweep": {"lambdas": lambdas, "seeds": seeds},
+        "sampling": {"n_samples": 300}}))
     failed = [r for r in rows if r["status"] != "ok"]
     rec_trend, norm_trend = [], []
     for seed in seeds:

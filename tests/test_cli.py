@@ -3,6 +3,7 @@
 import json
 import os
 
+import pytest
 
 import fusionsampler.verify as verify
 from fusionsampler.artifacts import load_json
@@ -76,7 +77,9 @@ def test_run_sample_writes_record_samples_metrics(tmp_path):
     record = load_json(out / "run_record.json")
     assert record["mode"] == "sample" and record["seed"] == 0
     assert record["config"]["schedule"]["T"] == 20
-    assert sorted(record["record"]) == ["config", "metrics", "seed"]
+    # samples.csv is the one copy of the samples; the config echo is the one
+    # copy of the settings
+    assert sorted(record) == ["config", "metrics", "mode", "seed"]
     lines = (out / "samples.csv").read_text().splitlines()
     assert lines[0] == "x0,x1"
     assert len(lines) == 13
@@ -174,6 +177,39 @@ def test_run_ablate_needs_world_and_condition_together(tmp_path, capsys):
                  "--out", str(out)]) == 1
     assert "both world and condition" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_builtin_ablate_refuses_settings_it_does_not_use(tmp_path, capsys):
+    # neither world nor condition runs the built-in benchmark, which fixes
+    # its own sampler, schedule, sample count and seeds
+    out = tmp_path / "builtin"
+    path = tmp_path / "builtin.json"
+    path.write_text(json.dumps({"sweep": {"seeds": [7]},
+                                "sampling": {"n_samples": 8},
+                                "fusion": {"m": 0}}))
+    assert main(["run", "--config", str(path), "--mode", "ablate",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "built-in benchmark" in err
+    assert "fusion, sampling, sweep.seeds" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["sample", "ablate", "compare"])
+def test_run_replays_from_its_record(tmp_path, mode):
+    # the config echo in run_record.json is enough to rerun the run: every
+    # artifact of the replay matches the original byte for byte
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert main(["run", "--config", _config(tmp_path), "--mode", mode,
+                 "--out", str(first)]) == 0
+    echo = tmp_path / "echo.json"
+    echo.write_text(json.dumps(load_json(first / "run_record.json")["config"]))
+    assert main(["run", "--config", str(echo), "--mode", mode,
+                 "--out", str(replay)]) == 0
+    names = sorted(os.listdir(first))
+    assert sorted(os.listdir(replay)) == names
+    for name in names:
+        assert (first / name).read_bytes() == (replay / name).read_bytes(), name
 
 
 def test_run_missing_config_exits_2(tmp_path, capsys):

@@ -18,6 +18,7 @@ from fusionsampler.encoder import (
     train_promptnet,
 )
 from fusionsampler.nets import MLP, fd_gradient
+from fusionsampler.runconfig import validate_config
 from fusionsampler.schedule import build_schedule
 from fusionsampler.worlds import product_world
 
@@ -104,8 +105,14 @@ def test_training_config_validation_and_round_trip():
         TrainingConfig(batch=0)
     with pytest.raises(ValueError, match="lr"):
         TrainingConfig(lr=0.0)
+    # a TrainingConfig's JSON form is the training section of the config
+    # echo; the seed comes from the config's top-level seed
     tc = TrainingConfig(lam=0.5, steps=10, batch=16, augment=False, lr=1e-3, seed=9)
-    assert TrainingConfig.from_jsonable(json.loads(json.dumps(tc.to_jsonable()))) == tc
+    cfg = validate_config({"seed": 9, "training": {"lam": 0.5, "steps": 10,
+                                                   "batch": 16, "augment": False,
+                                                   "lr": 1e-3}})
+    assert cfg.training == tc
+    assert validate_config(json.loads(json.dumps(cfg.payload))).training == tc
 
 
 def test_promptnet_json_round_trip():

@@ -1,19 +1,15 @@
 """Adherence metric examples, the sweep drivers, and the ablation table."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionsampler.artifacts import render_csv
-from fusionsampler.conditions import ConditionSet
 from fusionsampler.evaluate import (
     ABLATION_COLUMNS,
+    ABLATION_TARGETS,
     SWEEP_COLUMNS,
-    AblationConfig,
-    SweepConfig,
     ablation_suite,
     adherence_scores,
     component_responsibility,
@@ -22,9 +18,14 @@ from fusionsampler.evaluate import (
     spearman,
 )
 from fusionsampler.nets import TrainingDiverged
-from fusionsampler.sampler import FusionConfig
-from fusionsampler.schedule import SigmaProfile, build_schedule
-from fusionsampler.worlds import identity_condition, product_world, style_condition
+from fusionsampler.runconfig import ConfigError, validate_config
+from fusionsampler.worlds import (
+    conflict_world,
+    identity_condition,
+    leaky_identity_condition,
+    product_world,
+    style_condition,
+)
 
 WORLD = product_world()
 
@@ -131,17 +132,15 @@ def test_spearman_validation():
 
 
 def _fast_ablation_config():
-    w = WORLD
-    cond = ConditionSet(identity=identity_condition(w, 0, 3.0),
-                        text=style_condition(w, 1, 3.0))
-    return AblationConfig(
-        world=w,
-        condition=cond,
-        base=FusionConfig(m=2, gamma=0.3, sigma=SigmaProfile("boundary")),
-        schedule=build_schedule(T=20),
-        n_samples=40,
-        seeds=(0, 1),
-    )
+    return validate_config({
+        "world": {"preset": "product"},
+        "condition": {"identity": identity_condition(WORLD, 0, 3.0).tolist(),
+                      "text": style_condition(WORLD, 1, 3.0).tolist()},
+        "schedule": {"T": 20},
+        "fusion": {"m": 2, "gamma": 0.3},
+        "sampling": {"n_samples": 40},
+        "sweep": {"seeds": [0, 1]},
+    })
 
 
 def test_ablation_table_shape_and_names():
@@ -171,18 +170,26 @@ def test_ablation_deterministic():
     assert ablation_suite(cfg) == ablation_suite(cfg)
 
 
+def test_ablation_needs_world_and_condition():
+    with pytest.raises(ValueError, match="world and condition"):
+        ablation_suite(validate_config({"world": {"preset": "product"}}))
+
+
 def test_degeneration_benchmark_shape():
     bench = degeneration_benchmark()
     assert bench.n_samples == 500
-    assert bench.seeds == (0, 1, 2, 3, 4)
+    assert bench.sweep_seeds == (0, 1, 2, 3, 4)
     assert bench.schedule.T == 100
-    assert bench.base.m == 3
-    assert bench.base.use_refinement
-    assert bench.base.mode == "fusion"
-    assert bench.condition.identity.shape == (2, 2)
-    assert bench.condition.text.shape == (2,)
+    assert bench.fusion.m == 3
+    assert bench.fusion.use_refinement
+    assert bench.fusion.mode == "fusion"
     # the conflicting pair: identity condition leaks style 0, prompt wants 1
-    assert bench.target_identity == 0 and bench.target_style == 1
+    world = conflict_world()
+    assert bench.world.means.tolist() == world.means.tolist()
+    assert bench.condition.identity.tolist() == \
+        leaky_identity_condition(world, 0, 0, 10.0, 6.0).tolist()
+    assert bench.condition.text.tolist() == style_condition(world, 1, 4.0).tolist()
+    assert ABLATION_TARGETS == (0, 1)
 
 
 def test_degeneration_benchmark_ordering_reduced():
@@ -190,8 +197,10 @@ def test_degeneration_benchmark_ordering_reduced():
     full sampler must already dominate every ablation in min(identity, style).
     Pilot margins: fusion 0.49 vs independent 0.33 vs no-refinement 0.29 vs
     vanilla 0.00."""
-    bench = replace(degeneration_benchmark(), n_samples=200, seeds=(0, 1))
-    rows = ablation_suite(bench)
+    payload = degeneration_benchmark().payload
+    rows = ablation_suite(validate_config({
+        **payload, "sampling": {"n_samples": 200},
+        "sweep": {**payload["sweep"], "seeds": [0, 1]}}))
     mins = {}
     for name in {r["variant"] for r in rows}:
         sub = [r for r in rows if r["variant"] == name]
@@ -209,10 +218,20 @@ def test_degeneration_benchmark_ordering_reduced():
 
 
 def test_sweep_rejects_empty_inputs():
-    with pytest.raises(ValueError, match="nonempty"):
-        regularization_sweep([], [0], SweepConfig())
-    with pytest.raises(ValueError, match="nonempty"):
-        regularization_sweep([0.0], [], SweepConfig())
+    # the sweep's grid is checked once, where its config is validated
+    with pytest.raises(ConfigError, match="sweep.lambdas: expected a nonempty"):
+        validate_config({"sweep": {"lambdas": []}})
+    with pytest.raises(ConfigError, match="sweep.seeds: expected a nonempty"):
+        validate_config({"sweep": {"seeds": []}})
+
+
+def _small_sweep(lambdas, seeds):
+    return validate_config({
+        "sweep": {"lambdas": lambdas, "seeds": seeds},
+        "denoiser": {"steps": 40},
+        "training": {"steps": 5, "batch": 16},
+        "sampling": {"n_samples": 4},
+    })
 
 
 def test_sweep_records_cell_failures_and_continues(monkeypatch):
@@ -225,9 +244,7 @@ def test_sweep_records_cell_failures_and_continues(monkeypatch):
         return real(world, denoiser, tc, **kw)
 
     monkeypatch.setattr(ev, "train_promptnet", sometimes)
-    cfg = SweepConfig(denoiser_steps=40, encoder_steps=5, batch=16,
-                      n_samples=4, n_recon=8)
-    rows = regularization_sweep([0.5, 5.0], [0], cfg)
+    rows = regularization_sweep(_small_sweep([0.5, 5.0], [0]))
     assert len(rows) == 2
     ok, failed = rows
     assert ok["status"] == "ok" and ok["recon_error"] is not None
@@ -246,9 +263,7 @@ def test_sweep_records_backbone_failures_per_seed(monkeypatch):
         return real(world, schedule, steps, seed=seed)
 
     monkeypatch.setattr(ev, "train_denoiser", fragile)
-    cfg = SweepConfig(denoiser_steps=40, encoder_steps=5, batch=16,
-                      n_samples=4, n_recon=8)
-    rows = regularization_sweep([0.0, 1.0], [0, 1], cfg)
+    rows = regularization_sweep(_small_sweep([0.0, 1.0], [0, 1]))
     assert len(rows) == 4
     by_seed = {s: [r for r in rows if r["seed"] == s] for s in (0, 1)}
     assert all(r["status"] == "ok" for r in by_seed[0])
@@ -267,9 +282,7 @@ def test_sweep_records_a_sampling_failure_and_keeps_going(monkeypatch):
         return real(cond, cfg, predictor, schedule, n_samples, seed=seed)
 
     monkeypatch.setattr(ev, "sample_trajectory", fragile)
-    cfg = SweepConfig(denoiser_steps=40, encoder_steps=5, batch=16,
-                      n_samples=4, n_recon=8)
-    rows = regularization_sweep([0.0, 1.0, 10.0], [0], cfg)
+    rows = regularization_sweep(_small_sweep([0.0, 1.0, 10.0], [0]))
     assert [r["lam"] for r in rows] == [0.0, 1.0, 10.0]
     assert [r["status"] for r in rows] == [
         "ok", "sampling failed: sampling produced non-finite state at t=7", "ok"]
@@ -287,7 +300,9 @@ def test_sweep_tradeoff_trends():
     0.846 / 0.928 / 0.928 over lam in {0, 1, 10}, 3 seeds."""
     lambdas = [0.0, 1.0, 10.0]
     seeds = [0, 1, 2]
-    rows = regularization_sweep(lambdas, seeds, SweepConfig())
+    rows = regularization_sweep(validate_config({
+        "sweep": {"lambdas": lambdas, "seeds": seeds},
+        "sampling": {"n_samples": 300}}))
     assert len(rows) == len(lambdas) * len(seeds)
     assert all(r["status"] == "ok" for r in rows)
     ids = [np.mean([r["identity_score"] for r in rows if r["lam"] == l])

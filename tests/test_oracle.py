@@ -1,3 +1,4 @@
+import json
 import warnings
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from fusionsampler.mixture import (
     oracle_responsibilities,
 )
 from fusionsampler.predictors import predict_eps
+from fusionsampler.runconfig import validate_config
 from fusionsampler.schedule import build_schedule
 from fusionsampler.worlds import (
     conflict_world,
@@ -170,8 +172,11 @@ def test_predict_eps_dispatch_validation():
 
 
 def test_world_validation_and_serialization():
+    # a world's JSON form is the world section of the run config echo
     w = conflict_world()
-    back = MixtureWorld.from_jsonable(w.to_jsonable())
+    echo = json.loads(json.dumps(validate_config({"world": {"preset": "conflict"}})
+                                 .payload))
+    back = validate_config(echo).world
     assert_allclose(back.means, w.means)
     assert_allclose(back.log_prior, w.log_prior)
     assert_allclose(back.data_cov(), w.data_cov())
@@ -255,8 +260,6 @@ def test_condition_set_leaves_the_callers_array_writeable():
 
 
 def test_condition_set_json_round_trip():
-    import json
-
     cond = ConditionSet(
         identity=np.array([0.0, -np.inf, 3.5]),
         text=np.array([1.25, -2.0]),

@@ -100,6 +100,7 @@ def test_custom_sigma_values_accepted():
     ({"sweep": {"seeds": [0.5]}}, "sweep.seeds[0]"),
     ({"denoiser": {"steps": 0}}, "denoiser.steps"),
     ([1, 2], "config"),
+    ({"fusion": {"use_refinement": False, "m": 3}}, "fusion"),
 ])
 def test_violations_name_the_offending_path(payload, fragment):
     with pytest.raises(ConfigError) as err:

@@ -20,6 +20,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from fusionsampler.conditions import ConditionSet
 from fusionsampler.guidance import GuidanceWeights
 from fusionsampler.mixture import MixtureOracle
+from fusionsampler.runconfig import validate_config
 from fusionsampler.sampler import (
     FusionConfig,
     SampleStreams,
@@ -54,12 +55,20 @@ def test_config_validation():
         FusionConfig(gamma=1.5)
     with pytest.raises(ValueError, match="mode"):
         FusionConfig(mode="ancestral")
-    with pytest.raises(ValueError, match="produce nothing"):
-        FusionConfig(m=0, use_refinement=False)
+    # without refinement a step is exactly one fusion pass
+    for m in (0, 2):
+        with pytest.raises(ValueError, match="needs m=1"):
+            FusionConfig(m=m, use_refinement=False)
 
 
 def test_config_json_round_trip():
-    cfg = FusionConfig(
+    # a FusionConfig's JSON form is its part of the run config echo
+    cfg = validate_config({
+        "fusion": {"m": 3, "gamma": 0.25},
+        "weights": {"omega": 1.5, "omega1": 0.5, "omega2": 4.0},
+        "sigma": {"kind": "ddim_eta", "eta": 0.7},
+    }).fusion
+    assert cfg == FusionConfig(
         m=3,
         gamma=0.25,
         use_refinement=True,
@@ -67,12 +76,10 @@ def test_config_json_round_trip():
         sigma=SigmaProfile("ddim_eta", eta=0.7),
         mode="fusion",
     )
-    back = FusionConfig.from_jsonable(json.loads(json.dumps(cfg.to_jsonable())))
-    assert back == cfg
-    vals = np.zeros(8)
-    vals[1:] = 0.05
-    custom = FusionConfig(sigma=SigmaProfile("custom", values=vals))
-    back = FusionConfig.from_jsonable(custom.to_jsonable())
+    vals = [0.0] + [0.05] * 7
+    custom = validate_config({"schedule": {"T": 8},
+                              "sigma": {"kind": "custom", "values": vals}})
+    back = validate_config(json.loads(json.dumps(custom.payload))).fusion
     assert back.sigma.kind == "custom"
     assert_array_equal(back.sigma.values, vals)
 
@@ -142,9 +149,9 @@ def test_same_seed_reproduces_bitwise():
     cfg = FusionConfig(m=2, gamma=0.5)
     a = sample_trajectory(conditioned(), cfg, ORACLE_8, SCHED_8, 5, seed=11)
     b = sample_trajectory(conditioned(), cfg, ORACLE_8, SCHED_8, 5, seed=11)
-    assert a.samples.tobytes() == b.samples.tobytes()
+    assert a.tobytes() == b.tobytes()
     c = sample_trajectory(conditioned(), cfg, ORACLE_8, SCHED_8, 5, seed=12)
-    assert not np.array_equal(a.samples, c.samples)
+    assert not np.array_equal(a, c)
 
 
 @settings(max_examples=15, deadline=None)
@@ -157,7 +164,7 @@ def test_batch_prefix_invariance(n_small, extra, seed):
     big = sample_trajectory(
         conditioned(), cfg, ORACLE_8, SCHED_8, n_small + extra, seed=seed
     )
-    assert_array_equal(big.samples[:n_small], small.samples)
+    assert_array_equal(big[:n_small], small)
 
 
 def _custom_profile():
@@ -184,7 +191,7 @@ def test_m0_fusion_is_bitwise_independent(sigma, weights):
     indep = FusionConfig(m=0, weights=weights, sigma=sigma, mode="independent")
     a = sample_trajectory(conditioned(), fusion, ORACLE_8, SCHED_8, 6, seed=77)
     b = sample_trajectory(conditioned(), indep, ORACLE_8, SCHED_8, 6, seed=77)
-    assert a.samples.tobytes() == b.samples.tobytes()
+    assert a.tobytes() == b.tobytes()
 
 
 def test_deterministic_flow_matches_affine_recursion():
@@ -193,7 +200,7 @@ def test_deterministic_flow_matches_affine_recursion():
     sched = build_schedule(T=12, beta_start=0.02, beta_end=0.3)
     oracle = MixtureOracle(world, sched)
     cfg = FusionConfig(mode="vanilla_cfg", sigma=SigmaProfile("ddim_eta", eta=0.0))
-    rec = sample_trajectory(ConditionSet(), cfg, oracle, sched, 64, seed=909)
+    samples = sample_trajectory(ConditionSet(), cfg, oracle, sched, 64, seed=909)
     x_T = SampleStreams(909, 64).standard_normal((64, 2))
     s2 = 0.7 * 0.7
     A, C = 1.0, 0.0
@@ -204,7 +211,7 @@ def test_deterministic_flow_matches_affine_recursion():
         a = (np.sqrt(ab * abp) * s2 + np.sqrt((1.0 - ab) * (1.0 - abp))) / v
         c = (np.sqrt(abp) * (1.0 - ab) - np.sqrt(ab * (1.0 - ab) * (1.0 - abp))) / v
         A, C = a * A, a * C + c
-    assert_allclose(rec.samples, A * x_T + C * mu, rtol=1e-9, atol=1e-12)
+    assert_allclose(samples, A * x_T + C * mu, rtol=1e-9, atol=1e-12)
 
 
 def test_boundary_sigma_moments_match_recursion():
@@ -217,7 +224,7 @@ def test_boundary_sigma_moments_match_recursion():
     prof = SigmaProfile("boundary")
     cfg = FusionConfig(mode="vanilla_cfg", sigma=prof)
     n = 4000
-    rec = sample_trajectory(ConditionSet(), cfg, oracle, sched, n, seed=5150)
+    samples = sample_trajectory(ConditionSet(), cfg, oracle, sched, n, seed=5150)
     s2 = 0.6 * 0.6
     m, V = 0.0, 1.0
     for t in range(sched.T, 0, -1):
@@ -230,9 +237,9 @@ def test_boundary_sigma_moments_match_recursion():
         m = a * m + c
         V = a * a * V + sig * sig
     want_mean = m * mu
-    got_mean = rec.samples.mean(axis=0)
+    got_mean = samples.mean(axis=0)
     assert np.all(np.abs(got_mean - want_mean) < 4.0 * np.sqrt(V / n))
-    got_var = rec.samples.var(axis=0, ddof=1)
+    got_var = samples.var(axis=0, ddof=1)
     assert np.all(np.abs(got_var - V) < 4.0 * V * np.sqrt(2.0 / (n - 1)))
 
 
@@ -244,7 +251,7 @@ def test_m1_no_refinement_matches_vanilla():
     vanilla = FusionConfig(mode="vanilla_cfg")
     a = sample_trajectory(cond, fusion, ORACLE_8, SCHED_8, 8, seed=21)
     b = sample_trajectory(cond, vanilla, ORACLE_8, SCHED_8, 8, seed=21)
-    assert_allclose(a.samples, b.samples, rtol=1e-9, atol=1e-12)
+    assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
 
 def test_zero_sigma_rejected_by_fusion_stage():
@@ -273,22 +280,12 @@ def test_final_step_runs_refinement_only():
     assert a.tobytes() == b.tobytes()
 
 
-def test_record_serialization_is_deterministic():
-    cfg = FusionConfig(m=1, gamma=0.5)
-    runs = [
-        sample_trajectory(conditioned(), cfg, ORACLE_8, SCHED_8, 3, seed=6)
-        for _ in range(2)
-    ]
-    payloads = [json.dumps(r.to_jsonable(), sort_keys=True) for r in runs]
-    assert payloads[0] == payloads[1]
-
-
 def test_gamma_reaches_the_predictor():
     lo = FusionConfig(m=1, gamma=0.0)
     hi = FusionConfig(m=1, gamma=1.0)
     a = sample_trajectory(conditioned(), lo, ORACLE_8, SCHED_8, 4, seed=13)
     b = sample_trajectory(conditioned(), hi, ORACLE_8, SCHED_8, 4, seed=13)
-    assert not np.allclose(a.samples, b.samples)
+    assert not np.allclose(a, b)
 
 
 class _NanPredictor:
@@ -323,25 +320,6 @@ def test_step_input_validation():
         ddim_step(np.zeros(2), 3, np.zeros(2), SCHED_8, 2.0, rng)
 
 
-def test_record_snapshot_rebuilds_the_run():
-    # everything needed to replay a run must survive the JSON snapshot
-    cfg = FusionConfig(m=2, gamma=0.35, weights=GuidanceWeights(omega=3.0),
-                       sigma=SigmaProfile("ddim_eta", eta=0.6))
-    rec = sample_trajectory(conditioned(), cfg, ORACLE_8, SCHED_8, 5, seed=21)
-    snap = json.loads(json.dumps(rec.to_jsonable(), sort_keys=True))
-
-    cfg2 = FusionConfig.from_jsonable(snap["config"]["fusion"])
-    sched2 = build_schedule(
-        T=snap["config"]["schedule"]["T"],
-        beta_start=snap["config"]["schedule"]["beta_start"],
-        beta_end=snap["config"]["schedule"]["beta_end"],
-    )
-    cond2 = ConditionSet.from_jsonable(snap["config"]["condition"])
-    rec2 = sample_trajectory(cond2, cfg2, MixtureOracle(WORLD, sched2), sched2,
-                             snap["config"]["n_samples"], seed=snap["seed"])
-    assert rec2.samples.tobytes() == rec.samples.tobytes()
-
-
 def test_random_configs_stay_finite():
     # fuzz over the config space: every legal combination must finish
     rng = np.random.default_rng(314)
@@ -356,8 +334,8 @@ def test_random_configs_stay_finite():
         refine = bool(rng.integers(2))
         if mode != "fusion":
             m, refine = 1, True
-        elif m == 0 and not refine:
-            refine = True
+        elif not refine:
+            m = 1  # without refinement only m=1 is legal
         cfg = FusionConfig(
             m=m,
             gamma=float(rng.uniform(0.0, 1.0)),
@@ -373,6 +351,6 @@ def test_random_configs_stay_finite():
         if (cfg.mode == "fusion" and cfg.m >= 1 and cfg.use_refinement
                 and cfg.sigma.kind == "ddim_eta" and cfg.sigma.eta == 0.0):
             continue  # fusion stage needs noise to re-inject
-        rec = sample_trajectory(conditioned(), cfg, ORACLE_8, SCHED_8, 2,
-                                seed=int(rng.integers(2**31)))
-        assert np.all(np.isfinite(rec.samples))
+        samples = sample_trajectory(conditioned(), cfg, ORACLE_8, SCHED_8, 2,
+                                    seed=int(rng.integers(2**31)))
+        assert np.all(np.isfinite(samples))
