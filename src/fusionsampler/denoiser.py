@@ -10,6 +10,8 @@ embeddings once an encoder is attached.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from fusionsampler.conditions import ConditionSet
@@ -30,10 +32,29 @@ __all__ = [
 N_TIME_FEATURES = 3
 
 
+@functools.lru_cache(maxsize=16)
+def _time_table(T: int) -> np.ndarray:
+    """time_features for t = 0..T, row t, read-only."""
+    tau = np.arange(T + 1, dtype=float) / float(T)
+    table = np.stack([tau, np.sin(np.pi * tau), np.cos(np.pi * tau)], axis=-1)
+    table.setflags(write=False)
+    return table
+
+
 def time_features(t, T: int) -> np.ndarray:
-    """Per-sample features [tau, sin(pi tau), cos(pi tau)], tau = t/T."""
-    tau = np.asarray(t, dtype=float) / float(T)
-    return np.stack([tau, np.sin(np.pi * tau), np.cos(np.pi * tau)], axis=-1)
+    """Per-sample features [tau, sin(pi tau), cos(pi tau)], tau = t/T, for
+    integer timesteps t in 0..T (a scalar or an array), read from a table
+    built once per T."""
+    table = _time_table(int(T))
+    if isinstance(t, (int, np.integer)):
+        if not 0 <= t <= T:
+            raise ValueError(f"t must lie in 0..{T}, got {t!r}")
+        return table[t].copy()
+    t = np.asarray(t)
+    if t.dtype.kind not in "iu" or (t.size and t.min() < 0):
+        raise ValueError(f"t must hold integer timesteps in 0..{T}")
+    # np.take raises on an index above T
+    return np.take(table, t, axis=0)
 
 
 class ToyDenoiser:
@@ -130,9 +151,13 @@ class ToyDenoiser:
 
 def prior_batch(world: MixtureWorld, rng: np.random.Generator, n: int):
     """n clean draws from the world's prior: (x0, cells), cells the flat
-    (identity * n_styles + style) indices. Draws the cells, then the noise."""
-    flat = world.prior().reshape(-1)
-    cells = rng.choice(flat.size, size=n, p=flat)
+    (identity * n_styles + style) indices. Draws the cells, then the noise.
+
+    The cells are the draw of rng.choice(n_cells, size=n, p=prior), made
+    the way Generator.choice makes it, without re-validating the prior."""
+    cdf = world.prior().reshape(-1).cumsum()
+    cdf /= cdf[-1]
+    cells = cdf.searchsorted(rng.random(n), side="right")
     x0 = world.cell_means().reshape(-1, world.d)[cells] \
         + world.s * rng.standard_normal((n, world.d))
     return x0, cells

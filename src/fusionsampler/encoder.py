@@ -124,11 +124,10 @@ def augment_reference(x0: np.ndarray, rng: np.random.Generator,
     return x0 * factors + jitter
 
 
-def promptnet_loss_and_grads(net: ToyPromptNet, denoiser: ToyDenoiser,
-                             xbar, x_t, t, eps, text, lam: float):
-    """Chained loss mean|eps_hat - eps|^2 + lam mean|S|^2 on one fixed batch,
-    with its gradient wrt the encoder's flat parameters (denoiser frozen)."""
-    batch = x_t.shape[0]
+def _chained_loss(net: ToyPromptNet, denoiser: ToyDenoiser, xbar, x_t, t, eps,
+                  text, lam: float):
+    """Forward half of promptnet_loss_and_grads: the loss with the
+    embeddings S, the residual and both nets' caches."""
     s_out, acts_e = net.net.forward(net.inputs(xbar, x_t, t))
     inputs = np.concatenate(
         [x_t, s_out, text, time_features(t, denoiser.T)], axis=1)
@@ -136,7 +135,17 @@ def promptnet_loss_and_grads(net: ToyPromptNet, denoiser: ToyDenoiser,
     resid = y - eps
     loss = float(np.mean(np.sum(resid * resid, axis=1))
                  + lam * np.mean(np.sum(s_out * s_out, axis=1)))
-    _, grad_in = denoiser.net.backward(acts_d, 2.0 * resid / batch)
+    return loss, s_out, acts_e, resid, acts_d
+
+
+def promptnet_loss_and_grads(net: ToyPromptNet, denoiser: ToyDenoiser,
+                             xbar, x_t, t, eps, text, lam: float):
+    """Chained loss mean|eps_hat - eps|^2 + lam mean|S|^2 on one fixed batch,
+    with its gradient wrt the encoder's flat parameters (denoiser frozen)."""
+    batch = x_t.shape[0]
+    loss, s_out, acts_e, resid, acts_d = _chained_loss(
+        net, denoiser, xbar, x_t, t, eps, text, lam)
+    grad_in = denoiser.net.input_gradient(acts_d, 2.0 * resid / batch)
     g_s = grad_in[:, denoiser.identity_columns] + 2.0 * lam * s_out / batch
     grads_e, _ = net.net.backward(acts_e, g_s)
     return loss, flatten_grads(grads_e)
@@ -148,12 +157,13 @@ def heldout_metrics(net: ToyPromptNet, denoiser: ToyDenoiser, xbar, styles,
 
     xbar holds the references, one row per sample, and styles their style
     indices, fed as one-hot text channels; the batch is diffused with rng.
+    Forward passes only: the error is promptnet_loss_and_grads' loss at
+    lam=0, and the norm is taken from the same embeddings.
     """
     x_t, t, eps = diffuse(denoiser.schedule, xbar, rng)
     text = np.eye(denoiser.k_text)[styles]
-    recon, _ = promptnet_loss_and_grads(net, denoiser, xbar, x_t, t, eps, text, 0.0)
-    s = net.encode(xbar, x_t, t)
-    return float(recon), float(np.mean(np.linalg.norm(s, axis=1)))
+    recon, s, _, _, _ = _chained_loss(net, denoiser, xbar, x_t, t, eps, text, 0.0)
+    return recon, float(np.mean(np.linalg.norm(s, axis=1)))
 
 
 def train_promptnet(world: MixtureWorld, denoiser: ToyDenoiser,

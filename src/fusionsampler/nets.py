@@ -3,6 +3,14 @@
 Training code in this package never touches an autodiff framework. Each
 network is a list of (W, b) pairs with an explicit backward pass, so
 gradient checks stay honest and results are bit-reproducible per seed.
+
+Each MLP keeps per-net scratch buffers that only grow: forward writes its
+padded input and hidden activations there, and backward its delta chain and
+tanh-derivative temporaries, so repeated passes at one batch size allocate
+no n x h array. The cache that forward returns holds views of that scratch
+and is valid until the same net's next forward. The output y that forward
+returns, and every gradient backward returns, is a fresh array that no later
+call touches.
 """
 
 from __future__ import annotations
@@ -26,6 +34,16 @@ class TrainingDiverged(RuntimeError):
         self.step = step
 
 
+# forward() pads its rows with zeros up to a multiple of this many rows.
+# OpenBLAS dgemm computes the rows of an M-tail with other kernels than full
+# tiles of its M-unroll, and numpy hands a single row to gemv, so unpadded,
+# the bits of a row depend on the batch size. 16 rows are assumed to cover
+# the dgemm M-unroll of every CPU this runs on (4 on Haswell, 16 on
+# SkylakeX); verify's learned_batch_prefix_invariance check fails on a box
+# where they do not.
+_ROW_TILE = 16
+
+
 class MLP:
     """Fully-connected net: tanh hidden layers, linear output head.
 
@@ -33,6 +51,12 @@ class MLP:
     tanh(a @ W[l] + b[l]) except the last layer, which stays linear.
     zero_head=True zeroes the head so the initial output is exactly 0.
     """
+
+    # scratch buffers and the rows they hold; each instance grows its own
+    _fwd = ()
+    _fwd_rows = 0
+    _bwd = ()
+    _bwd_rows = 0
 
     def __init__(self, sizes, seed: int = 0, zero_head: bool = False):
         sizes = tuple(int(s) for s in sizes)
@@ -62,17 +86,35 @@ class MLP:
         return sum(w.size + b.size for w, b in zip(self.W, self.b))
 
     def forward(self, x):
-        """Returns (y, cache) for a (n, d_in) batch; cache feeds backward()."""
-        a = np.asarray(x, dtype=float)
-        if a.ndim != 2 or a.shape[1] != self.d_in:
-            raise ValueError(f"input must be (n, {self.d_in}), got shape {a.shape}")
-        acts = [a]
+        """Returns (y, cache) for a (n, d_in) batch; cache feeds backward().
+
+        The rows run padded with zeros to a multiple of _ROW_TILE (16, taken
+        to cover the dgemm M-unroll), so a row's bits do not depend on n. y
+        is fresh; the cache holds views of this net's scratch and is valid
+        until its next forward.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.d_in:
+            raise ValueError(f"input must be (n, {self.d_in}), got shape {x.shape}")
+        n = x.shape[0]
+        rows = -(-n // _ROW_TILE) * _ROW_TILE
+        if rows > self._fwd_rows:
+            self._fwd = [np.empty((rows, w)) for w in self.sizes]
+            self._fwd_rows = rows
+        a = self._fwd[0][:rows]
+        a[:n] = x
+        a[n:] = 0.0
+        acts = [a[:n]]
         last = len(self.W) - 1
         for l, (w, b) in enumerate(zip(self.W, self.b)):
-            z = a @ w + b
-            a = z if l == last else np.tanh(z)
-            acts.append(a)
-        return a, acts
+            z = np.matmul(a, w, out=self._fwd[l + 1][:rows])
+            z += b
+            if l < last:
+                np.tanh(z, out=z)
+            a = z
+            acts.append(a[:n])
+        acts[-1] = acts[-1].copy()
+        return acts[-1], acts
 
     def backward(self, acts, grad_out):
         """Gradients of a summed loss wrt parameters and input.
@@ -80,15 +122,34 @@ class MLP:
         grad_out is dL/dy with y = acts[-1]. Returns (grads, grad_x) where
         grads is a list of (dW, db) matching the layer layout.
         """
+        return self._backprop(acts, grad_out, params=True)
+
+    def input_gradient(self, acts, grad_out) -> np.ndarray:
+        """dL/dx alone, for a frozen net: backward without the parameter
+        gradients."""
+        return self._backprop(acts, grad_out, params=False)[1]
+
+    def _backprop(self, acts, grad_out, params: bool):
+        """The delta chain from the head down to the input. Returns the
+        (dW, db) list (None unless params) and dL/dx."""
         delta = np.asarray(grad_out, dtype=float)
-        grads = [None] * len(self.W)
+        n = delta.shape[0]
+        if n > self._bwd_rows:
+            self._bwd = [(np.empty((n, w)), np.empty((n, w)))
+                         for w in self.sizes[1:-1]]
+            self._bwd_rows = n
+        grads = [None] * len(self.W) if params else None
         for l in range(len(self.W) - 1, -1, -1):
-            grads[l] = (acts[l].T @ delta, delta.sum(axis=0))
-            delta = delta @ self.W[l].T
-            if l > 0:
-                # tanh' = 1 - tanh^2, and acts[l] already stores the tanh
-                delta = delta * (1.0 - acts[l] ** 2)
-        return grads, delta
+            if params:
+                grads[l] = (acts[l].T @ delta, delta.sum(axis=0))
+            if l == 0:
+                return grads, delta @ self.W[0].T
+            nxt, deriv = (buf[:n] for buf in self._bwd[l - 1])
+            np.matmul(delta, self.W[l].T, out=nxt)
+            # tanh' = 1 - tanh^2, and acts[l] already stores the tanh
+            np.multiply(acts[l], acts[l], out=deriv)
+            np.subtract(1.0, deriv, out=deriv)
+            delta = np.multiply(nxt, deriv, out=nxt)
 
     def get_flat(self) -> np.ndarray:
         return np.concatenate(
@@ -142,15 +203,27 @@ class Adam:
         self.eps = float(eps)
         self.m = np.zeros(n)
         self.v = np.zeros(n)
+        self._tmp = np.empty((2, n))
         self.t = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """Returns the updated parameters as a fresh array; the moment
+        vectors are updated in place."""
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        mhat = self.m / (1.0 - self.beta1 ** self.t)
-        vhat = self.v / (1.0 - self.beta2 ** self.t)
-        return params - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        scaled, denom = self._tmp
+        self.m *= self.beta1
+        self.m += np.multiply(1.0 - self.beta1, grad, out=scaled)
+        self.v *= self.beta2
+        np.multiply(1.0 - self.beta2, grad, out=scaled)
+        scaled *= grad
+        self.v += scaled
+        np.divide(self.v, 1.0 - self.beta2 ** self.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        np.divide(self.m, 1.0 - self.beta1 ** self.t, out=scaled)
+        scaled *= self.lr
+        scaled /= denom
+        return params - scaled
 
 
 def fd_gradient(f, x, h: float = 1e-5) -> np.ndarray:

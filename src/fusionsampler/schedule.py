@@ -25,6 +25,12 @@ DEFAULT_BETA_END = 0.08
 _RECURRENCE_RTOL = 1e-12
 
 
+def _float_key(values: np.ndarray) -> tuple:
+    """Hash key of a float array that agrees with np.array_equal: 0.0 and
+    -0.0 hash alike as Python floats."""
+    return tuple(values.tolist())
+
+
 @dataclass(frozen=True)
 class DiffusionSchedule:
     """Timestep grid for t = 1..T.
@@ -65,6 +71,16 @@ class DiffusionSchedule:
         object.__setattr__(self, "alpha_bar", ab)
         object.__setattr__(self, "beta", be)
 
+    # the generated __eq__ would compare the arrays elementwise and raise
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.T == other.T and np.array_equal(self.alpha_bar, other.alpha_bar)
+                and np.array_equal(self.beta, other.beta))
+
+    def __hash__(self):
+        return hash((self.T, _float_key(self.alpha_bar), _float_key(self.beta)))
+
 
 @dataclass(frozen=True)
 class SigmaProfile:
@@ -97,6 +113,19 @@ class SigmaProfile:
             object.__setattr__(self, "values", vals)
         elif self.values is not None:
             raise ValueError(f"values are only valid for kind='custom', not {self.kind!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.values is None or other.values is None:
+            same_values = self.values is other.values
+        else:
+            same_values = np.array_equal(self.values, other.values)
+        return self.kind == other.kind and self.eta == other.eta and same_values
+
+    def __hash__(self):
+        values = None if self.values is None else _float_key(self.values)
+        return hash((self.kind, self.eta, values))
 
 
 def build_schedule(

@@ -14,7 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from fusionsampler.conditions import ConditionSet
-from fusionsampler.encoder import new_promptnet, promptnet_loss_and_grads
+from fusionsampler.encoder import (
+    EncoderConditionedDenoiser,
+    new_promptnet,
+    promptnet_loss_and_grads,
+)
 from fusionsampler.denoiser import N_TIME_FEATURES, ToyDenoiser
 from fusionsampler.guidance import GuidanceWeights
 from fusionsampler.mixture import (
@@ -199,6 +203,26 @@ class _FirstRows:
         return eps
 
 
+def _prefix_mismatch(make_predictor, cond, cfg, schedule, sizes, seed,
+                     what: str) -> str | None:
+    """Run one trajectory at each of sizes = (n, n_big) samples, each with a
+    predictor from make_predictor(). None when the first n rows of the
+    samples and of every prediction are bit-identical, else what differs."""
+    n, n_big = sizes
+    runs = []
+    for size in sizes:
+        calls = _FirstRows(make_predictor(), n)
+        samples = sample_trajectory(cond, cfg, calls, schedule, size, seed=seed)
+        runs.append((samples[:n].tobytes(), calls.rows))
+    (small, small_calls), (big, big_calls) = runs
+    differ = sum(a != b for a, b in zip(small_calls, big_calls))
+    if small == big and not differ:
+        return None
+    return (f"first {n} rows differ at n={n_big}; samples"
+            f" {'differ' if small != big else 'equal'}; eps differs"
+            f" in {differ} of {len(small_calls)} {what} calls")
+
+
 def _check_batch_prefix_invariance():
     """Sample i's noise comes from (seed, i) alone and the oracle treats rows
     independently, so the first n rows of a fusion trajectory, and of every
@@ -215,20 +239,44 @@ def _check_batch_prefix_invariance():
     for world, n, n_big in ((product_world(), 5, 8), (product_world(4, 3), 1, 4)):
         cond = ConditionSet(identity=identity_condition(world, 0, 2.0),
                             text=style_condition(world, 1, 2.0))
-        runs = []
-        for size in (n, n_big):
-            oracle = _FirstRows(MixtureOracle(world, schedule), n)
-            samples = sample_trajectory(cond, cfg, oracle, schedule, size, seed=77)
-            runs.append((samples[:n].tobytes(), oracle.rows))
-        (small, small_calls), (big, big_calls) = runs
-        differ = sum(a != b for a, b in zip(small_calls, big_calls))
-        if small != big or differ:
-            return False, (f"{world.n_identities}x{world.n_styles} world: first {n}"
-                           f" rows differ at n={n_big}; samples"
-                           f" {'differ' if small != big else 'equal'}; eps differs"
-                           f" in {differ} of {len(small_calls)} oracle calls")
+        detail = _prefix_mismatch(lambda: MixtureOracle(world, schedule), cond,
+                                  cfg, schedule, (n, n_big), 77, "oracle")
+        if detail:
+            return False, f"{world.n_identities}x{world.n_styles} world: {detail}"
     return True, ("first rows of samples and oracle calls bit-identical: 2x2"
                   " world n=5 vs 8 and 4x3 world n=1 vs 4;"
+                  f" fusion m={cfg.m} T={schedule.T}")
+
+
+def _check_learned_batch_prefix_invariance():
+    """The learned predictors must keep rows apart as well: the first n rows
+    of a fusion trajectory through ToyDenoiser, and through the encoder
+    wrapper, and of every eps in it, must not depend on how many samples run
+    beside them, bit for bit. Untrained nets of the sizes the sweep trains
+    are enough, since a row's bits depend on the matmul shapes, not on the
+    weights. n=5 vs 8 and n=1 vs 4 on the 2x2 product world."""
+    world = product_world()
+    schedule = build_schedule(T=20, beta_end=0.15)
+    cfg = FusionConfig(m=2, gamma=0.5)
+    d, n_i, n_c = world.d, world.n_identities, world.n_styles
+    den = ToyDenoiser(MLP((d + n_i + n_c + N_TIME_FEATURES, 64, 64, d), seed=12),
+                      d, n_i, n_c, schedule)
+    enc = new_promptnet(den, seed=13, zero_head=False)
+    text = style_condition(world, 1, 1.0)
+    cases = (
+        ("denoiser", den,
+         ConditionSet(identity=identity_condition(world, 0, 1.0), text=text)),
+        ("encoder", EncoderConditionedDenoiser(enc, den),
+         ConditionSet(identity=world.cell_means()[0, 0], text=text)),
+    )
+    for name, predictor, cond in cases:
+        for sizes in ((5, 8), (1, 4)):
+            detail = _prefix_mismatch(lambda: predictor, cond, cfg, schedule,
+                                      sizes, 79, "predictor")
+            if detail:
+                return False, f"{name}: {detail}"
+    return True, ("first rows of samples and predictor calls bit-identical:"
+                  " denoiser and encoder wrapper at n=5 vs 8 and 1 vs 4;"
                   f" fusion m={cfg.m} T={schedule.T}")
 
 
@@ -336,6 +384,7 @@ _CHECKS = (
     ("oracle_memo_exact", _check_oracle_memo_exact),
     ("mlp_gradient_fd", _check_mlp_gradient_fd),
     ("encoder_chain_gradient_fd", _check_encoder_chain_gradient_fd),
+    ("learned_batch_prefix_invariance", _check_learned_batch_prefix_invariance),
 )
 
 CHECK_NAMES = tuple(name for name, _ in _CHECKS)

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fusionsampler.conditions import ConditionSet
-from fusionsampler.denoiser import ToyDenoiser, prior_batch, train_denoiser
+from fusionsampler.denoiser import ToyDenoiser, diffuse, prior_batch, train_denoiser
 from fusionsampler.encoder import (
     EncoderConditionedDenoiser,
     ToyPromptNet,
@@ -166,3 +166,34 @@ def test_wrapper_validation_and_shapes():
     batch = wrap.predict_eps(np.zeros((3, 2)), None, 3)
     assert single.shape == (2,) and batch.shape == (3, 2)
     assert_allclose(batch[0], single, rtol=1e-15)
+
+
+def test_heldout_metrics_equal_the_loss_at_lam_zero_and_the_encoder_norm():
+    net = train_promptnet(WORLD, DEN, TrainingConfig(lam=0.3, steps=30, seed=5))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((123, 9))))
+    x0, cells = prior_batch(WORLD, rng, 1000)
+    styles = cells % WORLD.n_styles
+    state = rng.bit_generator.state
+    recon, norm = heldout_metrics(net, DEN, x0, styles, rng)
+    # replay the diffusion draw, then run the two passes that the metrics
+    # once made: the full loss and gradients, and a second encoder forward
+    rng.bit_generator.state = state
+    x_t, t, eps = diffuse(DEN.schedule, x0, rng)
+    text = np.eye(DEN.k_text)[styles]
+    want_recon, _ = promptnet_loss_and_grads(net, DEN, x0, x_t, t, eps, text, 0.0)
+    want_norm = float(np.mean(np.linalg.norm(net.encode(x0, x_t, t), axis=1)))
+    assert type(recon) is float and type(norm) is float
+    assert recon.hex() == want_recon.hex()
+    assert norm.hex() == want_norm.hex()
+
+
+def test_predictions_survive_later_calls_on_the_same_nets():
+    wrap = EncoderConditionedDenoiser(new_promptnet(DEN, seed=2, zero_head=False), DEN)
+    cond = ConditionSet(identity=np.array([2.0, -2.0]), text=np.array([0.0, 1.0]))
+    rng = np.random.default_rng(8)
+    for predictor in (DEN, wrap):
+        eps = predictor.predict_eps(rng.normal(size=(50, 2)), cond, 20)
+        kept = eps.copy()
+        for n in (50, 3, 80):
+            predictor.predict_eps(rng.normal(size=(n, 2)), cond, 7)
+        assert eps.tobytes() == kept.tobytes()

@@ -152,3 +152,19 @@ def test_feasibility_radicand_property(T, beta_start, spread, eta):
         assert np.all(sig >= 0.0)
         assert np.all(sig**2 <= (1.0 - ab_prev) * (1.0 + 1e-12))
         assert np.all(2.0 - 2.0 * ab_prev - sig**2 >= -1e-15)
+
+
+def test_schedules_and_profiles_compare_by_value():
+    assert build_schedule() == build_schedule()
+    assert hash(build_schedule()) == hash(build_schedule())
+    assert build_schedule() != build_schedule(T=50)
+    assert build_schedule() != build_schedule(beta_end=0.09)
+    a = SigmaProfile("custom", values=np.array([0.0, 0.1]))
+    b = SigmaProfile("custom", values=np.array([-0.0, 0.1]))
+    assert a == b and hash(a) == hash(b)
+    assert a != SigmaProfile("custom", values=np.array([0.0, 0.2]))
+    assert a != SigmaProfile("custom", values=np.array([0.0, 0.1, 0.2]))
+    assert a != SigmaProfile("boundary")
+    assert SigmaProfile("ddim_eta", eta=0.5) == SigmaProfile("ddim_eta", eta=0.5)
+    assert SigmaProfile("ddim_eta", eta=0.5) != SigmaProfile("ddim_eta", eta=0.6)
+    assert len({a, b, SigmaProfile("boundary"), SigmaProfile("boundary")}) == 2

@@ -3,6 +3,7 @@
 import numpy as np
 
 import fusionsampler.mixture as mixture
+import fusionsampler.nets as nets
 import fusionsampler.sampler as sampler
 import fusionsampler.verify as verify
 from fusionsampler.posterior import fused_update_coefficients
@@ -26,6 +27,13 @@ def test_details_fit_one_csv_cell():
     for result in run_checks():
         assert "," not in result.detail
         assert "\n" not in result.detail
+
+
+def _result(name):
+    """The result of the check called name; a filter also matches longer
+    names, such as learned_batch_prefix_invariance."""
+    (result,) = [r for r in run_checks(name) if r.name == name]
+    return result
 
 
 def test_injected_coefficient_drift_is_caught(monkeypatch):
@@ -54,7 +62,7 @@ def test_injected_batch_dependent_stream_is_caught(monkeypatch):
             return self._gen.standard_normal(shape)
 
     monkeypatch.setattr(sampler, "SampleStreams", SharedStream)
-    (result,) = run_checks("batch_prefix_invariance")
+    result = _result("batch_prefix_invariance")
     assert not result.passed
     assert "rows differ" in result.detail
 
@@ -63,9 +71,19 @@ def test_injected_pairwise_cell_sum_is_caught(monkeypatch):
     # numpy's own reduction sums 8 or more cells pairwise for a lone row but
     # in order across a batch, so row 0's bits would depend on the batch size
     monkeypatch.setattr(mixture, "_cell_sum", lambda a: np.add.reduce(a, axis=0))
-    (result,) = run_checks("batch_prefix_invariance")
+    result = _result("batch_prefix_invariance")
     assert not result.passed
     assert "4x3 world: first 1 rows differ" in result.detail
+
+
+def test_injected_unpadded_forward_is_caught(monkeypatch):
+    # a one-row tile is the forward without padding: OpenBLAS then computes
+    # the rows of an M-tail with other kernels than full tiles, so row 0's
+    # bits depend on the batch size
+    monkeypatch.setattr(nets, "_ROW_TILE", 1)
+    (result,) = run_checks("learned_batch_prefix_invariance")
+    assert not result.passed
+    assert "rows differ" in result.detail
 
 
 def test_injected_memo_keyed_on_t_alone_is_caught(monkeypatch):
