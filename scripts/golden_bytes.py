@@ -64,6 +64,7 @@ CASES = [
     ("ablate-conflict", "ablate", _CONFLICT),
     ("compare-conflict", "compare", _CONFLICT),
     ("ablate-builtin", "ablate", {}),
+    ("compare-builtin", "compare", {}),
 ]
 
 

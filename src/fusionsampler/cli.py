@@ -13,7 +13,9 @@ Output directory precedence for run: --out, then the config's out_dir, then
 the PROFUSION_OUT environment variable, then ./runs. report resolves the
 directory to scan the same way, minus the config. The sweep.seeds list does
 double duty as the seed list for the ablate and compare modes. Every mode
-hands the validated RunConfig itself to the driver it runs.
+hands the validated RunConfig itself to the driver it runs; ablate and
+compare with neither world nor condition run the built-in benchmark's config
+instead, and run_record.json echoes the config that ran.
 """
 
 from __future__ import annotations
@@ -181,8 +183,9 @@ def _variant_summary(rows: list[dict]) -> list[dict]:
 
 def _mode_ablate(cfg: RunConfig, per_variant: bool = False) -> tuple[dict, dict]:
     """ablate writes one metrics row per (variant, seed); compare
-    (per_variant=True) aggregates them to one row per variant."""
-    rows = ablation_suite(_ablation_config(cfg))
+    (per_variant=True) aggregates them to one row per variant. cfg is
+    _ablation_config's result."""
+    rows = ablation_suite(cfg)
     summary = _variant_summary(rows)
     best = max(summary, key=lambda row: row["min_score"])
     metrics = {"best_variant": best["variant"], "best_min_score": best["min_score"]}
@@ -249,12 +252,15 @@ def cmd_run(args) -> int:
         return 2
 
     try:
-        metrics, files = RUN_MODES[args.mode](cfg)
+        # ablate and compare may swap in the built-in benchmark's config;
+        # the record echoes the config that ran
+        ran = _ablation_config(cfg) if args.mode in ("ablate", "compare") else cfg
+        metrics, files = RUN_MODES[args.mode](ran)
     except Exception as err:  # noqa: BLE001 - a failed mode must not leave files
         print(f"error: run failed: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
 
-    record = {"mode": args.mode, "seed": cfg.seed, "config": cfg.payload,
+    record = {"mode": args.mode, "seed": ran.seed, "config": ran.payload,
               "metrics": metrics}
     if "rows" in files:
         record["rows"] = files.pop("rows")

@@ -16,7 +16,7 @@ import numpy as np
 
 from fusionsampler.conditions import ConditionSet
 from fusionsampler.mixture import MixtureWorld
-from fusionsampler.nets import MLP, Adam, TrainingDiverged, flatten_grads
+from fusionsampler.nets import MLP, Adam, TrainingDiverged
 from fusionsampler.schedule import DiffusionSchedule, schedule_from_betas
 
 __all__ = [
@@ -30,6 +30,12 @@ __all__ = [
 ]
 
 N_TIME_FEATURES = 3
+
+# train_denoiser's batch size and Adam step size, and the chance that a
+# training batch drops each condition slot to the null channel
+_BATCH = 256
+_LR = 1.5e-3
+_P_DROP = 0.15
 
 
 @functools.lru_cache(maxsize=16)
@@ -177,9 +183,9 @@ def diffuse(schedule: DiffusionSchedule, x0: np.ndarray, rng: np.random.Generato
 
 
 def sample_training_batch(world: MixtureWorld, schedule: DiffusionSchedule,
-                          rng: np.random.Generator, batch: int,
-                          p_drop: float = 0.15):
-    """One denoising-loss batch with per-slot condition dropout.
+                          rng: np.random.Generator, batch: int):
+    """One denoising-loss batch with per-slot condition dropout (each slot
+    is dropped with probability _P_DROP).
 
     Returns (x_t, channels, t, eps, cells, visible) where channels is the
     one-hot condition block after dropout, cells the true (i, c) indices and
@@ -189,16 +195,14 @@ def sample_training_batch(world: MixtureWorld, schedule: DiffusionSchedule,
     n_c = world.n_styles
     x0, cells = prior_batch(world, rng, batch)
     x_t, t, eps = diffuse(schedule, x0, rng)
-    visible = rng.random((batch, 2)) >= p_drop
+    visible = rng.random((batch, 2)) >= _P_DROP
     ident = np.eye(world.n_identities)[cells // n_c] * visible[:, 0:1]
     text = np.eye(n_c)[cells % n_c] * visible[:, 1:2]
     return x_t, np.concatenate([ident, text], axis=1), t, eps, cells, visible
 
 
 def train_denoiser(world: MixtureWorld, schedule: DiffusionSchedule,
-                   steps: int, seed: int, *, batch: int = 256,
-                   lr: float = 1.5e-3, hidden=(64, 64),
-                   p_drop: float = 0.15) -> ToyDenoiser:
+                   steps: int, seed: int, *, hidden=(64, 64)) -> ToyDenoiser:
     """Fit ToyDenoiser on the denoising loss; deterministic per seed."""
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
@@ -207,15 +211,14 @@ def train_denoiser(world: MixtureWorld, schedule: DiffusionSchedule,
     net = MLP(sizes, seed=seed)
     den = ToyDenoiser(net, d, n_i, n_c, schedule)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 1))))
-    opt = Adam(net.n_params, lr=lr)
+    opt = Adam(net.params.size, lr=_LR)
     for step in range(1, steps + 1):
         x_t, channels, t, eps, _, _ = sample_training_batch(
-            world, schedule, rng, batch, p_drop)
+            world, schedule, rng, _BATCH)
         y, acts = net.forward(den.inputs(x_t, channels, t))
         resid = y - eps
         loss = float(np.mean(resid * resid))
         if not np.isfinite(loss):
             raise TrainingDiverged(step, loss)
-        grads, _ = net.backward(acts, 2.0 * resid / batch)
-        net.set_flat(opt.step(net.get_flat(), flatten_grads(grads)))
+        opt.step(net.params, net.backward(acts, 2.0 * resid / _BATCH))
     return den

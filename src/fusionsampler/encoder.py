@@ -21,7 +21,7 @@ from fusionsampler.denoiser import (
     time_features,
 )
 from fusionsampler.mixture import MixtureWorld
-from fusionsampler.nets import MLP, Adam, TrainingDiverged, flatten_grads
+from fusionsampler.nets import MLP, Adam, TrainingDiverged
 
 __all__ = [
     "ToyPromptNet",
@@ -129,9 +129,8 @@ def _chained_loss(net: ToyPromptNet, denoiser: ToyDenoiser, xbar, x_t, t, eps,
     """Forward half of promptnet_loss_and_grads: the loss with the
     embeddings S, the residual and both nets' caches."""
     s_out, acts_e = net.net.forward(net.inputs(xbar, x_t, t))
-    inputs = np.concatenate(
-        [x_t, s_out, text, time_features(t, denoiser.T)], axis=1)
-    y, acts_d = denoiser.net.forward(inputs)
+    channels = np.concatenate([s_out, text], axis=1)
+    y, acts_d = denoiser.net.forward(denoiser.inputs(x_t, channels, t))
     resid = y - eps
     loss = float(np.mean(np.sum(resid * resid, axis=1))
                  + lam * np.mean(np.sum(s_out * s_out, axis=1)))
@@ -147,8 +146,7 @@ def promptnet_loss_and_grads(net: ToyPromptNet, denoiser: ToyDenoiser,
         net, denoiser, xbar, x_t, t, eps, text, lam)
     grad_in = denoiser.net.input_gradient(acts_d, 2.0 * resid / batch)
     g_s = grad_in[:, denoiser.identity_columns] + 2.0 * lam * s_out / batch
-    grads_e, _ = net.net.backward(acts_e, g_s)
-    return loss, flatten_grads(grads_e)
+    return loss, net.net.backward(acts_e, g_s)
 
 
 def heldout_metrics(net: ToyPromptNet, denoiser: ToyDenoiser, xbar, styles,
@@ -179,17 +177,17 @@ def train_promptnet(world: MixtureWorld, denoiser: ToyDenoiser,
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((tc.seed, 2))))
     net = new_promptnet(denoiser, seed=tc.seed)
     scale = np.sqrt(np.diag(world.data_cov()))
-    opt = Adam(net.net.n_params, lr=tc.lr)
+    opt = Adam(net.net.params.size, lr=tc.lr)
     for step in range(1, tc.steps + 1):
         x0, cells = prior_batch(world, rng, tc.batch)
         xbar = augment_reference(x0, rng, scale) if tc.augment else x0
         x_t, t, eps = diffuse(denoiser.schedule, xbar, rng)
         text = np.eye(n_c)[cells % n_c]
-        loss, flat_g = promptnet_loss_and_grads(
+        loss, grad = promptnet_loss_and_grads(
             net, denoiser, xbar, x_t, t, eps, text, tc.lam)
         if not np.isfinite(loss):
             raise TrainingDiverged(step, loss)
-        net.net.set_flat(opt.step(net.net.get_flat(), flat_g))
+        opt.step(net.net.params, grad)
     return net
 
 

@@ -1,7 +1,10 @@
 """Dense tanh networks with hand-rolled reverse-mode gradients and Adam.
 
 Training code in this package never touches an autodiff framework. Each
-network is a list of (W, b) pairs with an explicit backward pass, so
+network owns one flat float64 parameter vector, params; its per-layer
+weights W[l] and biases b[l] are views into it, laid out W0, b0, W1, b1, ...
+as to_jsonable writes them. backward returns the parameter gradient as one
+flat vector in the same layout, and Adam updates params in place, so
 gradient checks stay honest and results are bit-reproducible per seed.
 
 Each MLP keeps per-net scratch buffers that only grow: forward writes its
@@ -9,8 +12,7 @@ padded input and hidden activations there, and backward its delta chain and
 tanh-derivative temporaries, so repeated passes at one batch size allocate
 no n x h array. The cache that forward returns holds views of that scratch
 and is valid until the same net's next forward. The output y that forward
-returns, and every gradient backward returns, is a fresh array that no later
-call touches.
+returns, and every gradient, is a fresh array that no later call touches.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ __all__ = [
     "MLP",
     "Adam",
     "TrainingDiverged",
-    "flatten_grads",
     "fd_gradient",
 ]
 
@@ -63,15 +64,26 @@ class MLP:
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ValueError(f"sizes must list >= 2 positive widths, got {sizes!r}")
         self.sizes = sizes
+        self.params = np.zeros(sum(i * o + o for i, o in zip(sizes[:-1], sizes[1:])))
+        self.W, self.b = self._views(self.params)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        self.W = []
-        self.b = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        for w in self.W:
+            fan_in, fan_out = w.shape
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            self.W.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-            self.b.append(np.zeros(fan_out))
+            w[...] = rng.uniform(-limit, limit, size=w.shape)
         if zero_head:
             self.W[-1][:] = 0.0
+
+    def _views(self, flat: np.ndarray) -> tuple[list, list]:
+        """Per-layer weight and bias views of a params-sized vector, laid
+        out W0, b0, W1, b1, ..."""
+        W, b, pos = [], [], 0
+        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+            W.append(flat[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out))
+            pos += fan_in * fan_out
+            b.append(flat[pos:pos + fan_out])
+            pos += fan_out
+        return W, b
 
     @property
     def d_in(self) -> int:
@@ -80,10 +92,6 @@ class MLP:
     @property
     def d_out(self) -> int:
         return self.sizes[-1]
-
-    @property
-    def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.W, self.b))
 
     def forward(self, x):
         """Returns (y, cache) for a (n, d_in) batch; cache feeds backward().
@@ -116,34 +124,35 @@ class MLP:
         acts[-1] = acts[-1].copy()
         return acts[-1], acts
 
-    def backward(self, acts, grad_out):
-        """Gradients of a summed loss wrt parameters and input.
-
-        grad_out is dL/dy with y = acts[-1]. Returns (grads, grad_x) where
-        grads is a list of (dW, db) matching the layer layout.
-        """
-        return self._backprop(acts, grad_out, params=True)
+    def backward(self, acts, grad_out) -> np.ndarray:
+        """Gradient of a summed loss wrt params, as one fresh flat vector
+        laid out like params. grad_out is dL/dy with y = acts[-1]."""
+        grad = np.empty_like(self.params)
+        self._backprop(acts, grad_out, self._views(grad))
+        return grad
 
     def input_gradient(self, acts, grad_out) -> np.ndarray:
         """dL/dx alone, for a frozen net: backward without the parameter
         gradients."""
-        return self._backprop(acts, grad_out, params=False)[1]
+        return self._backprop(acts, grad_out, None)
 
-    def _backprop(self, acts, grad_out, params: bool):
-        """The delta chain from the head down to the input. Returns the
-        (dW, db) list (None unless params) and dL/dx."""
+    def _backprop(self, acts, grad_out, grads):
+        """The delta chain from the head down to the input. With grads, the
+        (dW, db) view lists of backward's flat gradient, writes the parameter
+        gradients there and skips dL/dx; without, returns dL/dx."""
         delta = np.asarray(grad_out, dtype=float)
         n = delta.shape[0]
         if n > self._bwd_rows:
             self._bwd = [(np.empty((n, w)), np.empty((n, w)))
                          for w in self.sizes[1:-1]]
             self._bwd_rows = n
-        grads = [None] * len(self.W) if params else None
         for l in range(len(self.W) - 1, -1, -1):
-            if params:
-                grads[l] = (acts[l].T @ delta, delta.sum(axis=0))
+            if grads is not None:
+                dW, db = grads
+                np.matmul(acts[l].T, delta, out=dW[l])
+                np.sum(delta, axis=0, out=db[l])
             if l == 0:
-                return grads, delta @ self.W[0].T
+                return delta @ self.W[0].T if grads is None else None
             nxt, deriv = (buf[:n] for buf in self._bwd[l - 1])
             np.matmul(delta, self.W[l].T, out=nxt)
             # tanh' = 1 - tanh^2, and acts[l] already stores the tanh
@@ -151,79 +160,63 @@ class MLP:
             np.subtract(1.0, deriv, out=deriv)
             delta = np.multiply(nxt, deriv, out=nxt)
 
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate(
-            [p.ravel() for pair in zip(self.W, self.b) for p in pair]
-        )
-
-    def set_flat(self, flat) -> None:
-        flat = np.asarray(flat, dtype=float)
-        if flat.shape != (self.n_params,):
-            raise ValueError(
-                f"expected {self.n_params} parameters, got shape {flat.shape}"
-            )
-        pos = 0
-        for l in range(len(self.W)):
-            for p in (self.W[l], self.b[l]):
-                p[...] = flat[pos:pos + p.size].reshape(p.shape)
-                pos += p.size
-
     def copy(self) -> "MLP":
         dup = MLP.__new__(MLP)
         dup.sizes = self.sizes
-        dup.W = [w.copy() for w in self.W]
-        dup.b = [b.copy() for b in self.b]
+        dup.params = self.params.copy()
+        dup.W, dup.b = dup._views(dup.params)
         return dup
 
     def to_jsonable(self) -> dict:
-        return {"sizes": list(self.sizes), "params": self.get_flat().tolist()}
+        return {"sizes": list(self.sizes), "params": self.params.tolist()}
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "MLP":
         net = cls(obj["sizes"])
-        net.set_flat(np.asarray(obj["params"], dtype=float))
+        params = np.asarray(obj["params"], dtype=float)
+        if params.shape != net.params.shape:
+            raise ValueError(
+                f"expected {net.params.size} parameters, got shape {params.shape}"
+            )
+        net.params[:] = params
         return net
 
 
-def flatten_grads(grads) -> np.ndarray:
-    """Flatten backward()'s (dW, db) list in get_flat() order."""
-    return np.concatenate([g.ravel() for pair in grads for g in pair])
+# Adam's moment decay rates and denominator guard
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 
 
 class Adam:
     """Adam on a flat parameter vector, bias-corrected."""
 
-    def __init__(self, n: int, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, n: int, lr: float = 1e-3):
         if not (np.isfinite(lr) and lr > 0.0):
             raise ValueError(f"lr must be positive, got {lr!r}")
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self._tmp = np.empty((2, n))
         self.t = 0
 
-    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """Returns the updated parameters as a fresh array; the moment
-        vectors are updated in place."""
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """Updates params in place, and the moment vectors with them."""
         self.t += 1
         scaled, denom = self._tmp
-        self.m *= self.beta1
-        self.m += np.multiply(1.0 - self.beta1, grad, out=scaled)
-        self.v *= self.beta2
-        np.multiply(1.0 - self.beta2, grad, out=scaled)
+        self.m *= _BETA1
+        self.m += np.multiply(1.0 - _BETA1, grad, out=scaled)
+        self.v *= _BETA2
+        np.multiply(1.0 - _BETA2, grad, out=scaled)
         scaled *= grad
         self.v += scaled
-        np.divide(self.v, 1.0 - self.beta2 ** self.t, out=denom)
+        np.divide(self.v, 1.0 - _BETA2 ** self.t, out=denom)
         np.sqrt(denom, out=denom)
-        denom += self.eps
-        np.divide(self.m, 1.0 - self.beta1 ** self.t, out=scaled)
+        denom += _EPS
+        np.divide(self.m, 1.0 - _BETA1 ** self.t, out=scaled)
         scaled *= self.lr
         scaled /= denom
-        return params - scaled
+        params -= scaled
 
 
 def fd_gradient(f, x, h: float = 1e-5) -> np.ndarray:

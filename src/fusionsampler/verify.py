@@ -27,7 +27,7 @@ from fusionsampler.mixture import (
     oracle_log_density,
     oracle_predict_eps,
 )
-from fusionsampler.nets import MLP, fd_gradient, flatten_grads
+from fusionsampler.nets import MLP, fd_gradient
 from fusionsampler.posterior import (
     check_variance_bound,
     fused_update_coefficients,
@@ -330,16 +330,15 @@ def _check_mlp_gradient_fd():
     net = MLP((4, 7, 3), seed=5)
     x = _rng(404).standard_normal((5, 4))
     y, acts = net.forward(x)
-    grads, _ = net.backward(acts, y)
-    g = flatten_grads(grads)
+    g = net.backward(acts, y)
 
     def loss(flat):
         probe = net.copy()
-        probe.set_flat(flat)
+        probe.params[:] = flat
         out, _ = probe.forward(x)
         return 0.5 * float(np.sum(out * out))
 
-    g_fd = fd_gradient(loss, net.get_flat())
+    g_fd = fd_gradient(loss, net.params)
     worst = _rel(np.max(np.abs(g - g_fd)), np.max(np.abs(g)))
     return worst < 1e-6, f"max rel err {worst:.2e} over {g.size} parameters"
 
@@ -364,11 +363,11 @@ def _check_encoder_chain_gradient_fd():
 
     def loss(flat):
         probe = enc.copy()
-        probe.net.set_flat(flat)
+        probe.net.params[:] = flat
         value, _ = promptnet_loss_and_grads(probe, den, xbar, x_t, t, eps, text, lam)
         return value
 
-    g_fd = fd_gradient(loss, enc.net.get_flat())
+    g_fd = fd_gradient(loss, enc.net.params)
     worst = _rel(np.max(np.abs(g - g_fd)), np.max(np.abs(g)))
     return worst < 1e-6, f"max rel err {worst:.2e} over {g.size} parameters"
 

@@ -9,7 +9,7 @@ import fusionsampler.verify as verify
 from fusionsampler.artifacts import load_json
 from fusionsampler.cli import main
 from fusionsampler.encoder import ToyPromptNet
-from fusionsampler.evaluate import ABLATION_COLUMNS, SWEEP_COLUMNS
+from fusionsampler.evaluate import ABLATION_COLUMNS, SWEEP_COLUMNS, degeneration_benchmark
 from fusionsampler.posterior import fused_update_coefficients
 
 FAST = {
@@ -195,21 +195,38 @@ def test_run_builtin_ablate_refuses_settings_it_does_not_use(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mode", ["sample", "ablate", "compare"])
-def test_run_replays_from_its_record(tmp_path, mode):
-    # the config echo in run_record.json is enough to rerun the run: every
-    # artifact of the replay matches the original byte for byte
+def _replay(tmp_path, config: str, mode: str) -> dict:
+    """Run mode from config, then rerun it from the config echo in its
+    run_record.json; every artifact of the replay must match the original
+    byte for byte. Returns the echo."""
     first, replay = tmp_path / "first", tmp_path / "replay"
-    assert main(["run", "--config", _config(tmp_path), "--mode", mode,
+    assert main(["run", "--config", config, "--mode", mode,
                  "--out", str(first)]) == 0
+    config_echo = load_json(first / "run_record.json")["config"]
     echo = tmp_path / "echo.json"
-    echo.write_text(json.dumps(load_json(first / "run_record.json")["config"]))
+    echo.write_text(json.dumps(config_echo))
     assert main(["run", "--config", str(echo), "--mode", mode,
                  "--out", str(replay)]) == 0
     names = sorted(os.listdir(first))
     assert sorted(os.listdir(replay)) == names
     for name in names:
         assert (first / name).read_bytes() == (replay / name).read_bytes(), name
+    return config_echo
+
+
+@pytest.mark.parametrize("mode", ["sample", "ablate", "compare"])
+def test_run_replays_from_its_record(tmp_path, mode):
+    # the config echo in run_record.json is enough to rerun the run
+    _replay(tmp_path, _config(tmp_path), mode)
+
+
+def test_builtin_benchmark_records_and_replays_the_config_it_ran(tmp_path):
+    # {} runs the built-in benchmark, so its record echoes the benchmark's
+    # config (seeds 0-4, m=3), not the defaults of {}
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    echo = _replay(tmp_path, str(empty), "ablate")
+    assert echo == degeneration_benchmark().payload
 
 
 def test_run_missing_config_exits_2(tmp_path, capsys):

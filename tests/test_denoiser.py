@@ -38,9 +38,9 @@ def test_steps_must_be_positive():
 def test_same_seed_is_bit_identical():
     a = train_denoiser(WORLD, SCHED, 40, seed=5)
     b = train_denoiser(WORLD, SCHED, 40, seed=5)
-    assert a.net.get_flat().tobytes() == b.net.get_flat().tobytes()
+    assert a.net.params.tobytes() == b.net.params.tobytes()
     c = train_denoiser(WORLD, SCHED, 40, seed=6)
-    assert c.net.get_flat().tobytes() != a.net.get_flat().tobytes()
+    assert c.net.params.tobytes() != a.net.params.tobytes()
 
 
 def test_gamma_zero_equals_null_identity_exactly():
@@ -101,8 +101,7 @@ def test_heldout_mse_within_1p2x_of_bayes():
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((0, 99))))
     n = 2500
     x_t, channels, t, eps, cells, visible = sample_training_batch(WORLD, SCHED, rng, n)
-    feats = time_features(t, SCHED.T)
-    y, _ = den.net.forward(np.concatenate([x_t, channels, feats], axis=1))
+    y, _ = den.net.forward(den.inputs(x_t, channels, t))
     mse = float(np.mean(np.sum((y - eps) ** 2, axis=1)))
 
     # Bayes floor on the same draws: exact posterior mean of eps given the

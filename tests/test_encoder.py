@@ -60,13 +60,13 @@ def test_chained_gradient_matches_finite_differences():
         _, analytic = promptnet_loss_and_grads(net, den, xbar, x_t, t, eps, text, lam)
 
         def loss_of(flat):
-            saved = net.net.get_flat()
-            net.net.set_flat(flat)
+            saved = net.net.params.copy()
+            net.net.params[:] = flat
             val, _ = promptnet_loss_and_grads(net, den, xbar, x_t, t, eps, text, lam)
-            net.net.set_flat(saved)
+            net.net.params[:] = saved
             return val
 
-        numeric = fd_gradient(loss_of, net.net.get_flat())
+        numeric = fd_gradient(loss_of, net.net.params.copy())
         denom = np.maximum(np.abs(numeric), 1e-6)
         assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
 
@@ -75,16 +75,16 @@ def test_steps_zero_returns_initialization():
     tc = TrainingConfig(steps=0, seed=7)
     net = train_promptnet(WORLD, DEN, tc)
     fresh = new_promptnet(DEN, seed=7)
-    assert net.net.get_flat().tobytes() == fresh.net.get_flat().tobytes()
+    assert net.net.params.tobytes() == fresh.net.params.tobytes()
 
 
 def test_training_is_deterministic_per_seed():
     tc = TrainingConfig(steps=40, seed=11)
     a = train_promptnet(WORLD, DEN, tc)
     b = train_promptnet(WORLD, DEN, tc)
-    assert a.net.get_flat().tobytes() == b.net.get_flat().tobytes()
+    assert a.net.params.tobytes() == b.net.params.tobytes()
     c = train_promptnet(WORLD, DEN, TrainingConfig(steps=40, seed=12))
-    assert c.net.get_flat().tobytes() != a.net.get_flat().tobytes()
+    assert c.net.params.tobytes() != a.net.params.tobytes()
 
 
 def test_regularization_shrinks_norm_and_costs_reconstruction():

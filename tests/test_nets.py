@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from fusionsampler.nets import MLP, Adam, TrainingDiverged, fd_gradient, flatten_grads
+from fusionsampler.nets import MLP, Adam, TrainingDiverged, fd_gradient
 
 
 def _loss_at(net, flat, x, target):
-    saved = net.get_flat()
-    net.set_flat(flat)
+    saved = net.params.copy()
+    net.params[:] = flat
     y, _ = net.forward(x)
-    net.set_flat(saved)
+    net.params[:] = saved
     return float(np.sum((y - target) ** 2))
 
 
@@ -28,9 +28,8 @@ def test_parameter_gradients_match_finite_differences():
         x = rng.normal(size=(4, sizes[0]))
         target = rng.normal(size=(4, sizes[-1]))
         y, acts = net.forward(x)
-        grads, _ = net.backward(acts, 2.0 * (y - target))
-        analytic = flatten_grads(grads)
-        numeric = fd_gradient(lambda p: _loss_at(net, p, x, target), net.get_flat())
+        analytic = net.backward(acts, 2.0 * (y - target))
+        numeric = fd_gradient(lambda p: _loss_at(net, p, x, target), net.params.copy())
         denom = np.maximum(np.abs(numeric), 1e-6)
         assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
 
@@ -41,7 +40,7 @@ def test_input_gradient_matches_finite_differences():
     x = rng.normal(size=(2, 3))
     target = rng.normal(size=(2, 2))
     y, acts = net.forward(x)
-    _, grad_x = net.backward(acts, 2.0 * (y - target))
+    grad_x = net.input_gradient(acts, 2.0 * (y - target))
 
     def loss_of_input(xf):
         yy, _ = net.forward(xf.reshape(2, 3))
@@ -57,25 +56,58 @@ def test_zero_head_outputs_zero():
     assert np.all(y == 0.0)
 
 
+def _layer_order(pairs):
+    """Concatenation W0, b0, W1, b1, ... of per-layer (W, b) pairs."""
+    return np.concatenate([p.ravel() for pair in pairs for p in pair])
+
+
 def test_flat_round_trip_and_json():
     net = MLP((3, 5, 2), seed=9)
-    flat = net.get_flat()
-    assert flat.shape == (net.n_params,)
-    other = MLP((3, 5, 2), seed=100)
-    other.set_flat(flat)
-    assert other.get_flat().tobytes() == flat.tobytes()
+    assert net.params.shape == (3 * 5 + 5 + 5 * 2 + 2,)
     back = MLP.from_jsonable(json.loads(json.dumps(net.to_jsonable())))
-    assert back.get_flat().tobytes() == flat.tobytes()
-    with pytest.raises(ValueError, match="parameters"):
-        net.set_flat(np.zeros(3))
+    assert back.params.tobytes() == net.params.tobytes()
+    x = np.random.default_rng(0).normal(size=(4, 3))
+    assert back.forward(x)[0].tobytes() == net.forward(x)[0].tobytes()
+
+
+def test_views_share_memory_with_params_in_json_order():
+    net = MLP((3, 5, 4, 2), seed=2)
+    for p in (*net.W, *net.b):
+        assert np.shares_memory(p, net.params)
+    assert _layer_order(zip(net.W, net.b)).tobytes() == net.params.tobytes()
+    assert net.to_jsonable()["params"] == net.params.tolist()
+    # a write through params is seen through every view, in that order
+    net.params[:] = np.arange(net.params.size)
+    assert _layer_order(zip(net.W, net.b)).tolist() == list(range(net.params.size))
+    assert net.W[0][0, 1] == 1.0 and net.b[0][0] == 15.0 and net.W[1][0, 0] == 20.0
+
+
+def test_copy_shares_no_memory_with_the_original():
+    net = MLP((3, 5, 2), seed=4)
+    dup = net.copy()
+    assert dup.params.tobytes() == net.params.tobytes()
+    for p in (dup.params, *dup.W, *dup.b):
+        assert not np.shares_memory(p, net.params)
+    for p in (*dup.W, *dup.b):
+        assert np.shares_memory(p, dup.params)
+    saved = net.params.copy()
+    dup.params += 1.0
+    assert net.params.tobytes() == saved.tobytes()
+
+
+def test_from_jsonable_rejects_a_params_list_of_the_wrong_length():
+    obj = MLP((3, 5, 2), seed=9).to_jsonable()
+    for params in (obj["params"][:-1], obj["params"] + [0.0], []):
+        with pytest.raises(ValueError, match="parameters"):
+            MLP.from_jsonable({"sizes": obj["sizes"], "params": params})
 
 
 def test_same_seed_same_init():
     a = MLP((4, 6, 2), seed=5)
     b = MLP((4, 6, 2), seed=5)
-    assert a.get_flat().tobytes() == b.get_flat().tobytes()
+    assert a.params.tobytes() == b.params.tobytes()
     c = MLP((4, 6, 2), seed=6)
-    assert c.get_flat().tobytes() != a.get_flat().tobytes()
+    assert c.params.tobytes() != a.params.tobytes()
 
 
 def test_adam_minimizes_a_quadratic():
@@ -83,7 +115,7 @@ def test_adam_minimizes_a_quadratic():
     p = np.zeros(3)
     opt = Adam(3, lr=0.05)
     for _ in range(400):
-        p = opt.step(p, 2.0 * (p - target))
+        opt.step(p, 2.0 * (p - target))
     assert_allclose(p, target, atol=1e-3)
 
 
@@ -146,9 +178,8 @@ def test_scratch_passes_match_the_allocating_formulas(hidden, rows, seed):
         y, acts = net.forward(x)
         assert y.tobytes() == ref_acts[-1].tobytes()
         assert [a.tobytes() for a in acts] == [a.tobytes() for a in ref_acts]
-        grads, gx = net.backward(acts, g)
-        assert flatten_grads(grads).tobytes() == flatten_grads(ref_grads).tobytes()
-        assert gx.tobytes() == ref_gx.tobytes()
+        grad = net.backward(acts, g)
+        assert grad.tobytes() == _layer_order(ref_grads).tobytes()
         assert net.input_gradient(acts, g).tobytes() == ref_gx.tobytes()
 
 
@@ -180,14 +211,16 @@ def test_outputs_survive_later_calls_on_the_same_net():
     rng = np.random.default_rng(3)
     net = MLP((3, 8, 8, 2), seed=2)
     y, acts = net.forward(rng.normal(size=(20, 3)))
-    grads, gx = net.backward(acts, rng.normal(size=(20, 2)))
-    kept = [y.copy(), gx.copy(), flatten_grads(grads)]
+    g = rng.normal(size=(20, 2))
+    grad, gx = net.backward(acts, g), net.input_gradient(acts, g)
+    kept = [y.copy(), gx.copy(), grad.copy()]
     for n in (20, 5, 40):
         _, later = net.forward(rng.normal(size=(n, 3)))
         net.backward(later, rng.normal(size=(n, 2)))
+        net.input_gradient(later, rng.normal(size=(n, 2)))
     assert y.tobytes() == kept[0].tobytes()
     assert gx.tobytes() == kept[1].tobytes()
-    assert flatten_grads(grads).tobytes() == kept[2].tobytes()
+    assert grad.tobytes() == kept[2].tobytes()
 
 
 def test_copies_keep_their_own_scratch():
@@ -212,7 +245,7 @@ def test_adam_matches_the_allocating_update():
         mhat = m / (1.0 - 0.9 ** t)
         vhat = v / (1.0 - 0.999 ** t)
         want = p - 0.01 * mhat / (np.sqrt(vhat) + 1e-8)
-        got = opt.step(p, g)
-        assert got.tobytes() == want.tobytes()
-        assert got is not p
-        p = got
+        held = p
+        assert opt.step(p, g) is None
+        assert p is held
+        assert p.tobytes() == want.tobytes()
