@@ -36,7 +36,6 @@ _TRAINING = {
     "schedule": {"T": 20},
     "denoiser": {"steps": 100},
     "training": {"steps": 20, "batch": 32},
-    "sampling": {"n_samples": 40},
 }
 _CONFLICT = {
     "seed": 0,
@@ -60,7 +59,8 @@ CASES = [
      {**_PRODUCT_SAMPLE, "fusion": {"use_refinement": False}}),
     ("train-encoder", "train-encoder", _TRAINING),
     ("sweep-lambda", "sweep-lambda",
-     {**_TRAINING, "sweep": {"lambdas": [0.0, 1.0, 10.0], "seeds": [0, 1]}}),
+     {**_TRAINING, "sampling": {"n_samples": 40},
+      "sweep": {"lambdas": [0.0, 1.0, 10.0], "seeds": [0, 1]}}),
     ("ablate-conflict", "ablate", _CONFLICT),
     ("compare-conflict", "compare", _CONFLICT),
     ("ablate-builtin", "ablate", {}),

@@ -11,11 +11,12 @@ summary.csv, naming unreadable records in warnings instead of aborting.
 
 Output directory precedence for run: --out, then the config's out_dir, then
 the PROFUSION_OUT environment variable, then ./runs. report resolves the
-directory to scan the same way, minus the config. The sweep.seeds list does
-double duty as the seed list for the ablate and compare modes. Every mode
-hands the validated RunConfig itself to the driver it runs; ablate and
-compare with neither world nor condition run the built-in benchmark's config
-instead, and run_record.json echoes the config that ran.
+directory to scan the same way, minus the config. Every mode hands the
+config validated for it (runconfig.MODE_KEYS: a key the mode does not read
+is refused with exit 2) to the driver it runs, and run_record.json echoes
+only the keys the mode read. The sweep.seeds list does double duty as the
+seed list for the ablate and compare modes; with neither world nor condition
+those two run the built-in benchmark's config, which their record echoes.
 """
 
 from __future__ import annotations
@@ -142,34 +143,6 @@ def _mode_sweep(cfg: RunConfig) -> tuple[dict, dict]:
     return metrics, {**files, "rows": rows}
 
 
-# the settings the built-in benchmark fixes itself, as payload sections
-_BUILTIN_FIXED = ("schedule", "sigma", "fusion", "weights", "sampling")
-
-
-def _ablation_config(cfg: RunConfig) -> RunConfig:
-    # both set: the config describes the protocol; neither: the built-in
-    # conflicting-condition benchmark runs verbatim, so a setting it would
-    # override is refused rather than dropped. One of world and condition
-    # without the other is ambiguous, so it is refused too.
-    if cfg.world is not None and cfg.condition is not None:
-        return cfg
-    if cfg.world is not None or cfg.condition is not None:
-        raise ValueError(
-            "ablate and compare need both world and condition (or neither,"
-            " which runs the built-in benchmark)"
-        )
-    given, default = cfg.payload, validate_config({}).payload
-    changed = [key for key in _BUILTIN_FIXED if given[key] != default[key]]
-    if given["sweep"]["seeds"] != default["sweep"]["seeds"]:
-        changed.append("sweep.seeds")
-    if changed:
-        raise ValueError(
-            "the built-in benchmark (neither world nor condition) fixes its"
-            " own settings; remove or reset " + ", ".join(changed)
-        )
-    return degeneration_benchmark()
-
-
 def _variant_summary(rows: list[dict]) -> list[dict]:
     out = []
     for name in dict.fromkeys(row["variant"] for row in rows):
@@ -183,8 +156,8 @@ def _variant_summary(rows: list[dict]) -> list[dict]:
 
 def _mode_ablate(cfg: RunConfig, per_variant: bool = False) -> tuple[dict, dict]:
     """ablate writes one metrics row per (variant, seed); compare
-    (per_variant=True) aggregates them to one row per variant. cfg is
-    _ablation_config's result."""
+    (per_variant=True) aggregates them to one row per variant. cfg has both
+    world and condition."""
     rows = ablation_suite(cfg)
     summary = _variant_summary(rows)
     best = max(summary, key=lambda row: row["min_score"])
@@ -246,15 +219,17 @@ def cmd_run(args) -> int:
             return 2
         payload = {**payload, "seed": args.seed}
     try:
-        cfg = validate_config(payload)
+        cfg = validate_config(payload, args.mode)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
+    # ablate and compare with neither world nor condition run the built-in
+    # benchmark; the record echoes the config that ran
+    ran = cfg
+    if args.mode in ("ablate", "compare") and cfg.world is None:
+        ran = degeneration_benchmark()
     try:
-        # ablate and compare may swap in the built-in benchmark's config;
-        # the record echoes the config that ran
-        ran = _ablation_config(cfg) if args.mode in ("ablate", "compare") else cfg
         metrics, files = RUN_MODES[args.mode](ran)
     except Exception as err:  # noqa: BLE001 - a failed mode must not leave files
         print(f"error: run failed: {type(err).__name__}: {err}", file=sys.stderr)

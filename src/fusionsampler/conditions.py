@@ -61,10 +61,6 @@ class ConditionSet:
             out = self._derived[key] = replace(self, **changes)
         return out
 
-    @property
-    def is_null(self) -> bool:
-        return self.identity is None and self.text is None
-
     def with_gamma(self, gamma: float) -> "ConditionSet":
         # keyed by type and repr: 1 and 1.0, or 0.0 and -0.0, compare equal
         # but differ in repr or in the JSON form

@@ -256,4 +256,4 @@ def degeneration_benchmark() -> RunConfig:
         "sigma": {"kind": "boundary"},
         "sampling": {"n_samples": 500},
         "sweep": {"seeds": [0, 1, 2, 3, 4]},
-    })
+    }, "ablate")

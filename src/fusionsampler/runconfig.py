@@ -4,9 +4,10 @@ The schema is flat sections (seed, out_dir, world, schedule, sigma, fusion,
 weights, training, condition, sampling, sweep, denoiser), every one optional.
 Violations raise ConfigError with the dotted path of the offending key, and
 unknown keys are rejected rather than ignored so a typo cannot silently fall
-back to a default. validate_config also materializes the fully resolved
-payload, which run records embed so a run can be reproduced from its output
-alone.
+back to a default. Validated for a run mode, a key that mode does not read
+(MODE_KEYS) is refused the same way. validate_config also materializes the
+resolved payload of the keys the run reads, which run records embed so a run
+can be reproduced from its output alone.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fusionsampler.schedule import (
 )
 from fusionsampler.worlds import WORLD_PRESETS
 
-__all__ = ["ConfigError", "RunConfig", "validate_config"]
+__all__ = ["ConfigError", "MODE_KEYS", "RunConfig", "validate_config"]
 
 
 class ConfigError(ValueError):
@@ -40,6 +41,28 @@ class ConfigError(ValueError):
 
 _SECTIONS = ("seed", "out_dir", "world", "schedule", "sigma", "fusion", "weights",
              "training", "condition", "sampling", "sweep", "denoiser")
+
+# The keys each run mode reads: a whole section, or "section.key" where a
+# mode reads only part of one. Every mode accepts seed, though ablate,
+# compare and sweep-lambda take their seeds from sweep.seeds: the benchmark
+# configs in perfbench/workloads.py set it for them. ablate and compare
+# with neither world nor condition run the built-in benchmark
+# (evaluate.degeneration_benchmark), which reads the "builtin" row and fixes
+# everything else itself.
+_SAMPLER = ("schedule", "sigma", "fusion", "weights")
+_ABLATE = ("seed", "out_dir", "world", *_SAMPLER, "condition", "sampling",
+           "sweep.seeds")
+MODE_KEYS = {
+    "sample": ("seed", "out_dir", "world", *_SAMPLER, "condition", "sampling"),
+    "train-encoder": ("seed", "out_dir", "world", "schedule", "training",
+                      "denoiser"),
+    "sweep-lambda": ("seed", "out_dir", "world", *_SAMPLER, "training.steps",
+                     "training.batch", "training.augment", "training.lr",
+                     "sampling", "sweep", "denoiser"),
+    "ablate": _ABLATE,
+    "compare": _ABLATE,
+    "builtin": ("seed", "out_dir"),
+}
 
 
 def _require_mapping(value, path: str) -> dict:
@@ -129,6 +152,8 @@ def _build_sigma(obj, path: str, T: int) -> tuple[SigmaProfile, dict]:
     resolved: dict = {"kind": kind}
     kwargs: dict = {}
     if "eta" in obj:
+        if kind != "ddim_eta":
+            raise ConfigError(f"{path}.eta: only valid for kind 'ddim_eta', not {kind!r}")
         kwargs["eta"] = _as_num(obj["eta"], f"{path}.eta")
         resolved["eta"] = kwargs["eta"]
     if "values" in obj:
@@ -198,14 +223,34 @@ def _build_training(obj, path: str, seed: int) -> tuple[TrainingConfig, dict]:
         raise ConfigError(f"{path}: {err}") from err
 
 
+def _as_slot(value, path: str):
+    """A condition slot: null, or a list, possibly nested, of numbers and
+    "-inf" (an excluded cell's log-weight)."""
+    if value is None:
+        return None
+    if not isinstance(value, list):
+        raise ConfigError(
+            f'{path}: expected a list of numbers and "-inf", got {value!r}')
+    for i, v in enumerate(value):
+        if isinstance(v, list):
+            _as_slot(v, f"{path}[{i}]")
+        elif v != "-inf":
+            _as_num(v, f"{path}[{i}]")
+    return value
+
+
 def _build_condition(obj, path: str) -> ConditionSet:
     obj = _require_mapping(obj, path)
     _reject_unknown(obj, path, ("identity", "text", "gamma"))
-    payload = {"identity": obj.get("identity"), "text": obj.get("text"),
-               "gamma": obj.get("gamma", 1.0)}
+    payload = {
+        "identity": _as_slot(obj.get("identity"), f"{path}.identity"),
+        "text": _as_slot(obj.get("text"), f"{path}.text"),
+        "gamma": _as_num(obj.get("gamma", 1.0), f"{path}.gamma",
+                         minimum=0.0, maximum=1.0),
+    }
     try:
         return ConditionSet.from_jsonable(payload)
-    except (ValueError, TypeError) as err:
+    except ValueError as err:  # a ragged slot
         raise ConfigError(f"{path}: {err}") from err
 
 
@@ -230,9 +275,11 @@ class RunConfig:
     """Validated, fully constructed run inputs.
 
     world and condition stay None when their sections are absent (or null);
-    each run mode substitutes its own default. payload is the fully resolved
-    echo embedded in run records; validating it again reproduces this exact
-    RunConfig, so a run can be replayed from its record alone.
+    each run mode substitutes its own default. payload is the resolved echo
+    of the keys the mode reads (of every key when validated without a
+    mode), embedded in run records; validating it again for the same mode
+    reproduces this exact run, so a run can be replayed from its record
+    alone.
     """
 
     seed: int
@@ -249,10 +296,28 @@ class RunConfig:
     payload: dict = field(default_factory=dict)
 
 
-def validate_config(payload) -> RunConfig:
+def _subkeys(row, section: str) -> list[str]:
+    return [key.partition(".")[2] for key in row if key.startswith(section + ".")]
+
+
+def _refuse_unread(payload: dict, row, reader: str) -> None:
+    unread = []
+    for section, value in payload.items():
+        if section not in row:
+            sub = _subkeys(row, section)
+            unread += ([f"{section}.{key}" for key in value if key not in sub]
+                       if sub else [section])
+    if unread:
+        raise ConfigError(f"key(s) not read by {reader}: {', '.join(sorted(unread))}")
+
+
+def validate_config(payload, mode: str | None = None) -> RunConfig:
     """Validate a decoded JSON payload and construct every component.
 
-    Raises ConfigError naming the offending key path on any violation.
+    With a run mode, a key outside that mode's MODE_KEYS row is refused and
+    the payload echoes only the row's keys; ablate and compare with neither
+    world nor condition use the "builtin" row. Raises ConfigError naming the
+    offending key path on any violation.
     """
     payload = _require_mapping(payload, "config")
     _reject_unknown(payload, "", _SECTIONS)
@@ -287,6 +352,17 @@ def validate_config(payload) -> RunConfig:
     _reject_unknown(den, "denoiser", ("steps",))
     denoiser_steps = _as_int(den.get("steps", 4000), "denoiser.steps", minimum=1)
 
+    row, reader = (_SECTIONS, None) if mode is None else (MODE_KEYS[mode], mode)
+    if mode in ("ablate", "compare"):
+        if (world is None) != (condition is None):
+            raise ConfigError(
+                f"world, condition: {mode} needs both world and condition (or"
+                " neither, which runs the built-in benchmark)")
+        if world is None:
+            row = MODE_KEYS["builtin"]
+            reader = (f"the built-in benchmark ({mode} with neither world"
+                      " nor condition)")
+    _refuse_unread(payload, row, reader)
     resolved = {
         "seed": seed,
         "out_dir": out_dir,
@@ -301,6 +377,12 @@ def validate_config(payload) -> RunConfig:
         "sweep": sweep_echo,
         "denoiser": {"steps": denoiser_steps},
     }
+    echo = {}
+    for section, value in resolved.items():
+        if section in row:
+            echo[section] = value
+        elif sub := _subkeys(row, section):
+            echo[section] = {key: value[key] for key in sub}
     return RunConfig(
         seed=seed,
         out_dir=out_dir,
@@ -313,5 +395,5 @@ def validate_config(payload) -> RunConfig:
         lambdas=tuple(sweep_echo["lambdas"]),
         sweep_seeds=tuple(sweep_echo["seeds"]),
         denoiser_steps=denoiser_steps,
-        payload=resolved,
+        payload=echo,
     )

@@ -13,8 +13,7 @@ import numpy as np
 from fusionsampler.artifacts import render_json
 from fusionsampler.cli import main as cli_main
 from fusionsampler.conditions import ConditionSet
-from fusionsampler.evaluate import ablation_suite, degeneration_benchmark, \
-    regularization_sweep, spearman
+from fusionsampler.evaluate import ablation_suite, degeneration_benchmark, spearman
 from fusionsampler.guidance import GuidanceWeights
 from fusionsampler.mixture import MixtureOracle, oracle_eps, oracle_log_density
 from fusionsampler.posterior import (
@@ -28,7 +27,6 @@ from fusionsampler.posterior import (
     sample_prev,
     sample_prev_mean,
 )
-from fusionsampler.runconfig import validate_config
 from fusionsampler.sampler import FusionConfig, sample_trajectory
 from fusionsampler.schedule import SigmaProfile, build_schedule, schedule_from_betas
 from fusionsampler.worlds import identity_condition, product_world, style_condition
@@ -250,12 +248,10 @@ def test_conflicting_conditions_benchmark_ordering():
             f" {elapsed:.0f}s (budget 300s)")
 
 
-def test_regularization_rank_correlations():
-    lambdas = [0.0, 0.01, 0.1, 1.0, 10.0]
+def test_regularization_rank_correlations(acceptance_sweep_rows):
+    # lambda in {0, 0.01, 0.1, 1, 10}, 300 samples (tests/conftest.py)
     seeds = [0, 1, 2]
-    rows = regularization_sweep(validate_config({
-        "sweep": {"lambdas": lambdas, "seeds": seeds},
-        "sampling": {"n_samples": 300}}))
+    rows = acceptance_sweep_rows
     failed = [r for r in rows if r["status"] != "ok"]
     rec_trend, norm_trend = [], []
     for seed in seeds:
@@ -275,23 +271,31 @@ def test_regularization_rank_correlations():
 
 
 def test_repeated_runs_emit_identical_bytes(tmp_path):
-    payload = {
+    sampler = {
         "seed": 0,
         "world": {"preset": "product"},
         "schedule": {"T": 20},
         "fusion": {"m": 2, "gamma": 0.3},
-        "condition": {"identity": [3.0, 0.0], "text": [0.0, 3.0]},
         "sampling": {"n_samples": 12},
-        "sweep": {"lambdas": [0.0, 1.0], "seeds": [0]},
-        "training": {"steps": 8, "batch": 16},
-        "denoiser": {"steps": 40},
     }
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(payload))
+    condition = {"identity": [3.0, 0.0], "text": [0.0, 3.0]}
+    training = {"training": {"steps": 8, "batch": 16}, "denoiser": {"steps": 40}}
+    # each mode's payload holds only the keys that mode reads
+    payloads = {
+        "sample": {**sampler, "condition": condition},
+        "train-encoder": {"seed": 0, "world": {"preset": "product"},
+                          "schedule": {"T": 20}, **training},
+        "sweep-lambda": {**sampler, **training,
+                         "sweep": {"lambdas": [0.0, 1.0], "seeds": [0]}},
+        "ablate": {**sampler, "condition": condition, "sweep": {"seeds": [0]}},
+    }
+    payloads["compare"] = payloads["ablate"]
     modes = ["sample", "train-encoder", "sweep-lambda", "ablate", "compare"]
     compared = 0
     mismatched = []
     for mode in modes:
+        cfg_path = tmp_path / f"{mode}.json"
+        cfg_path.write_text(json.dumps(payloads[mode]))
         dirs = []
         for attempt in ("first", "second"):
             out = tmp_path / f"{mode}-{attempt}"

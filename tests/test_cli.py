@@ -12,21 +12,30 @@ from fusionsampler.encoder import ToyPromptNet
 from fusionsampler.evaluate import ABLATION_COLUMNS, SWEEP_COLUMNS, degeneration_benchmark
 from fusionsampler.posterior import fused_update_coefficients
 
-FAST = {
+_SAMPLER = {
     "seed": 0,
     "world": {"preset": "product"},
     "schedule": {"T": 20},
     "fusion": {"m": 2, "gamma": 0.3},
-    "condition": {"identity": [3.0, 0.0], "text": [0.0, 3.0]},
     "sampling": {"n_samples": 12},
-    "sweep": {"lambdas": [0.0, 1.0], "seeds": [0]},
-    "training": {"steps": 8, "batch": 16},
-    "denoiser": {"steps": 40},
 }
+_CONDITION = {"identity": [3.0, 0.0], "text": [0.0, 3.0]}
+_TRAINING = {"training": {"steps": 8, "batch": 16}, "denoiser": {"steps": 40}}
+# the smoke config of each mode (T=20, 12 samples, 40 denoiser and 8 encoder
+# steps), holding only keys that mode reads
+FAST = {
+    "sample": {**_SAMPLER, "condition": _CONDITION},
+    "train-encoder": {"seed": 0, "world": {"preset": "product"},
+                      "schedule": {"T": 20}, **_TRAINING},
+    "sweep-lambda": {**_SAMPLER, **_TRAINING,
+                     "sweep": {"lambdas": [0.0, 1.0], "seeds": [0]}},
+    "ablate": {**_SAMPLER, "condition": _CONDITION, "sweep": {"seeds": [0]}},
+}
+FAST["compare"] = FAST["ablate"]
 
 
-def _config(tmp_path, overrides=None, name="cfg.json"):
-    payload = {**FAST, **(overrides or {})}
+def _config(tmp_path, overrides=None, name="cfg.json", mode="sample"):
+    payload = {**FAST[mode], **(overrides or {})}
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
@@ -88,10 +97,9 @@ def test_run_sample_writes_record_samples_metrics(tmp_path):
 
 
 def test_run_rerun_is_byte_identical(tmp_path):
-    # every mode at the FAST smoke config: T=20, 12 samples, 40 denoiser and
-    # 8 encoder steps
-    cfg = _config(tmp_path)
+    # every mode at its FAST smoke config
     for mode in ("sample", "train-encoder", "sweep-lambda", "ablate", "compare"):
+        cfg = _config(tmp_path, name=f"{mode}.json", mode=mode)
         outs = [tmp_path / mode / sub for sub in ("a", "b")]
         for out in outs:
             assert main(["run", "--config", cfg, "--mode", mode,
@@ -118,8 +126,8 @@ def test_run_seed_flag_overrides_config(tmp_path):
 
 def test_run_train_encoder_artifacts_reload(tmp_path):
     out = tmp_path / "enc"
-    rc = main(["run", "--config", _config(tmp_path), "--mode", "train-encoder",
-               "--out", str(out)])
+    rc = main(["run", "--config", _config(tmp_path, mode="train-encoder"),
+               "--mode", "train-encoder", "--out", str(out)])
     assert rc == 0
     assert sorted(os.listdir(out)) == ["denoiser.json", "encoder.json",
                                        "metrics.csv", "run_record.json"]
@@ -132,8 +140,8 @@ def test_run_train_encoder_artifacts_reload(tmp_path):
 
 def test_run_sweep_outputs_table_and_svg(tmp_path):
     out = tmp_path / "sw"
-    rc = main(["run", "--config", _config(tmp_path), "--mode", "sweep-lambda",
-               "--out", str(out)])
+    rc = main(["run", "--config", _config(tmp_path, mode="sweep-lambda"),
+               "--mode", "sweep-lambda", "--out", str(out)])
     assert rc == 0
     lines = (out / "metrics.csv").read_text().splitlines()
     assert lines[0] == ",".join(SWEEP_COLUMNS)
@@ -146,8 +154,8 @@ def test_run_sweep_outputs_table_and_svg(tmp_path):
 
 def test_run_ablate_rows_per_variant_and_seed(tmp_path):
     out = tmp_path / "ab"
-    rc = main(["run", "--config", _config(tmp_path), "--mode", "ablate",
-               "--out", str(out)])
+    rc = main(["run", "--config", _config(tmp_path, mode="ablate"),
+               "--mode", "ablate", "--out", str(out)])
     assert rc == 0
     lines = (out / "metrics.csv").read_text().splitlines()
     assert lines[0] == ",".join(ABLATION_COLUMNS)
@@ -161,8 +169,8 @@ def test_run_ablate_rows_per_variant_and_seed(tmp_path):
 
 def test_run_compare_aggregates_one_row_per_variant(tmp_path):
     out = tmp_path / "cmp"
-    rc = main(["run", "--config", _config(tmp_path), "--mode", "compare",
-               "--out", str(out)])
+    rc = main(["run", "--config", _config(tmp_path, mode="compare"),
+               "--mode", "compare", "--out", str(out)])
     assert rc == 0
     lines = (out / "metrics.csv").read_text().splitlines()
     assert lines[0] == "variant,identity_score,style_score,min_score"
@@ -172,9 +180,9 @@ def test_run_compare_aggregates_one_row_per_variant(tmp_path):
 
 def test_run_ablate_needs_world_and_condition_together(tmp_path, capsys):
     out = tmp_path / "halfway"
-    cfg = _config(tmp_path, {"condition": None})
+    cfg = _config(tmp_path, {"condition": None}, mode="ablate")
     assert main(["run", "--config", cfg, "--mode", "ablate",
-                 "--out", str(out)]) == 1
+                 "--out", str(out)]) == 2
     assert "both world and condition" in capsys.readouterr().err
     assert not out.exists()
 
@@ -188,10 +196,10 @@ def test_run_builtin_ablate_refuses_settings_it_does_not_use(tmp_path, capsys):
                                 "sampling": {"n_samples": 8},
                                 "fusion": {"m": 0}}))
     assert main(["run", "--config", str(path), "--mode", "ablate",
-                 "--out", str(out)]) == 1
+                 "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "built-in benchmark" in err
-    assert "fusion, sampling, sweep.seeds" in err
+    assert "fusion, sampling, sweep" in err
     assert not out.exists()
 
 
@@ -214,10 +222,51 @@ def _replay(tmp_path, config: str, mode: str) -> dict:
     return config_echo
 
 
-@pytest.mark.parametrize("mode", ["sample", "ablate", "compare"])
+# the sections each mode's record echoes, and the keys of the sections it
+# reads only in part
+_ECHOED = {
+    "sample": ["seed", "out_dir", "world", "schedule", "sigma", "fusion",
+               "weights", "condition", "sampling"],
+    "train-encoder": ["seed", "out_dir", "world", "schedule", "training",
+                      "denoiser"],
+    "sweep-lambda": ["seed", "out_dir", "world", "schedule", "sigma", "fusion",
+                     "weights", "training", "sampling", "sweep", "denoiser"],
+    "ablate": ["seed", "out_dir", "world", "schedule", "sigma", "fusion",
+               "weights", "condition", "sampling", "sweep"],
+}
+_ECHOED["compare"] = _ECHOED["ablate"]
+
+
+@pytest.mark.parametrize("mode", sorted(FAST))
 def test_run_replays_from_its_record(tmp_path, mode):
-    # the config echo in run_record.json is enough to rerun the run
-    _replay(tmp_path, _config(tmp_path), mode)
+    # the config echo in run_record.json is enough to rerun the run, and it
+    # holds only the keys the mode reads
+    echo = _replay(tmp_path, _config(tmp_path, mode=mode), mode)
+    assert sorted(echo) == sorted(_ECHOED[mode])
+    if mode == "sweep-lambda":
+        assert sorted(echo["training"]) == ["augment", "batch", "lr", "steps"]
+    if mode in ("ablate", "compare"):
+        assert list(echo["sweep"]) == ["seeds"]
+
+
+@pytest.mark.parametrize("mode, overrides, key", [
+    ("sample", {"training": {"steps": 8}}, "training"),
+    ("train-encoder", {"sampling": {"n_samples": 12}}, "sampling"),
+    ("sweep-lambda", {"training": {"lam": 5.0}}, "training.lam"),
+    ("sweep-lambda", {"condition": _CONDITION}, "condition"),
+    ("ablate", {"denoiser": {"steps": 40}}, "denoiser"),
+    ("ablate", {"sweep": {"lambdas": [0.0], "seeds": [0]}}, "sweep.lambdas"),
+    ("compare", {"denoiser": {"steps": 40}}, "denoiser"),
+    ("compare", {"sweep": {"lambdas": [0.0], "seeds": [0]}}, "sweep.lambdas"),
+])
+def test_each_mode_refuses_a_key_it_does_not_read(tmp_path, capsys, mode,
+                                                  overrides, key):
+    out = tmp_path / "refused"
+    assert main(["run", "--config", _config(tmp_path, overrides, mode=mode),
+                 "--mode", mode, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"not read by {mode}: {key}" in err
+    assert not out.exists()
 
 
 def test_builtin_benchmark_records_and_replays_the_config_it_ran(tmp_path):

@@ -211,7 +211,8 @@ def test_condition_set_helpers():
     cond = ConditionSet(identity=np.ones(2), text=np.zeros(3), gamma=0.5)
     assert cond.identity_only().text is None
     assert cond.text_only().identity is None
-    assert cond.nulled().is_null
+    nulled = cond.nulled()
+    assert nulled.identity is None and nulled.text is None
     assert cond.with_gamma(0.0).gamma == 0.0
     with pytest.raises(ValueError, match="gamma"):
         ConditionSet(gamma=1.5)
@@ -271,7 +272,7 @@ def test_condition_set_json_round_trip():
     assert back.gamma == cond.gamma
 
     null_back = ConditionSet.from_jsonable(ConditionSet().to_jsonable())
-    assert null_back.is_null
+    assert null_back.identity is None and null_back.text is None
 
     # full-grid log-weights must come back with their shape intact
     grid = ConditionSet(identity=np.array([[10.0, 16.0], [0.0, -np.inf]]))

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from fusionsampler.artifacts import render_json
-from fusionsampler.runconfig import ConfigError, validate_config
+from fusionsampler.cli import RUN_MODES
+from fusionsampler.runconfig import MODE_KEYS, ConfigError, validate_config
 
 FULL = {
     "seed": 7,
@@ -101,6 +102,17 @@ def test_custom_sigma_values_accepted():
     ({"denoiser": {"steps": 0}}, "denoiser.steps"),
     ([1, 2], "config"),
     ({"fusion": {"use_refinement": False, "m": 3}}, "fusion"),
+    ({"sigma": {"kind": "boundary", "eta": 0.5}}, "sigma.eta"),
+    ({"sigma": {"kind": "custom", "values": [0.0], "eta": 0.0},
+      "schedule": {"T": 1}}, "sigma.eta"),
+    ({"condition": {"gamma": "0.5"}}, "condition.gamma"),
+    ({"condition": {"gamma": True}}, "condition.gamma"),
+    ({"condition": {"gamma": 1.5}}, "condition.gamma"),
+    ({"condition": {"identity": [True, "2"]}}, "condition.identity"),
+    ({"condition": {"identity": "5"}}, "condition.identity"),
+    ({"condition": {"identity": [1.0, "inf"]}}, "condition.identity"),
+    ({"condition": {"text": [[1.0], [None]]}}, "condition.text"),
+    ({"condition": {"text": {"a": 1.0}}}, "condition.text"),
 ])
 def test_violations_name_the_offending_path(payload, fragment):
     with pytest.raises(ConfigError) as err:
@@ -132,3 +144,48 @@ def test_resolved_payload_revalidates_to_itself():
         assert first.lambdas == second.lambdas
         assert first.n_samples == second.n_samples
         assert (first.world is None) == (second.world is None)
+
+
+# the least payload that runs each mode: ablate and compare need world and
+# condition together, or neither for the built-in benchmark
+_MODE_PAYLOADS = [(mode, {}) for mode in sorted(RUN_MODES)] + [
+    (mode, {"world": {"preset": "product"}, "condition": {"text": [0.0, 3.0]}})
+    for mode in ("ablate", "compare")]
+
+
+def test_mode_keys_name_every_run_mode_and_only_schema_keys():
+    assert set(MODE_KEYS) == set(RUN_MODES) | {"builtin"}
+    full = validate_config({}).payload
+    for row in MODE_KEYS.values():
+        for key in row:
+            section, _, sub = key.partition(".")
+            assert section in full and (not sub or sub in full[section]), key
+
+
+@pytest.mark.parametrize("mode, payload", _MODE_PAYLOADS)
+def test_mode_echo_is_part_of_the_full_echo_and_replays(mode, payload):
+    # the echo's sections (tests/test_cli.py lists them per mode) are whole
+    # sections of the echo without a mode, or parts of them
+    full = validate_config(payload).payload
+    echo = validate_config(payload, mode).payload
+    for section, value in echo.items():
+        assert value == full[section] or value.items() < full[section].items()
+    # the echo replays for its mode
+    assert validate_config(json.loads(render_json(echo)), mode).payload == echo
+
+
+@pytest.mark.parametrize("mode, payload", _MODE_PAYLOADS)
+def test_every_mode_accepts_seed_and_refuses_the_full_payload(mode, payload):
+    assert validate_config({**payload, "seed": 5}, mode).seed == 5
+    # every mode leaves at least one key of FULL unread
+    with pytest.raises(ConfigError, match="not read by"):
+        validate_config(FULL, mode)
+
+
+@pytest.mark.parametrize("mode", ["ablate", "compare"])
+def test_ablate_and_compare_refuse_half_set_and_builtin_extras(mode):
+    for half in ("world", "condition"):
+        with pytest.raises(ConfigError, match="both world and condition"):
+            validate_config({half: FULL[half]}, mode)
+    with pytest.raises(ConfigError, match="built-in benchmark.*: fusion$"):
+        validate_config({"fusion": {"m": 3}}, mode)
