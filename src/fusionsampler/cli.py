@@ -35,7 +35,7 @@ from fusionsampler.artifacts import (
     render_scatter_svg,
 )
 from fusionsampler.conditions import ConditionSet
-from fusionsampler.denoiser import prior_batch, train_denoiser
+from fusionsampler.denoiser import train_denoiser
 from fusionsampler.encoder import heldout_metrics, train_promptnet
 from fusionsampler.evaluate import (
     ABLATION_COLUMNS,
@@ -100,7 +100,7 @@ def _mode_train_encoder(cfg: RunConfig) -> tuple[dict, dict]:
     net = train_promptnet(world, den, cfg.training)
     # held-out error on 1000 fresh prior draws
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, 13))))
-    x0, cells = prior_batch(world, rng, 1000)
+    x0, cells = world.sample(1000, rng)
     recon, norm = heldout_metrics(net, den, x0, cells % world.n_styles, rng)
     metrics = {"recon_error": recon, "embed_norm": norm,
                "lam": float(cfg.training.lam), "steps": int(cfg.training.steps)}
@@ -231,6 +231,10 @@ def cmd_run(args) -> int:
         ran = degeneration_benchmark()
     try:
         metrics, files = RUN_MODES[args.mode](ran)
+    except ConfigError as err:
+        # a setting the mode's fixed protocol cannot use, refused before any work
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     except Exception as err:  # noqa: BLE001 - a failed mode must not leave files
         print(f"error: run failed: {type(err).__name__}: {err}", file=sys.stderr)
         return 1

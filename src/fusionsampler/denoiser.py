@@ -25,7 +25,6 @@ __all__ = [
     "ToyDenoiser",
     "train_denoiser",
     "sample_training_batch",
-    "prior_batch",
     "diffuse",
 ]
 
@@ -155,20 +154,6 @@ class ToyDenoiser:
                    obj["k_text"], schedule_from_betas(obj["beta"]))
 
 
-def prior_batch(world: MixtureWorld, rng: np.random.Generator, n: int):
-    """n clean draws from the world's prior: (x0, cells), cells the flat
-    (identity * n_styles + style) indices. Draws the cells, then the noise.
-
-    The cells are the draw of rng.choice(n_cells, size=n, p=prior), made
-    the way Generator.choice makes it, without re-validating the prior."""
-    cdf = world.prior().reshape(-1).cumsum()
-    cdf /= cdf[-1]
-    cells = cdf.searchsorted(rng.random(n), side="right")
-    x0 = world.cell_means().reshape(-1, world.d)[cells] \
-        + world.s * rng.standard_normal((n, world.d))
-    return x0, cells
-
-
 def diffuse(schedule: DiffusionSchedule, x0: np.ndarray, rng: np.random.Generator):
     """Forward-diffuse a clean batch at uniform random timesteps.
 
@@ -193,7 +178,7 @@ def sample_training_batch(world: MixtureWorld, schedule: DiffusionSchedule,
     a pure function of the generator state.
     """
     n_c = world.n_styles
-    x0, cells = prior_batch(world, rng, batch)
+    x0, cells = world.sample(batch, rng)
     x_t, t, eps = diffuse(schedule, x0, rng)
     visible = rng.random((batch, 2)) >= _P_DROP
     ident = np.eye(world.n_identities)[cells // n_c] * visible[:, 0:1]

@@ -17,7 +17,6 @@ from fusionsampler.denoiser import (
     N_TIME_FEATURES,
     ToyDenoiser,
     diffuse,
-    prior_batch,
     time_features,
 )
 from fusionsampler.mixture import MixtureWorld
@@ -179,7 +178,7 @@ def train_promptnet(world: MixtureWorld, denoiser: ToyDenoiser,
     scale = np.sqrt(np.diag(world.data_cov()))
     opt = Adam(net.net.params.size, lr=tc.lr)
     for step in range(1, tc.steps + 1):
-        x0, cells = prior_batch(world, rng, tc.batch)
+        x0, cells = world.sample(tc.batch, rng)
         xbar = augment_reference(x0, rng, scale) if tc.augment else x0
         x_t, t, eps = diffuse(denoiser.schedule, xbar, rng)
         text = np.eye(n_c)[cells % n_c]

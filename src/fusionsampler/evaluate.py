@@ -9,7 +9,7 @@ in the emitted rows. The protocol values below are fixed, not configured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,14 +20,13 @@ from fusionsampler.encoder import (
     heldout_metrics,
     train_promptnet,
 )
-from fusionsampler.mixture import MixtureOracle, MixtureWorld, _logsumexp
+from fusionsampler.mixture import MixtureOracle, MixtureWorld, oracle_responsibilities
 from fusionsampler.nets import TrainingDiverged
-from fusionsampler.runconfig import RunConfig, validate_config
+from fusionsampler.runconfig import ConfigError, RunConfig, validate_config
 from fusionsampler.sampler import FusionConfig, sample_trajectory
 from fusionsampler.worlds import product_world
 
 __all__ = [
-    "AdherenceReport",
     "component_responsibility",
     "adherence_scores",
     "spearman",
@@ -52,21 +51,6 @@ TARGET_STYLE = 1
 ABLATION_TARGETS = (0, 1)
 
 
-def _posterior_t0(world: MixtureWorld, x) -> tuple[np.ndarray, bool]:
-    """Cell posterior under the clean-data mixture, shape (n, n_i, n_c)."""
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    x2 = np.atleast_2d(x)
-    if x2.shape[1] != world.d:
-        raise ValueError(f"samples must have trailing dimension {world.d}")
-    m = world.cell_means()
-    diff = x2[:, None, None, :] - m[None]
-    loglik = -0.5 * np.sum(diff * diff, axis=-1) / (world.s ** 2)
-    logits = (world.log_prior[None] + loglik).reshape(x2.shape[0], -1)
-    r = np.exp(logits - _logsumexp(logits, axis=1)[:, None])
-    return r.reshape(x2.shape[0], world.n_identities, world.n_styles), squeeze
-
-
 def component_responsibility(world: MixtureWorld, x, index: int,
                              axis: str = "identity"):
     """Posterior probability of one identity (or style), other factor
@@ -76,31 +60,33 @@ def component_responsibility(world: MixtureWorld, x, index: int,
     n = world.n_identities if axis == "identity" else world.n_styles
     if not 0 <= index < n:
         raise ValueError(f"{axis} index {index} out of range 0..{n - 1}")
-    r, squeeze = _posterior_t0(world, x)
-    marg = r.sum(axis=2) if axis == "identity" else r.sum(axis=1)
+    r = oracle_responsibilities(world, x, None, 1.0)
+    marg = r.sum(axis=-1) if axis == "identity" else r.sum(axis=-2)
     # summing cells can overshoot 1 by a few ulp
-    out = np.clip(marg[:, index], 0.0, 1.0)
-    return float(out[0]) if squeeze else out
-
-
-@dataclass(frozen=True)
-class AdherenceReport:
-    """Mean target responsibilities plus the per-sample rows behind them."""
-
-    identity_score: float
-    style_score: float
-    rows: np.ndarray
+    out = np.clip(marg[..., index], 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def adherence_scores(samples, world: MixtureWorld, target_identity: int,
-                     target_style: int) -> AdherenceReport:
+                     target_style: int) -> tuple[float, float]:
+    """(identity_score, style_score): the mean target responsibilities."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise ValueError("adherence_scores needs a nonempty sample set")
     ident = component_responsibility(world, samples, target_identity, "identity")
     style = component_responsibility(world, samples, target_style, "style")
-    rows = np.column_stack([ident, style])
-    return AdherenceReport(float(ident.mean()), float(style.mean()), rows)
+    return float(ident.mean()), float(style.mean())
+
+
+def _require_cells(world: MixtureWorld, identity: int, style: int,
+                   protocol: str) -> None:
+    """Refuse, before any work, a world that lacks the identity or style a
+    fixed protocol scores."""
+    if identity >= world.n_identities or style >= world.n_styles:
+        raise ConfigError(
+            f"world: the {protocol} scores identity {identity} and style {style},"
+            f" but this world has {world.n_identities} identities and"
+            f" {world.n_styles} styles")
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
@@ -155,6 +141,7 @@ def regularization_sweep(cfg: RunConfig) -> list[dict]:
         # closer cells and a wider component std keep the responsibilities
         # graded, so the tradeoff shows up in the adherence columns too
         world = product_world(identity_spacing=1.5, style_offset=1.5, s=0.7)
+    _require_cells(world, REF_IDENTITY, max(REF_STYLE, TARGET_STYLE), "lambda sweep")
     rows = []
     for seed in cfg.sweep_seeds:
         def blank(lam, note):
@@ -169,7 +156,7 @@ def regularization_sweep(cfg: RunConfig) -> list[dict]:
                         for lam in cfg.lambdas)
             continue
         ref_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 11))))
-        x_ref = world.sample(1, ref_rng, identity=REF_IDENTITY, style=REF_STYLE)[0]
+        x_ref = world.sample(1, ref_rng, identity=REF_IDENTITY, style=REF_STYLE)[0][0]
         text = np.zeros(world.n_styles)
         text[TARGET_STYLE] = 1.0
         for lam in cfg.lambdas:
@@ -186,9 +173,8 @@ def regularization_sweep(cfg: RunConfig) -> list[dict]:
                 cond = ConditionSet(identity=x_ref, text=text)
                 samples = sample_trajectory(cond, cfg.fusion, wrapper, cfg.schedule,
                                             cfg.n_samples, seed=seed)
-                rep = adherence_scores(samples, world, REF_IDENTITY, TARGET_STYLE)
-                row["identity_score"] = rep.identity_score
-                row["style_score"] = rep.style_score
+                row["identity_score"], row["style_score"] = adherence_scores(
+                    samples, world, REF_IDENTITY, TARGET_STYLE)
             except TrainingDiverged as err:
                 row["status"] = f"failed at step {err.step}"
             except RuntimeError as err:
@@ -222,6 +208,7 @@ def ablation_suite(cfg: RunConfig) -> list[dict]:
     """
     if cfg.world is None or cfg.condition is None:
         raise ValueError("ablation_suite needs a config with world and condition")
+    _require_cells(cfg.world, *ABLATION_TARGETS, "ablation")
     predictor = MixtureOracle(cfg.world, cfg.schedule)
     target_identity, target_style = ABLATION_TARGETS
     rows = []
@@ -229,10 +216,10 @@ def ablation_suite(cfg: RunConfig) -> list[dict]:
         for seed in cfg.sweep_seeds:
             samples = sample_trajectory(cfg.condition, fusion, predictor,
                                         cfg.schedule, cfg.n_samples, seed=seed)
-            rep = adherence_scores(samples, cfg.world, target_identity, target_style)
+            ident, style = adherence_scores(samples, cfg.world, target_identity,
+                                            target_style)
             rows.append({"variant": name, "seed": int(seed),
-                         "identity_score": rep.identity_score,
-                         "style_score": rep.style_score})
+                         "identity_score": ident, "style_score": style})
     return rows
 
 

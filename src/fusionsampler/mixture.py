@@ -5,7 +5,8 @@ variance s^2, and styles c acting as affine maps (A_c, b_c) on the means:
 data for cell (i, c) is Normal(A_c mu_i + b_c, s^2 I). Forward noising at
 signal level alpha_bar diffuses cell (i, c) to
 Normal(sqrt(alpha_bar) m_ic, (alpha_bar s^2 + 1 - alpha_bar) I), so scores,
-densities and responsibilities all have closed forms.
+densities and responsibilities all have closed forms. alpha_bar = 1 is the
+clean data: its cell posterior is what the adherence scores read.
 
 The oracle works cell-major: for a batch of n points and K = n_i * n_c
 cells, x is copied once to (d, n), the per-cell log-likelihoods are (K, n)
@@ -146,31 +147,36 @@ class MixtureWorld:
         return self.s**2 * np.eye(self.d) + second - np.outer(mean, mean)
 
     def sample(self, n: int, rng: np.random.Generator,
-               identity: int | None = None, style: int | None = None) -> np.ndarray:
-        """Draw n data points, optionally pinned to one identity and/or style."""
+               identity: int | None = None,
+               style: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """n clean draws from the prior, optionally pinned to one identity
+        and/or style: (x0, cells), cells the flat (identity * n_styles +
+        style) indices. Draws the cells, then the noise.
+
+        The cells are the draw of rng.choice(n_cells, size=n, p=prior), made
+        the way Generator.choice makes it, without re-validating the prior.
+        A pin zeroes the prior outside it."""
         pi = self.prior()
-        if identity is not None:
-            mask = np.zeros_like(pi)
-            mask[identity, :] = pi[identity, :]
-            pi = mask
-        if style is not None:
-            mask = np.zeros_like(pi)
-            mask[:, style] = pi[:, style]
-            pi = mask
-        total = pi.sum()
-        if total <= 0.0:
+        for axis, name, pin in ((0, "identity", identity), (1, "style", style)):
+            if pin is None:
+                continue
+            size = pi.shape[axis]
+            if not (isinstance(pin, (int, np.integer)) and 0 <= pin < size):
+                raise ValueError(f"{name} pin must lie in 0..{size - 1}, got {pin!r}")
+            np.moveaxis(pi, axis, 0)[np.arange(size) != pin] = 0.0
+        cdf = pi.reshape(-1).cumsum()
+        if not cdf[-1] > 0.0:
             raise ValueError("requested identity/style pair has zero prior mass")
-        flat = (pi / total).reshape(-1)
-        cells = rng.choice(flat.size, size=n, p=flat)
-        m = self.cell_means().reshape(-1, self.d)
-        return m[cells] + self.s * rng.standard_normal((n, self.d))
+        cdf /= cdf[-1]
+        cells = cdf.searchsorted(rng.random(n), side="right")
+        x0 = self._flat_means[cells] + self.s * rng.standard_normal((n, self.d))
+        return x0, cells
 
 
-def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
-    m = a.max(axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    out = np.log(np.exp(a - m).sum(axis=axis, keepdims=True)) + m
-    return out if axis is None else np.squeeze(out, axis=axis)
+def _logsumexp(a: np.ndarray) -> float:
+    m = a.max()
+    m = m if np.isfinite(m) else 0.0
+    return np.log(np.exp(a - m).sum()) + m
 
 
 def _slot_grid(world: MixtureWorld, values: np.ndarray, slot: str) -> np.ndarray:
@@ -222,9 +228,10 @@ def _cell_sum(a: np.ndarray) -> np.ndarray:
 def _diffused_stats(world: MixtureWorld, x, alpha_bar_t: float):
     """The x-half of the oracle: validate x; return (squeeze, v, xT, loglik)
     with x transposed to (d, n) and the per-cell log-likelihoods of the
-    diffused cells as (K, n). Nothing here depends on the condition."""
-    if not 0.0 < alpha_bar_t < 1.0:
-        raise ValueError(f"alpha_bar_t must lie in (0, 1), got {alpha_bar_t!r}")
+    diffused cells as (K, n). Nothing here depends on the condition.
+    alpha_bar_t = 1 is the clean data: v = s^2, and eps comes out 0."""
+    if not 0.0 < alpha_bar_t <= 1.0:
+        raise ValueError(f"alpha_bar_t must lie in (0, 1], got {alpha_bar_t!r}")
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
     x2 = np.atleast_2d(x)

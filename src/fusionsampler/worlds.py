@@ -77,30 +77,28 @@ def conflict_world(a: float = 2.0, s: float = 0.35,
     )
 
 
+def _class_condition(n: int, k: int, strength: float, axis: str) -> np.ndarray:
+    """Log-weights over n classes favoring class k; strength=inf selects it
+    exactly."""
+    if not 0 <= k < n:
+        raise ValueError(f"{axis} index {k} out of range")
+    if np.isinf(strength):
+        w = np.full(n, -np.inf)
+        w[k] = 0.0
+    else:
+        w = np.zeros(n)
+        w[k] = strength
+    return w
+
+
 def identity_condition(world: MixtureWorld, i: int, strength: float) -> np.ndarray:
     """Log-weights favoring identity i; strength=inf selects it exactly."""
-    if not 0 <= i < world.n_identities:
-        raise ValueError(f"identity index {i} out of range")
-    w = np.zeros(world.n_identities)
-    if np.isinf(strength):
-        w[:] = -np.inf
-        w[i] = 0.0
-    else:
-        w[i] = strength
-    return w
+    return _class_condition(world.n_identities, i, strength, "identity")
 
 
 def style_condition(world: MixtureWorld, c: int, strength: float) -> np.ndarray:
     """Log-weights favoring style c; strength=inf selects it exactly."""
-    if not 0 <= c < world.n_styles:
-        raise ValueError(f"style index {c} out of range")
-    w = np.zeros(world.n_styles)
-    if np.isinf(strength):
-        w[:] = -np.inf
-        w[c] = 0.0
-    else:
-        w[c] = strength
-    return w
+    return _class_condition(world.n_styles, c, strength, "style")
 
 
 def leaky_identity_condition(world: MixtureWorld, i: int, c_ref: int,

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+import fusionsampler.evaluate as evaluate
 import fusionsampler.verify as verify
 from fusionsampler.artifacts import load_json
 from fusionsampler.cli import main
@@ -200,6 +201,32 @@ def test_run_builtin_ablate_refuses_settings_it_does_not_use(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "built-in benchmark" in err
     assert "fusion, sampling, sweep" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, world, condition", [
+    ("sweep-lambda", {"preset": "single"}, None),
+    ("ablate", {"preset": "single"}, {"identity": [1.0], "text": [1.0]}),
+    ("compare", {"preset": "product", "n_styles": 1},
+     {"identity": [1.0, 0.0], "text": [1.0]}),
+])
+def test_run_refuses_a_world_the_protocol_cannot_score(tmp_path, monkeypatch, capsys,
+                                                       mode, world, condition):
+    # the protocols score style 1, which a one-style world lacks; the refusal
+    # comes before any training or sampling
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the world was checked")
+
+    monkeypatch.setattr(evaluate, "train_denoiser", never)
+    monkeypatch.setattr(evaluate, "sample_trajectory", never)
+    overrides = {"world": world}
+    if condition is not None:
+        overrides["condition"] = condition
+    out = tmp_path / "refused"
+    assert main(["run", "--config", _config(tmp_path, overrides, mode=mode),
+                 "--mode", mode, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: world:" in err and "style 1" in err
     assert not out.exists()
 
 

@@ -9,12 +9,11 @@ from numpy.testing import assert_allclose
 from fusionsampler.conditions import ConditionSet
 from fusionsampler.denoiser import (
     ToyDenoiser,
-    prior_batch,
     sample_training_batch,
     time_features,
     train_denoiser,
 )
-from fusionsampler.mixture import MixtureWorld, oracle_eps
+from fusionsampler.mixture import oracle_eps
 from fusionsampler.nets import MLP, TrainingDiverged
 from fusionsampler.schedule import build_schedule
 from fusionsampler.worlds import (
@@ -146,33 +145,3 @@ def test_time_features_reject_steps_outside_the_table():
     feats = time_features(5, 100)
     feats[0] = 9.0  # a fresh row: writing to it leaves the table alone
     assert time_features(5, 100)[0] == 0.05
-
-
-def _choice_prior_batch(world, rng, n):
-    """prior_batch as written with Generator.choice."""
-    flat = world.prior().reshape(-1)
-    cells = rng.choice(flat.size, size=n, p=flat)
-    x0 = world.cell_means().reshape(-1, world.d)[cells] \
-        + world.s * rng.standard_normal((n, world.d))
-    return x0, cells
-
-
-def test_prior_batch_equals_the_generator_choice_draw():
-    base = product_world(3, 3)
-    lp = np.log(np.arange(1.0, 10.0)).reshape(3, 3)
-    lp[0, 1] = lp[2, 2] = lp[1, 0] = -np.inf
-    skewed = MixtureWorld(means=base.means, s=0.5, style_A=base.style_A,
-                          style_b=base.style_b, log_prior=lp)
-    for world in (WORLD, product_world(4, 3), skewed):
-        for seed in range(25):
-            for n in (1, 7, 256, 1000):
-                a = np.random.Generator(np.random.PCG64(seed))
-                b = np.random.Generator(np.random.PCG64(seed))
-                x0, cells = prior_batch(world, a, n)
-                ref_x0, ref_cells = _choice_prior_batch(world, b, n)
-                assert cells.dtype == ref_cells.dtype
-                assert cells.tobytes() == ref_cells.tobytes()
-                assert x0.tobytes() == ref_x0.tobytes()
-                assert a.random() == b.random()
-    _, cells = prior_batch(skewed, np.random.default_rng(0), 5000)
-    assert not np.isin(cells, [1, 3, 8]).any()  # the zero-prior cells

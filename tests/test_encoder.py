@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fusionsampler.conditions import ConditionSet
-from fusionsampler.denoiser import ToyDenoiser, diffuse, prior_batch, train_denoiser
+from fusionsampler.denoiser import ToyDenoiser, diffuse, train_denoiser
 from fusionsampler.encoder import (
     EncoderConditionedDenoiser,
     ToyPromptNet,
@@ -29,7 +29,7 @@ DEN = train_denoiser(WORLD, SCHED, 800, seed=0)
 
 def _recon_and_norm(net):
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((123, 9))))
-    x0, cells = prior_batch(WORLD, rng, 1000)
+    x0, cells = WORLD.sample(1000, rng)
     return heldout_metrics(net, DEN, x0, cells % WORLD.n_styles, rng)
 
 
@@ -171,7 +171,7 @@ def test_wrapper_validation_and_shapes():
 def test_heldout_metrics_equal_the_loss_at_lam_zero_and_the_encoder_norm():
     net = train_promptnet(WORLD, DEN, TrainingConfig(lam=0.3, steps=30, seed=5))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((123, 9))))
-    x0, cells = prior_batch(WORLD, rng, 1000)
+    x0, cells = WORLD.sample(1000, rng)
     styles = cells % WORLD.n_styles
     state = rng.bit_generator.state
     recon, norm = heldout_metrics(net, DEN, x0, styles, rng)

@@ -72,25 +72,24 @@ def test_responsibility_validation():
 
 
 def test_adherence_on_target_component_draws():
-    x = WORLD.sample(500, _rng(0), identity=1, style=0)
-    rep = adherence_scores(x, WORLD, 1, 0)
-    assert rep.identity_score > 0.95
-    assert rep.style_score > 0.95
-    assert rep.rows.shape == (500, 2)
+    x, _ = WORLD.sample(500, _rng(0), identity=1, style=0)
+    ident, style = adherence_scores(x, WORLD, 1, 0)
+    assert ident > 0.95
+    assert style > 0.95
 
 
 def test_adherence_right_identity_wrong_style():
-    x = WORLD.sample(500, _rng(1), identity=0, style=0)
-    rep = adherence_scores(x, WORLD, 0, 1)
-    assert rep.identity_score > 0.95
-    assert rep.style_score < 0.05
+    x, _ = WORLD.sample(500, _rng(1), identity=0, style=0)
+    ident, style = adherence_scores(x, WORLD, 0, 1)
+    assert ident > 0.95
+    assert style < 0.05
 
 
 def test_adherence_single_sample_equals_its_row():
-    x = WORLD.sample(1, _rng(2), identity=0, style=1)
-    rep = adherence_scores(x, WORLD, 0, 1)
-    assert rep.identity_score == rep.rows[0, 0]
-    assert rep.style_score == rep.rows[0, 1]
+    x, _ = WORLD.sample(1, _rng(2), identity=0, style=1)
+    ident, style = adherence_scores(x, WORLD, 0, 1)
+    assert ident == component_responsibility(WORLD, x[0], 0, "identity")
+    assert style == component_responsibility(WORLD, x[0], 1, "style")
 
 
 def test_adherence_rejects_empty():
@@ -99,20 +98,23 @@ def test_adherence_rejects_empty():
 
 
 def test_adherence_prior_draws_score_one_over_classes():
-    x = WORLD.sample(4000, _rng(3))
-    rep = adherence_scores(x, WORLD, 0, 1)
-    assert abs(rep.identity_score - 0.5) < 0.05
-    assert abs(rep.style_score - 0.5) < 0.05
+    x, _ = WORLD.sample(4000, _rng(3))
+    ident, style = adherence_scores(x, WORLD, 0, 1)
+    assert abs(ident - 0.5) < 0.05
+    assert abs(style - 0.5) < 0.05
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
                 min_size=1, max_size=16))
 def test_adherence_scores_stay_in_unit_interval(pts):
-    rep = adherence_scores(np.array(pts), WORLD, 0, 0)
-    assert 0.0 <= rep.identity_score <= 1.0
-    assert 0.0 <= rep.style_score <= 1.0
-    assert np.all(rep.rows >= 0.0) and np.all(rep.rows <= 1.0)
+    x = np.array(pts)
+    ident, style = adherence_scores(x, WORLD, 0, 0)
+    assert 0.0 <= ident <= 1.0
+    assert 0.0 <= style <= 1.0
+    for axis in ("identity", "style"):
+        per_point = component_responsibility(WORLD, x, 0, axis)
+        assert np.all(per_point >= 0.0) and np.all(per_point <= 1.0)
 
 
 def test_spearman_known_values():

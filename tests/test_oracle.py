@@ -136,7 +136,7 @@ def test_empty_cell_subset_rejected():
 def test_data_moments_match_monte_carlo():
     w = conflict_world(a=2.0, s=0.35)
     rng = np.random.default_rng(9)
-    draws = w.sample(200_000, rng)
+    draws, _ = w.sample(200_000, rng)
     assert_allclose(draws.mean(axis=0), w.data_mean(), atol=0.02)
     assert_allclose(np.cov(draws.T), w.data_cov(), atol=0.05)
 
@@ -144,9 +144,75 @@ def test_data_moments_match_monte_carlo():
 def test_conditioned_sampling_masks_cells():
     w = conflict_world()
     rng = np.random.default_rng(3)
-    draws = w.sample(4000, rng, identity=0, style=1)
+    draws, _ = w.sample(4000, rng, identity=0, style=1)
     target = w.cell_means()[0, 1]
     assert np.linalg.norm(draws.mean(axis=0) - target) < 0.05
+
+
+def _choice_sample(world, rng, n, identity=None, style=None):
+    """MixtureWorld.sample as written with Generator.choice: the prior
+    masked to the pin, normalized, then the cells and the noise."""
+    pi = world.prior()
+    if identity is not None:
+        mask = np.zeros_like(pi)
+        mask[identity, :] = pi[identity, :]
+        pi = mask
+    if style is not None:
+        mask = np.zeros_like(pi)
+        mask[:, style] = pi[:, style]
+        pi = mask
+    flat = (pi / pi.sum()).reshape(-1)
+    cells = rng.choice(flat.size, size=n, p=flat)
+    x0 = world.cell_means().reshape(-1, world.d)[cells] \
+        + world.s * rng.standard_normal((n, world.d))
+    return x0, cells
+
+
+def _skewed_world():
+    """3 x 3 product world with an uneven prior and three zero-prior cells
+    (flat indices 1, 3 and 8)."""
+    base = product_world(3, 3)
+    lp = np.log(np.arange(1.0, 10.0)).reshape(3, 3)
+    lp[0, 1] = lp[2, 2] = lp[1, 0] = -np.inf
+    return MixtureWorld(means=base.means, s=0.5, style_A=base.style_A,
+                        style_b=base.style_b, log_prior=lp)
+
+
+def test_world_sample_equals_the_generator_choice_draw():
+    skewed = _skewed_world()
+    # (identity, style) pins: none, identity only, style only, one cell
+    pins = [(None, None), (1, None), (None, 1), (1, 1), (0, 0)]
+    for world in (product_world(), product_world(4, 3), skewed):
+        n_c = world.n_styles
+        for identity, style in pins:
+            for seed in range(25):
+                for n in (1, 7, 256, 1000):
+                    a = np.random.Generator(np.random.PCG64(seed))
+                    b = np.random.Generator(np.random.PCG64(seed))
+                    x0, cells = world.sample(n, a, identity, style)
+                    ref_x0, ref_cells = _choice_sample(world, b, n, identity, style)
+                    assert cells.dtype == ref_cells.dtype
+                    assert cells.tobytes() == ref_cells.tobytes()
+                    assert x0.tobytes() == ref_x0.tobytes()
+                    assert a.random() == b.random()
+            _, cells = world.sample(5000, np.random.default_rng(0), identity, style)
+            if identity is not None:
+                assert np.all(cells // n_c == identity)
+            if style is not None:
+                assert np.all(cells % n_c == style)
+    _, cells = skewed.sample(5000, np.random.default_rng(0))
+    assert not np.isin(cells, [1, 3, 8]).any()  # the zero-prior cells
+
+
+def test_world_sample_refuses_pins_outside_the_world():
+    w = product_world(2, 3)
+    rng = np.random.default_rng(0)
+    for pin in ({"identity": -1}, {"identity": 2}, {"style": -1}, {"style": 3},
+                {"identity": 0.5}, {"identity": 1, "style": 3}):
+        with pytest.raises(ValueError, match="pin must lie in"):
+            w.sample(4, rng, **pin)
+    with pytest.raises(ValueError, match="zero prior mass"):
+        _skewed_world().sample(4, rng, identity=0, style=1)
 
 
 def test_oracle_predictor_wraps_schedule():
@@ -371,7 +437,9 @@ def _excluding(rng, values, share, keep_one=False):
     n_c=st.integers(min_value=1, max_value=4),
     d=st.integers(min_value=1, max_value=9),
     n=st.one_of(st.none(), st.integers(min_value=1, max_value=600)),
-    ab=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    # ab = 1 is the clean-data posterior the adherence scores read
+    ab=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0,
+                                         exclude_min=True, exclude_max=True)),
     gamma=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
     grid_identity=st.booleans(),
 )
