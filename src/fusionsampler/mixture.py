@@ -25,22 +25,34 @@ but never with the batch size.
 
 The oracle front has two halves. The x-half, _diffused_stats, validates x,
 copies it to (d, n) and builds the (K, n) log-likelihoods; it depends on x
-and t only. The condition half, _cell_logits, adds the flat cell
-log-weights of one condition and takes the log-sum over cells. A guided
-sampler step asks for 2 or 3 conditions at the same (x, t), so
-MixtureOracle.predict_eps keeps two caches in front of the shared eps tail:
+and t only. The condition half, _cell_logits, takes the flat cell
+log-weights of C conditions stacked as (K, C), adds them to the
+likelihoods as (K, C, n) and takes the log-sum over cells; the eps tail,
+_eps, gives (C, d, n). The stack keeps cells leading, and every step is
+elementwise or a sum over cells in index order, so each condition's slice
+has the bits of that condition evaluated alone (C = 1, as oracle_eps does).
 
-- a one-entry memo of the last call's x-half, keyed by t and the bits of x
-  (its shape and bytes). It is stored only after x has passed validation,
-  and its (d, n) array is a copy, so a caller that changes its array in
-  place cannot be served a stale entry. The key compares bits, not values:
-  == takes -0.0 for 0.0, and the sign of a zero can reach eps through
+A guided sampler pass asks for 2 or 3 conditions at the same (x, t). The
+sampler first announces them (MixtureOracle.announce_pass), then makes one
+predict_eps call per condition. MixtureOracle keeps two caches:
+
+- a one-entry memo of the last (t, x), keyed by t and the bits of x (its
+  shape and bytes). It holds the x-half and the eps of each condition
+  announced there, computed as one stacked evaluation; each predict_eps
+  call at that key takes its condition's eps out of the entry, and a
+  condition not announced is computed from the x-half. A new key replaces
+  the whole entry, and only once x has passed validation. The entry's
+  arrays are its own: the (d, n) copy of x, and eps arrays that are handed
+  out, not shared, so a caller that changes its array in place cannot be
+  served a stale entry. The key compares bits, not values: == takes -0.0
+  for 0.0, and the sign of a zero can reach eps through
   xT - sqrt(alpha_bar) * post_mean;
-- the flat cell log-weights of each condition object seen, keyed by object
-  identity and holding the object, so that its id cannot be reused. This is
-  safe because a ConditionSet is frozen and its arrays are read-only;
-  ConditionSet returns the same derived objects on repeated calls, so a
-  trajectory uses at most 5 of them, and the cache is cleared above 8.
+- the stacked flat cell log-weights of each tuple of condition objects
+  seen, keyed by their identities and holding the tuple, so that the ids
+  cannot be reused. This is safe because a ConditionSet is frozen and its
+  arrays are read-only; ConditionSet returns the same derived objects on
+  repeated calls, so a trajectory announces at most 2 tuples, and the
+  cache is cleared above 8.
 
 Every result is bit-identical to a fresh oracle_predict_eps call.
 """
@@ -250,33 +262,49 @@ def _diffused_stats(world: MixtureWorld, x, alpha_bar_t: float):
 
 
 def _cell_logits(logw: np.ndarray, loglik: np.ndarray):
-    """The condition half: cell logits log w_k + log N_k(x) as (K, n) from the
-    flat cell log-weights (K,), and their log-sum over cells as (n,)."""
-    logits = logw[:, None] + loglik
+    """The condition half, for C conditions at once: from their flat cell
+    log-weights stacked as (K, C), the cell logits log w_k + log N_k(x) as
+    (K, C, n) and their log-sum over cells as (C, n)."""
+    logits = logw[:, :, None] + loglik[:, None, :]
     top = logits.max(axis=0)
     top = np.where(np.isfinite(top), top, 0.0)
-    lse = np.log(_cell_sum(np.exp(logits - top))) + top
+    shifted = np.subtract(logits, top)
+    lse = np.log(_cell_sum(np.exp(shifted, out=shifted)))
+    lse += top
     return logits, lse
 
 
 def _cell_posterior(world: MixtureWorld, x, cond: ConditionSet | None,
                     alpha_bar_t: float):
-    """Both halves for one call: (squeeze, logits, lse)."""
-    logw = cell_log_weights(world, cond).reshape(-1)
+    """Both halves for one call: (squeeze, logits (K, n), lse (n,))."""
+    logw = cell_log_weights(world, cond).reshape(-1, 1)
     squeeze, _, _, loglik = _diffused_stats(world, x, alpha_bar_t)
-    return (squeeze, *_cell_logits(logw, loglik))
+    logits, lse = _cell_logits(logw, loglik)
+    return squeeze, logits[:, 0], lse[0]
 
 
 def _eps(world: MixtureWorld, logw: np.ndarray, stats, alpha_bar_t: float) -> np.ndarray:
-    """eps from the flat cell log-weights and the x-half's stats."""
-    squeeze, v, xT, loglik = stats
-    logits, lse = _cell_logits(logw, loglik)
-    r = np.exp(logits - lse)
+    """eps of C conditions as (C, d, n), from their flat cell log-weights
+    stacked as (K, C) and the x-half's stats."""
+    _, v, xT, loglik = stats
+    r, lse = _cell_logits(logw, loglik)
+    np.exp(np.subtract(r, lse, out=r), out=r)
     # in-order cell sum instead of a matmul: BLAS picks kernels by batch
     # shape, which would make a row's bits depend on the batch size
-    post_mean = _cell_sum(r[:, None, :] * world._flat_means[:, :, None])
-    eps = np.sqrt(1.0 - alpha_bar_t) * (xT - np.sqrt(alpha_bar_t) * post_mean) / v
-    return eps[:, 0] if squeeze else np.ascontiguousarray(eps.T)
+    post_mean = _cell_sum(r[:, :, None, :] * world._flat_means[:, None, :, None])
+    post_mean *= np.sqrt(alpha_bar_t)
+    eps = np.subtract(xT, post_mean, out=post_mean)
+    eps *= np.sqrt(1.0 - alpha_bar_t)
+    eps /= v
+    return eps
+
+
+def _as_rows(eps: np.ndarray, squeeze: bool) -> np.ndarray:
+    """C conditions' (C, d, n) eps in the caller's layout, in one new array:
+    (C, d) for a single point, else (C, n, d), each condition's slice
+    C-contiguous."""
+    rows = eps.transpose(0, 2, 1).copy()
+    return rows[:, 0] if squeeze else rows
 
 
 def oracle_log_density(world: MixtureWorld, x, cond: ConditionSet | None,
@@ -298,8 +326,9 @@ def oracle_responsibilities(world: MixtureWorld, x, cond: ConditionSet | None,
 def oracle_eps(world: MixtureWorld, x, cond: ConditionSet | None,
                alpha_bar_t: float) -> np.ndarray:
     """Exact eps = -sqrt(1 - alpha_bar) * grad log p_t(x | cond)."""
-    logw = cell_log_weights(world, cond).reshape(-1)
-    return _eps(world, logw, _diffused_stats(world, x, alpha_bar_t), alpha_bar_t)
+    logw = cell_log_weights(world, cond).reshape(-1, 1)
+    stats = _diffused_stats(world, x, alpha_bar_t)
+    return _as_rows(_eps(world, logw, stats, alpha_bar_t), stats[0])[0]
 
 
 def _alpha_bar_at(schedule: DiffusionSchedule, t: int) -> float:
@@ -323,44 +352,73 @@ def _input_key(t, x: np.ndarray):
 class MixtureOracle:
     """NoisePredictor realization backed by the closed-form mixture score.
 
-    Shares work across the calls of one guided step: the x-half of the last
-    call is reused while (t, x) repeats bit for bit, and each condition's
-    flat cell log-weights are computed once (see the module docstring).
+    Shares work across the calls of one guided pass: announce_pass evaluates
+    the pass's conditions at (x, t) together, each predict_eps call that
+    follows at the same (x, t) takes its condition's eps from the memo, and
+    the flat cell log-weights of each set of conditions are computed once
+    (see the module docstring).
     """
 
-    # a trajectory uses at most 5 condition objects
-    _MAX_CONDITIONS = 8
+    # a trajectory announces 2 tuples at most
+    _MAX_CONDITION_SETS = 8
 
     def __init__(self, world: MixtureWorld, schedule: DiffusionSchedule):
         self.world = world
         self.schedule = schedule
-        self._last_key = None
-        self._last_stats = None
-        # id(cond) -> (cond, flat log-weights); holding cond keeps its id
-        # from being reused while the entry lives
-        self._log_weights: dict[int, tuple] = {}
+        # the memo: the key of the last (t, x), its x-half stats, and
+        # id(cond) -> (cond, eps) for each announced condition not yet taken
+        self._key = None
+        self._stats = None
+        self._announced: dict[int, tuple] = {}
+        # ids of a condition tuple -> (the tuple, (K, C) log-weights);
+        # holding the tuple keeps the ids from being reused while the entry
+        # lives
+        self._log_weights: dict[tuple, tuple] = {}
 
     @property
     def d(self) -> int:
         return self.world.d
 
-    def _flat_log_weights(self, cond: ConditionSet | None) -> np.ndarray:
-        hit = self._log_weights.get(id(cond))
+    def _stacked_log_weights(self, conds: tuple) -> np.ndarray:
+        key = tuple(map(id, conds))
+        hit = self._log_weights.get(key)
         if hit is not None:
             return hit[1]
-        logw = cell_log_weights(self.world, cond).reshape(-1)
-        if len(self._log_weights) >= self._MAX_CONDITIONS:
+        logw = np.stack([cell_log_weights(self.world, c).reshape(-1)
+                         for c in conds], axis=1)
+        if len(self._log_weights) >= self._MAX_CONDITION_SETS:
             self._log_weights.clear()
-        self._log_weights[id(cond)] = (cond, logw)
+        self._log_weights[key] = (conds, logw)
         return logw
+
+    def _stats_at(self, key, x: np.ndarray, alpha_bar_t: float):
+        """The x-half for key = _input_key(t, x). A new key replaces the
+        memo, and only once x has passed validation."""
+        if key != self._key:
+            stats = _diffused_stats(self.world, x, alpha_bar_t)
+            self._key, self._stats, self._announced = key, stats, {}
+        return self._stats
+
+    def _eps_rows(self, conds: tuple, key, x: np.ndarray, alpha_bar_t: float):
+        logw = self._stacked_log_weights(conds)
+        stats = self._stats_at(key, x, alpha_bar_t)
+        return _as_rows(_eps(self.world, logw, stats, alpha_bar_t), stats[0])
+
+    def announce_pass(self, x_t, conds, t: int) -> None:
+        """Evaluate the conditions of one guided pass at (x_t, t) as one
+        stacked evaluation, and keep each one's eps in the memo until a
+        predict_eps call at the same (x_t, t) takes it."""
+        alpha_bar_t = _alpha_bar_at(self.schedule, t)
+        conds = tuple(conds)
+        x = np.asarray(x_t, dtype=float)
+        rows = self._eps_rows(conds, _input_key(t, x), x, alpha_bar_t)
+        for cond, eps in zip(conds, rows):
+            self._announced[id(cond)] = (cond, eps)
 
     def predict_eps(self, x_t, cond: ConditionSet | None, t: int) -> np.ndarray:
         alpha_bar_t = _alpha_bar_at(self.schedule, t)
-        logw = self._flat_log_weights(cond)
         x = np.asarray(x_t, dtype=float)
         key = _input_key(t, x)
-        if key != self._last_key:
-            # validates x; a key is kept only once its input has passed
-            self._last_stats = _diffused_stats(self.world, x, alpha_bar_t)
-            self._last_key = key
-        return _eps(self.world, logw, self._last_stats, alpha_bar_t)
+        if key == self._key and id(cond) in self._announced:
+            return self._announced.pop(id(cond))[1]
+        return self._eps_rows((cond,), key, x, alpha_bar_t)[0]

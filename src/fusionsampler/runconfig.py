@@ -266,7 +266,8 @@ def _build_sweep(obj, path: str) -> dict:
     return {
         "lambdas": [_as_num(v, f"{path}.lambdas[{i}]", minimum=0.0)
                     for i, v in enumerate(lambdas)],
-        "seeds": [_as_int(v, f"{path}.seeds[{i}]") for i, v in enumerate(seeds)],
+        "seeds": [_as_int(v, f"{path}.seeds[{i}]", minimum=0)
+                  for i, v in enumerate(seeds)],
     }
 
 
@@ -322,7 +323,7 @@ def validate_config(payload, mode: str | None = None) -> RunConfig:
     payload = _require_mapping(payload, "config")
     _reject_unknown(payload, "", _SECTIONS)
 
-    seed = _as_int(payload.get("seed", 0), "seed")
+    seed = _as_int(payload.get("seed", 0), "seed", minimum=0)
     out_dir = None
     if payload.get("out_dir") is not None:
         out_dir = _as_str(payload["out_dir"], "out_dir")

@@ -14,6 +14,7 @@ takes m=1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ import numpy as np
 from fusionsampler.conditions import ConditionSet
 from fusionsampler.guidance import GuidanceWeights, cfg_independent, cfg_single
 from fusionsampler.posterior import predict_x0, renoise, sample_prev
-from fusionsampler.predictors import NoisePredictor, predict_eps
+from fusionsampler.predictors import NoisePredictor, announce_pass, predict_eps
 from fusionsampler.schedule import DiffusionSchedule, SigmaProfile, sigma_at
 
 __all__ = [
@@ -68,12 +69,110 @@ class FusionConfig:
             )
 
 
+# SeedSequence's constants (numpy/random/bit_generator.pyx); all of its
+# arithmetic is modulo 2**32
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFF_FFFF
+
+
+def _uint32_words(value: int) -> list[int]:
+    """The 32-bit words SeedSequence makes of a non-negative integer entropy
+    item, least significant first; 0 is one zero word."""
+    if not isinstance(value, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, got {value!r}")
+    value = int(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _stream_state_words(seed: int, n: int) -> np.ndarray:
+    """Row i is SeedSequence((seed, i)).generate_state(4, np.uint64), for i in
+    range(n), as an (n, 4) uint64 array.
+
+    The entropy of (seed, i) is the seed's 32-bit words followed by i's one
+    word, so every row runs the same sequence of operations and the hash
+    constants are the same scalars in every row: each step is one uint32
+    array operation across all n rows."""
+    u32 = np.uint32
+    entropy = [np.full(n, w, dtype=u32) for w in _uint32_words(seed)]
+    entropy.append(np.arange(n, dtype=u32))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ u32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * u32(const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        out = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
+        return out ^ (out >> _XSHIFT)
+
+    # SeedSequence.mix_entropy with a pool of 4 words
+    pool = [hashmix(entropy[k] if k < len(entropy) else np.zeros(n, dtype=u32))
+            for k in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(entropy)):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    # SeedSequence.generate_state(4, np.uint64): 8 uint32 words cycling
+    # over the pool, paired little-endian into 4 uint64 words
+    const = _INIT_B
+    state = np.empty((n, 8), dtype=u32)
+    for k in range(8):
+        value = pool[k % _POOL_SIZE] ^ u32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * u32(const)
+        state[:, k] = value ^ (value >> _XSHIFT)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _state_words_type() -> type:
+    """The seed sequence type that hands its generator one precomputed row of
+    _stream_state_words, defined on first use: numpy loads numpy.random only
+    when it is first used, and importing it with this module would add about
+    6 MB and 20 ms to every import of the package."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks for generate_state(4, np.uint64)
+            return self.words
+
+    return StateWords
+
+
 class SampleStreams:
     """Per-sample RNG streams derived from (seed, sample_index).
 
     Draws for a batch take row i from stream i, so each sample's noise
     sequence depends only on (seed, i) and the number of draws made, never on
     the batch size or on other samples.
+
+    Stream i is a PCG64 generator in the state that
+    PCG64(SeedSequence((seed, i))) starts in. PCG64 seeds itself from the
+    four 64-bit words generate_state(4, np.uint64) of its seed sequence, and
+    _stream_state_words computes those words for all n streams in one numpy
+    pass over uint32 arrays, doing SeedSequence's own integer arithmetic in
+    its order; each row is handed to PCG64 as a seed sequence that returns
+    it. The streams are therefore bit-identical to the per-sample
+    SeedSequence construction, without its per-sample Python mixing loops.
 
     Values are served from a per-stream buffer that is refilled in place with
     one generator call per stream every _CHUNK values, instead of n generator
@@ -96,9 +195,10 @@ class SampleStreams:
             raise ValueError(f"need at least one sample, got n={n}")
         self.seed = int(seed)
         self.n = int(n)
+        state_words = _state_words_type()
         self._gens = [
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
-            for i in range(n)
+            np.random.Generator(np.random.PCG64(state_words(words)))
+            for words in _stream_state_words(seed, self.n)
         ]
         width = min(self._CHUNK, self._BUFFER_VALUES // self.n)
         self._buf = np.empty((self.n, width))
@@ -160,16 +260,18 @@ def ddim_step(x_t, t: int, eps_tilde, schedule: DiffusionSchedule, sigma_t: floa
 
 def _joint_guided_eps(predictor: NoisePredictor, x, cond: ConditionSet, t: int,
              omega: float) -> np.ndarray:
+    nulled = cond.nulled()
+    announce_pass(predictor, x, (cond, nulled), t)
     eps_joint = predict_eps(predictor, x, cond, t)
-    eps_uncond = predict_eps(predictor, x, cond.nulled(), t)
+    eps_uncond = predict_eps(predictor, x, nulled, t)
     return cfg_single(eps_joint, eps_uncond, omega)
 
 
 def _split_guided_eps(predictor: NoisePredictor, x, cond: ConditionSet, t: int,
              w: GuidanceWeights) -> np.ndarray:
-    eps_uncond = predict_eps(predictor, x, cond.nulled(), t)
-    eps_s = predict_eps(predictor, x, cond.identity_only(), t)
-    eps_c = predict_eps(predictor, x, cond.text_only(), t)
+    conds = (cond.nulled(), cond.identity_only(), cond.text_only())
+    announce_pass(predictor, x, conds, t)
+    eps_uncond, eps_s, eps_c = (predict_eps(predictor, x, c, t) for c in conds)
     return cfg_independent(eps_uncond, eps_s, eps_c, w)
 
 

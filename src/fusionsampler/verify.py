@@ -36,6 +36,7 @@ from fusionsampler.posterior import (
     renoise_mean,
     sample_prev_mean,
 )
+from fusionsampler.predictors import announce_pass
 from fusionsampler.sampler import FusionConfig, sample_trajectory
 from fusionsampler.schedule import SigmaProfile, build_schedule
 from fusionsampler.worlds import identity_condition, product_world, style_condition
@@ -188,7 +189,7 @@ def _check_m0_matches_independent():
 
 class _FirstRows:
     """Predictor wrapper that keeps the bytes of the first n rows of every
-    prediction it passes on."""
+    prediction it passes on, and passes on pass announcements too."""
 
     def __init__(self, inner, n: int):
         self.inner, self.n, self.rows = inner, n, []
@@ -196,6 +197,9 @@ class _FirstRows:
     @property
     def d(self) -> int:
         return self.inner.d
+
+    def announce_pass(self, x_t, conds, t):
+        announce_pass(self.inner, x_t, conds, t)
 
     def predict_eps(self, x_t, cond, t):
         eps = self.inner.predict_eps(x_t, cond, t)
@@ -223,6 +227,21 @@ def _prefix_mismatch(make_predictor, cond, cfg, schedule, sizes, seed,
             f" in {differ} of {len(small_calls)} {what} calls")
 
 
+class _MemoFreeOracle:
+    """The mixture oracle without MixtureOracle's caches: every call is a
+    fresh oracle_predict_eps."""
+
+    def __init__(self, world, schedule):
+        self.world, self.schedule = world, schedule
+
+    @property
+    def d(self) -> int:
+        return self.world.d
+
+    def predict_eps(self, x_t, cond, t):
+        return oracle_predict_eps(self.world, x_t, cond, t, self.schedule)
+
+
 def _check_batch_prefix_invariance():
     """Sample i's noise comes from (seed, i) alone and the oracle treats rows
     independently, so the first n rows of a fusion trajectory, and of every
@@ -233,19 +252,25 @@ def _check_batch_prefix_invariance():
       values per stream, so every stream refills its noise buffer several
       times;
     - a 4x3 product world at n=1 and n=4: for a lone row numpy would sum its
-      12 cells pairwise instead of in order, if the oracle let it."""
+      12 cells pairwise instead of in order, if the oracle let it.
+    Each case runs through MixtureOracle, which evaluates a guided pass's
+    conditions stacked, and through one fresh oracle_predict_eps per call:
+    a stack of 2 or 3 conditions over one row is not a lone row to numpy."""
     schedule = build_schedule(T=40, beta_end=0.15)
     cfg = FusionConfig(m=2, gamma=0.5)
     for world, n, n_big in ((product_world(), 5, 8), (product_world(4, 3), 1, 4)):
         cond = ConditionSet(identity=identity_condition(world, 0, 2.0),
                             text=style_condition(world, 1, 2.0))
-        detail = _prefix_mismatch(lambda: MixtureOracle(world, schedule), cond,
-                                  cfg, schedule, (n, n_big), 77, "oracle")
-        if detail:
-            return False, f"{world.n_identities}x{world.n_styles} world: {detail}"
+        for label, oracle in (("MixtureOracle", MixtureOracle),
+                              ("memo-free calls", _MemoFreeOracle)):
+            detail = _prefix_mismatch(lambda: oracle(world, schedule), cond,
+                                      cfg, schedule, (n, n_big), 77, "oracle")
+            if detail:
+                return False, (f"{world.n_identities}x{world.n_styles} world:"
+                               f" {detail} through {label}")
     return True, ("first rows of samples and oracle calls bit-identical: 2x2"
                   " world n=5 vs 8 and 4x3 world n=1 vs 4;"
-                  f" fusion m={cfg.m} T={schedule.T}")
+                  f" fusion m={cfg.m} T={schedule.T}; stacked and memo-free")
 
 
 def _check_learned_batch_prefix_invariance():
@@ -280,24 +305,10 @@ def _check_learned_batch_prefix_invariance():
                   f" fusion m={cfg.m} T={schedule.T}")
 
 
-class _MemoFreeOracle:
-    """The mixture oracle without MixtureOracle's caches: every call is a
-    fresh oracle_predict_eps."""
-
-    def __init__(self, world, schedule):
-        self.world, self.schedule = world, schedule
-
-    @property
-    def d(self) -> int:
-        return self.world.d
-
-    def predict_eps(self, x_t, cond, t):
-        return oracle_predict_eps(self.world, x_t, cond, t, self.schedule)
-
-
 def _check_oracle_memo_exact():
-    """MixtureOracle reuses the x-half of its last call while (t, x) repeats
-    bit for bit, and each condition's cell log-weights. A fusion trajectory
+    """MixtureOracle evaluates the conditions each guided pass announces as
+    one stack, serves the pass's calls from its memo of the last (t, x), and
+    caches the cell log-weights of each condition tuple. A fusion trajectory
     through it must match one through memo-free oracle calls bit for bit, in
     its samples and in every eps. With m=2 each t sees three inputs at the
     same t (two fusion passes and the refinement), and each input serves 2

@@ -491,8 +491,9 @@ def test_oracle_matches_row_major_reference(seed, n_i, n_c, d, n, ab, gamma,
         assert_allclose(got[2], ref[2], rtol=1e-12)
 
 
-# MixtureOracle reuses the x-half of its last call and each condition's
-# log-weights; every result must equal a fresh oracle_predict_eps bit for bit.
+# MixtureOracle keeps the x-half of its last (t, x) and the eps of the
+# conditions announced there, and caches the log-weights of each set of
+# conditions; every result must equal a fresh oracle_predict_eps bit for bit.
 _MEMO_T = 12
 _MEMO_SCHEDULE = build_schedule(T=_MEMO_T, beta_end=0.2)
 
@@ -511,12 +512,15 @@ def _step_conditions(world, rng):
         text=style_condition(world, int(rng.integers(world.n_styles)), 2.0),
     )
     fused = cond.with_gamma(0.4)
+    # a hard style condition: every other style's cells are -inf
+    hard = ConditionSet(text=style_condition(world, int(rng.integers(world.n_styles)),
+                                             np.inf))
     return [cond, fused, fused.nulled(), cond.nulled(), cond.identity_only(),
-            cond.text_only(), None]
+            cond.text_only(), None, hard]
 
 
 _MEMO_OPS = ("repeat", "condition", "new_t", "nudge", "in_place", "resize",
-             "fresh_condition")
+             "fresh_condition", "announce", "pass")
 
 
 @settings(max_examples=40, deadline=None)
@@ -537,8 +541,13 @@ def test_oracle_memo_matches_fresh_calls(seed, shape, ops, sizes):
     def draw(n):
         return rng.normal(0.0, 2.0, world.d if n is None else (n, world.d))
 
+    def check(cond):
+        # the caller owns each result: scribbling over it must not reach a
+        # later call
+        _assert_fresh(oracle, x, cond, t)[...] = np.nan
+
     x, cond, t = draw(sizes[0]), conds[0], _MEMO_T
-    _assert_fresh(oracle, x, cond, t)
+    check(cond)
     for i, op in enumerate(ops):
         if op == "condition":
             cond = conds[int(rng.integers(len(conds)))]
@@ -556,7 +565,22 @@ def test_oracle_memo_matches_fresh_calls(seed, shape, ops, sizes):
             # and survive eviction
             conds = _step_conditions(world, rng)
             cond = conds[int(rng.integers(len(conds)))]
-        _assert_fresh(oracle, x, cond, t)
+        elif op in ("announce", "pass"):
+            # a guided pass: announce a random subset in a random order
+            k = int(rng.integers(1, len(conds) + 1))
+            announced = [conds[j] for j in rng.permutation(len(conds))[:k]]
+            oracle.announce_pass(x, announced, t)
+            if op == "announce":
+                # the next op asks for an announced condition, at a changed
+                # x or t if that op changes them
+                cond = announced[int(rng.integers(k))]
+                continue
+            # a pass asks for each of them, in another order, then for one
+            # more condition that may or may not have been announced
+            for j in rng.permutation(k):
+                check(announced[j])
+            cond = conds[int(rng.integers(len(conds)))]
+        check(cond)
 
 
 def test_oracle_memo_sees_an_in_place_change():

@@ -113,6 +113,8 @@ def test_custom_sigma_values_accepted():
     ({"condition": {"identity": [1.0, "inf"]}}, "condition.identity"),
     ({"condition": {"text": [[1.0], [None]]}}, "condition.text"),
     ({"condition": {"text": {"a": 1.0}}}, "condition.text"),
+    ({"seed": -1}, "seed: must be >= 0"),
+    ({"sweep": {"seeds": [0, -2]}}, "sweep.seeds[1]: must be >= 0"),
 ])
 def test_violations_name_the_offending_path(payload, fragment):
     with pytest.raises(ConfigError) as err:

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -24,6 +24,7 @@ from fusionsampler.runconfig import validate_config
 from fusionsampler.sampler import (
     FusionConfig,
     SampleStreams,
+    _stream_state_words,
     ddim_step,
     fusion_step,
     sample_trajectory,
@@ -128,6 +129,35 @@ def test_buffered_streams_equal_per_value_draws(cls, seed, n, tails):
         want = reference(tail)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**64), st.integers(2**96, 2**300)),
+    n=st.integers(1, 600),
+)
+@example(seed=0, n=1)
+@example(seed=2**32 - 1, n=600)
+@example(seed=2**32, n=5)
+@example(seed=2**96, n=3)
+@example(seed=2**200 + 7, n=600)
+def test_stream_state_words_equal_seed_sequence(seed, n):
+    # one word of seed up to 2**32 - 1, two from 2**32; from 2**96 the
+    # entropy (seed words plus i) is longer than SeedSequence's 4-word pool
+    words = _stream_state_words(seed, n)
+    assert words.shape == (n, 4) and words.dtype == np.uint64
+    for i in range(n):
+        want = np.random.SeedSequence((seed, i)).generate_state(4, np.uint64)
+        assert words[i].tobytes() == want.tobytes()
+    got = SampleStreams(seed, n).standard_normal((n, 300))
+    assert got.tobytes() == _unbuffered(seed, n)((300,)).tobytes()
+
+
+def test_streams_refuse_seeds_that_seed_sequence_refuses():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        SampleStreams(-1, 3)
+    with pytest.raises(TypeError):
+        SampleStreams(1.5, 3)
 
 
 def test_stream_draws_are_fresh_arrays():
