@@ -23,36 +23,37 @@ the earlier row-major formulas, so the results are bit-identical to them;
 with 8 or more cells or dims the last bits can differ from those formulas,
 but never with the batch size.
 
-The oracle front has two halves. The x-half, _diffused_stats, validates x,
-copies it to (d, n) and builds the (K, n) log-likelihoods; it depends on x
-and t only. The condition half, _cell_logits, takes the flat cell
-log-weights of C conditions stacked as (K, C), adds them to the
-likelihoods as (K, C, n) and takes the log-sum over cells; the eps tail,
-_eps, gives (C, d, n). The stack keeps cells leading, and every step is
-elementwise or a sum over cells in index order, so each condition's slice
-has the bits of that condition evaluated alone (C = 1, as oracle_eps does).
+An oracle evaluation has three parts, all in _eps_rows. The x-half,
+_diffused_stats, validates x, copies it to (d, n) and builds the (K, n)
+log-likelihoods; it depends on x and t only. The condition half,
+_cell_logits, takes the flat cell log-weights of C conditions stacked as
+(K, C), adds them to the likelihoods as (K, C, n) and takes the log-sum
+over cells; the eps tail gives (C, d, n). The stack keeps cells leading,
+and every step is elementwise or a sum over cells in index order, so each
+condition's slice has the bits of that condition evaluated alone (C = 1, as
+oracle_eps does).
 
 A guided sampler pass asks for 2 or 3 conditions at the same (x, t). The
 sampler first announces them (MixtureOracle.announce_pass), then makes one
-predict_eps call per condition. MixtureOracle keeps two caches:
+predict_eps call per condition. MixtureOracle keeps:
 
-- a one-entry memo of the last (t, x), keyed by t and the bits of x (its
-  shape and bytes). It holds the x-half and the eps of each condition
-  announced there, computed as one stacked evaluation; each predict_eps
-  call at that key takes its condition's eps out of the entry, and a
-  condition not announced is computed from the x-half. A new key replaces
-  the whole entry, and only once x has passed validation. The entry's
-  arrays are its own: the (d, n) copy of x, and eps arrays that are handed
-  out, not shared, so a caller that changes its array in place cannot be
-  served a stale entry. The key compares bits, not values: == takes -0.0
-  for 0.0, and the sign of a zero can reach eps through
-  xT - sqrt(alpha_bar) * post_mean;
-- the stacked flat cell log-weights of each tuple of condition objects
-  seen, keyed by their identities and holding the tuple, so that the ids
-  cannot be reused. This is safe because a ConditionSet is frozen and its
+- one pass entry: the key of the last announced (t, x), made of t and the
+  bits of x (its shape and bytes), and a dict from each announced condition
+  to its eps, all computed as one stacked evaluation. A predict_eps call at
+  that key takes its condition's eps out of the dict; any other call is a
+  fresh evaluation and leaves the entry alone. The dict is keyed by the
+  condition objects, which compare and hash by identity, so it holds them
+  and no id can be reused. An announcement replaces the entry, and only once
+  x has passed validation. The eps arrays are handed out, not shared, so a
+  caller that changes one in place cannot reach a later call, and a caller
+  that changes x in place changes the key. The key compares bits, not
+  values: == takes -0.0 for 0.0, and the sign of a zero can reach eps
+  through xT - sqrt(alpha_bar) * post_mean;
+- the stacked flat cell log-weights of each condition tuple seen, keyed by
+  the tuple itself. This is safe because a ConditionSet is frozen and its
   arrays are read-only; ConditionSet returns the same derived objects on
-  repeated calls, so a trajectory announces at most 2 tuples, and the
-  cache is cleared above 8.
+  repeated calls, so a trajectory announces at most 2 tuples, and the cache
+  is cleared above 8.
 
 Every result is bit-identical to a fresh oracle_predict_eps call.
 """
@@ -252,7 +253,7 @@ def _diffused_stats(world: MixtureWorld, x, alpha_bar_t: float):
     if not np.all(np.isfinite(x2)):
         raise ValueError("x must be finite")
     v = alpha_bar_t * world.s**2 + 1.0 - alpha_bar_t
-    xT = x2.T.copy()  # a copy even for one row: the memo must not alias x
+    xT = x2.T.copy()  # contiguous (d, n), so every later op runs along n
     diff = xT[None, :, :] - np.sqrt(alpha_bar_t) * world._flat_means[:, :, None]
     sq = diff[:, 0] * diff[:, 0]
     for j in range(1, world.d):
@@ -283,10 +284,13 @@ def _cell_posterior(world: MixtureWorld, x, cond: ConditionSet | None,
     return squeeze, logits[:, 0], lse[0]
 
 
-def _eps(world: MixtureWorld, logw: np.ndarray, stats, alpha_bar_t: float) -> np.ndarray:
-    """eps of C conditions as (C, d, n), from their flat cell log-weights
-    stacked as (K, C) and the x-half's stats."""
-    _, v, xT, loglik = stats
+def _eps_rows(world: MixtureWorld, logw: np.ndarray, x,
+              alpha_bar_t: float) -> np.ndarray:
+    """eps of C conditions at x, from their flat cell log-weights stacked as
+    (K, C): the x-half, the condition half and the eps tail, in one new
+    array in the caller's layout, (C, d) for a single point, else (C, n, d),
+    each condition's slice C-contiguous."""
+    squeeze, v, xT, loglik = _diffused_stats(world, x, alpha_bar_t)
     r, lse = _cell_logits(logw, loglik)
     np.exp(np.subtract(r, lse, out=r), out=r)
     # in-order cell sum instead of a matmul: BLAS picks kernels by batch
@@ -296,13 +300,6 @@ def _eps(world: MixtureWorld, logw: np.ndarray, stats, alpha_bar_t: float) -> np
     eps = np.subtract(xT, post_mean, out=post_mean)
     eps *= np.sqrt(1.0 - alpha_bar_t)
     eps /= v
-    return eps
-
-
-def _as_rows(eps: np.ndarray, squeeze: bool) -> np.ndarray:
-    """C conditions' (C, d, n) eps in the caller's layout, in one new array:
-    (C, d) for a single point, else (C, n, d), each condition's slice
-    C-contiguous."""
     rows = eps.transpose(0, 2, 1).copy()
     return rows[:, 0] if squeeze else rows
 
@@ -327,8 +324,7 @@ def oracle_eps(world: MixtureWorld, x, cond: ConditionSet | None,
                alpha_bar_t: float) -> np.ndarray:
     """Exact eps = -sqrt(1 - alpha_bar) * grad log p_t(x | cond)."""
     logw = cell_log_weights(world, cond).reshape(-1, 1)
-    stats = _diffused_stats(world, x, alpha_bar_t)
-    return _as_rows(_eps(world, logw, stats, alpha_bar_t), stats[0])[0]
+    return _eps_rows(world, logw, x, alpha_bar_t)[0]
 
 
 def _alpha_bar_at(schedule: DiffusionSchedule, t: int) -> float:
@@ -344,19 +340,20 @@ def oracle_predict_eps(world: MixtureWorld, x_t, cond: ConditionSet | None, t: i
 
 
 def _input_key(t, x: np.ndarray):
-    """Memo key of one oracle input: equal keys mean the same t and the same
-    bits of x. Not ==, which takes -0.0 for 0.0."""
+    """Key of one oracle input: equal keys mean the same t and the same bits
+    of x. Not ==, which takes -0.0 for 0.0."""
     return t, x.shape, x.tobytes()
 
 
 class MixtureOracle:
     """NoisePredictor realization backed by the closed-form mixture score.
 
-    Shares work across the calls of one guided pass: announce_pass evaluates
-    the pass's conditions at (x, t) together, each predict_eps call that
-    follows at the same (x, t) takes its condition's eps from the memo, and
-    the flat cell log-weights of each set of conditions are computed once
-    (see the module docstring).
+    Its only per-input state is one pass entry: announce_pass evaluates a
+    guided pass's conditions at (x, t) as one stack and keeps each one's
+    eps, and a predict_eps call at the same (x, t) takes its condition's
+    eps from there; any other call is a fresh evaluation. It also caches the
+    stacked cell log-weights of each condition tuple (see the module
+    docstring).
     """
 
     # a trajectory announces 2 tuples at most
@@ -365,60 +362,39 @@ class MixtureOracle:
     def __init__(self, world: MixtureWorld, schedule: DiffusionSchedule):
         self.world = world
         self.schedule = schedule
-        # the memo: the key of the last (t, x), its x-half stats, and
-        # id(cond) -> (cond, eps) for each announced condition not yet taken
-        self._key = None
-        self._stats = None
-        self._announced: dict[int, tuple] = {}
-        # ids of a condition tuple -> (the tuple, (K, C) log-weights);
-        # holding the tuple keeps the ids from being reused while the entry
-        # lives
-        self._log_weights: dict[tuple, tuple] = {}
+        # the pass entry: _input_key of the last announced (t, x), and
+        # {condition: eps} of its conditions not yet taken
+        self._pass_key = None
+        self._pass_eps: dict = {}
+        # condition tuple -> its (K, C) stacked log-weights
+        self._log_weights: dict[tuple, np.ndarray] = {}
 
     @property
     def d(self) -> int:
         return self.world.d
 
-    def _stacked_log_weights(self, conds: tuple) -> np.ndarray:
-        key = tuple(map(id, conds))
-        hit = self._log_weights.get(key)
-        if hit is not None:
-            return hit[1]
-        logw = np.stack([cell_log_weights(self.world, c).reshape(-1)
-                         for c in conds], axis=1)
-        if len(self._log_weights) >= self._MAX_CONDITION_SETS:
-            self._log_weights.clear()
-        self._log_weights[key] = (conds, logw)
-        return logw
-
-    def _stats_at(self, key, x: np.ndarray, alpha_bar_t: float):
-        """The x-half for key = _input_key(t, x). A new key replaces the
-        memo, and only once x has passed validation."""
-        if key != self._key:
-            stats = _diffused_stats(self.world, x, alpha_bar_t)
-            self._key, self._stats, self._announced = key, stats, {}
-        return self._stats
-
-    def _eps_rows(self, conds: tuple, key, x: np.ndarray, alpha_bar_t: float):
-        logw = self._stacked_log_weights(conds)
-        stats = self._stats_at(key, x, alpha_bar_t)
-        return _as_rows(_eps(self.world, logw, stats, alpha_bar_t), stats[0])
+    def _evaluate(self, conds: tuple, x: np.ndarray, alpha_bar_t: float):
+        logw = self._log_weights.get(conds)
+        if logw is None:
+            if len(self._log_weights) >= self._MAX_CONDITION_SETS:
+                self._log_weights.clear()
+            logw = self._log_weights[conds] = np.stack(
+                [cell_log_weights(self.world, c).reshape(-1) for c in conds], axis=1)
+        return _eps_rows(self.world, logw, x, alpha_bar_t)
 
     def announce_pass(self, x_t, conds, t: int) -> None:
         """Evaluate the conditions of one guided pass at (x_t, t) as one
-        stacked evaluation, and keep each one's eps in the memo until a
-        predict_eps call at the same (x_t, t) takes it."""
+        stacked evaluation, and keep each one's eps until a predict_eps call
+        at the same (x_t, t) takes it. Replaces the previous entry."""
         alpha_bar_t = _alpha_bar_at(self.schedule, t)
         conds = tuple(conds)
         x = np.asarray(x_t, dtype=float)
-        rows = self._eps_rows(conds, _input_key(t, x), x, alpha_bar_t)
-        for cond, eps in zip(conds, rows):
-            self._announced[id(cond)] = (cond, eps)
+        rows = self._evaluate(conds, x, alpha_bar_t)
+        self._pass_key, self._pass_eps = _input_key(t, x), dict(zip(conds, rows))
 
     def predict_eps(self, x_t, cond: ConditionSet | None, t: int) -> np.ndarray:
         alpha_bar_t = _alpha_bar_at(self.schedule, t)
         x = np.asarray(x_t, dtype=float)
-        key = _input_key(t, x)
-        if key == self._key and id(cond) in self._announced:
-            return self._announced.pop(id(cond))[1]
-        return self._eps_rows((cond,), key, x, alpha_bar_t)[0]
+        if cond in self._pass_eps and _input_key(t, x) == self._pass_key:
+            return self._pass_eps.pop(cond)
+        return self._evaluate((cond,), x, alpha_bar_t)[0]

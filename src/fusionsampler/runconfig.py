@@ -48,7 +48,9 @@ _SECTIONS = ("seed", "out_dir", "world", "schedule", "sigma", "fusion", "weights
 # configs in perfbench/workloads.py set it for them. ablate and compare
 # with neither world nor condition run the built-in benchmark
 # (evaluate.degeneration_benchmark), which reads the "builtin" row and fixes
-# everything else itself.
+# everything else itself. sample and sweep-lambda read only the fusion and
+# weights keys of the sampler that fusion.mode names (_sampler_keys);
+# ablate and compare read them all through their variants.
 _SAMPLER = ("schedule", "sigma", "fusion", "weights")
 _ABLATE = ("seed", "out_dir", "world", *_SAMPLER, "condition", "sampling",
            "sweep.seeds")
@@ -297,6 +299,23 @@ class RunConfig:
     payload: dict = field(default_factory=dict)
 
 
+def _sampler_keys(fusion: FusionConfig) -> tuple[str, ...]:
+    """The fusion and weights keys that the sampler reads under fusion.mode:
+    vanilla_cfg is one joint-guided step, independent one refinement step;
+    fusion reads gamma and omega only with m >= 1, and omega1 and omega2
+    only with the refinement step."""
+    if fusion.mode == "vanilla_cfg":
+        return ("fusion.mode", "weights.omega")
+    if fusion.mode == "independent":
+        return ("fusion.mode", "weights.omega1", "weights.omega2")
+    keys = ("fusion.m", "fusion.use_refinement", "fusion.mode")
+    if fusion.m >= 1:
+        keys += ("fusion.gamma", "weights.omega")
+    if fusion.use_refinement:
+        keys += ("weights.omega1", "weights.omega2")
+    return keys
+
+
 def _subkeys(row, section: str) -> list[str]:
     return [key.partition(".")[2] for key in row if key.startswith(section + ".")]
 
@@ -316,9 +335,10 @@ def validate_config(payload, mode: str | None = None) -> RunConfig:
     """Validate a decoded JSON payload and construct every component.
 
     With a run mode, a key outside that mode's MODE_KEYS row is refused and
-    the payload echoes only the row's keys; ablate and compare with neither
-    world nor condition use the "builtin" row. Raises ConfigError naming the
-    offending key path on any violation.
+    the payload echoes only the row's keys; sample and sweep-lambda narrow
+    fusion and weights to the keys fusion.mode reads, and ablate and compare
+    with neither world nor condition use the "builtin" row. Raises
+    ConfigError naming the offending key path on any violation.
     """
     payload = _require_mapping(payload, "config")
     _reject_unknown(payload, "", _SECTIONS)
@@ -354,6 +374,9 @@ def validate_config(payload, mode: str | None = None) -> RunConfig:
     denoiser_steps = _as_int(den.get("steps", 4000), "denoiser.steps", minimum=1)
 
     row, reader = (_SECTIONS, None) if mode is None else (MODE_KEYS[mode], mode)
+    if mode in ("sample", "sweep-lambda"):
+        row = (*(key for key in row if key not in ("fusion", "weights")),
+               *_sampler_keys(fusion))
     if mode in ("ablate", "compare"):
         if (world is None) != (condition is None):
             raise ConfigError(
@@ -383,7 +406,7 @@ def validate_config(payload, mode: str | None = None) -> RunConfig:
         if section in row:
             echo[section] = value
         elif sub := _subkeys(row, section):
-            echo[section] = {key: value[key] for key in sub}
+            echo[section] = {key: v for key, v in value.items() if key in sub}
     return RunConfig(
         seed=seed,
         out_dir=out_dir,

@@ -6,8 +6,9 @@ joint-condition guided prediction on the gamma-scaled identity, predicting
 the clean sample, stepping back to t-1, and re-noising to t again; then a
 refinement step computing the independent-conditions guided prediction on the
 unscaled conditions and performing one classifier-free reverse step. m=0
-skips straight to the refinement step, which is exactly independent mode, and
-the two share one code path so bit-identity holds structurally. Without the
+skips straight to the refinement step, which is exactly independent mode:
+fusion_step, the one per-step operator of all three modes, runs independent
+mode as fusion with m=0, so bit-identity holds structurally. Without the
 refinement step a fusion step is its first joint pass alone, so that setting
 takes m=1.
 """
@@ -275,15 +276,14 @@ def _split_guided_eps(predictor: NoisePredictor, x, cond: ConditionSet, t: int,
     return cfg_independent(eps_uncond, eps_s, eps_c, w)
 
 
-def _refinement_step(x, t, cond, cfg, predictor, schedule, sigma_t, rng) -> np.ndarray:
-    eps = _split_guided_eps(predictor, x, cond, t, cfg.weights)
-    return ddim_step(x, t, eps, schedule, sigma_t, rng)
-
-
 def fusion_step(x_t, t: int, cond: ConditionSet, cfg: FusionConfig,
                 predictor: NoisePredictor, schedule: DiffusionSchedule,
                 rng) -> np.ndarray:
-    """One full timestep of the two-stage scheme; returns x_{t-1}.
+    """One timestep of the sampler cfg.mode names; returns x_{t-1}.
+
+    vanilla_cfg is one joint-guided reverse step on the conditions as given.
+    fusion runs cfg.m fusion passes, then the refinement step; independent
+    is fusion with m=0, the refinement step alone.
 
     The fusion stage needs sigma_t > 0 for its re-noising draw; a zero sigma
     with m >= 1 and refinement on raises, except at t=1 where sigma is forced
@@ -292,7 +292,11 @@ def fusion_step(x_t, t: int, cond: ConditionSet, cfg: FusionConfig,
     """
     sigma_t = sigma_at(schedule, cfg.sigma, t)
     x = np.asarray(x_t, dtype=float)
-    if cfg.m >= 1 and not (t == 1 and cfg.use_refinement):
+    if cfg.mode == "vanilla_cfg":
+        eps = _joint_guided_eps(predictor, x, cond, t, cfg.weights.omega)
+        return ddim_step(x, t, eps, schedule, sigma_t, rng)
+    m = cfg.m if cfg.mode == "fusion" else 0
+    if m >= 1 and not (t == 1 and cfg.use_refinement):
         if sigma_t == 0.0 and cfg.use_refinement:
             raise ValueError(
                 f"fusion stage at t={t} needs sigma_t > 0 for re-noising;"
@@ -300,46 +304,28 @@ def fusion_step(x_t, t: int, cond: ConditionSet, cfg: FusionConfig,
             )
         fusion_cond = cond.with_gamma(cfg.gamma)
         ab_t = float(schedule.alpha_bar[t])
-        for _ in range(cfg.m):
+        for _ in range(m):
             eps = _joint_guided_eps(predictor, x, fusion_cond, t, cfg.weights.omega)
             x0_hat = predict_x0(x, eps, ab_t)
             x_prev = sample_prev(x, x0_hat, t, schedule, sigma_t, rng)
             if not cfg.use_refinement:
                 return x_prev
             x = renoise(x_prev, x0_hat, t, schedule, sigma_t, rng)
-    return _refinement_step(x, t, cond, cfg, predictor, schedule, sigma_t, rng)
-
-
-def _vanilla_step(x, t, cond, cfg, predictor, schedule, rng) -> np.ndarray:
-    sigma_t = sigma_at(schedule, cfg.sigma, t)
-    eps = _joint_guided_eps(predictor, x, cond, t, cfg.weights.omega)
+    eps = _split_guided_eps(predictor, x, cond, t, cfg.weights)
     return ddim_step(x, t, eps, schedule, sigma_t, rng)
-
-
-def _independent_step(x, t, cond, cfg, predictor, schedule, rng) -> np.ndarray:
-    sigma_t = sigma_at(schedule, cfg.sigma, t)
-    return _refinement_step(x, t, cond, cfg, predictor, schedule, sigma_t, rng)
-
-
-_STEP_FNS = {
-    "vanilla_cfg": _vanilla_step,
-    "independent": _independent_step,
-    "fusion": fusion_step,
-}
 
 
 def sample_trajectory(cond: ConditionSet, cfg: FusionConfig,
                       predictor: NoisePredictor, schedule: DiffusionSchedule,
                       n_samples: int, seed: int) -> np.ndarray:
-    """Run the configured per-step operator from x_T ~ Normal(0, I) down to
-    x_0; returns the (n_samples, d) samples."""
+    """Run fusion_step, the per-step operator of cfg.mode, from
+    x_T ~ Normal(0, I) down to x_0; returns the (n_samples, d) samples."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
-    step_fn = _STEP_FNS[cfg.mode]
     streams = SampleStreams(seed, n_samples)
     x = streams.standard_normal((n_samples, predictor.d))
     for t in range(schedule.T, 0, -1):
-        x = step_fn(x, t, cond, cfg, predictor, schedule, streams)
+        x = fusion_step(x, t, cond, cfg, predictor, schedule, streams)
         if not np.all(np.isfinite(x)):
             raise RuntimeError(f"sampling produced non-finite state at t={t}")
     return x

@@ -305,14 +305,25 @@ def _check_learned_batch_prefix_invariance():
                   f" fusion m={cfg.m} T={schedule.T}")
 
 
+class _ShiftedAnnounce(MixtureOracle):
+    """MixtureOracle whose passes are announced at x + 1.0 instead of the x
+    their calls then ask for, so every one of those calls must be served
+    with a fresh evaluation."""
+
+    def announce_pass(self, x_t, conds, t):
+        super().announce_pass(x_t + 1.0, conds, t)
+
+
 def _check_oracle_memo_exact():
     """MixtureOracle evaluates the conditions each guided pass announces as
-    one stack, serves the pass's calls from its memo of the last (t, x), and
-    caches the cell log-weights of each condition tuple. A fusion trajectory
-    through it must match one through memo-free oracle calls bit for bit, in
-    its samples and in every eps. With m=2 each t sees three inputs at the
-    same t (two fusion passes and the refinement), and each input serves 2
-    or 3 conditions. Run on the 2x2 and 4x3 product worlds."""
+    one stack, serves the pass's calls at the announced (t, x) from that
+    entry, and caches the cell log-weights of each condition tuple. A fusion
+    trajectory through it must match one through memo-free oracle calls bit
+    for bit, in its samples and in every eps; so must one whose passes are
+    announced at a shifted x, where no call may be served from the entry.
+    With m=2 each t sees three inputs at the same t (two fusion passes and
+    the refinement), and each input serves 2 or 3 conditions. Run on the
+    2x2 and 4x3 product worlds."""
     schedule = build_schedule(T=40, beta_end=0.15)
     cfg = FusionConfig(m=2, gamma=0.5)
     n = 6
@@ -320,20 +331,25 @@ def _check_oracle_memo_exact():
         cond = ConditionSet(identity=identity_condition(world, 0, 2.0),
                             text=style_condition(world, 1, 2.0))
         runs = []
-        for predictor in (MixtureOracle(world, schedule),
-                          _MemoFreeOracle(world, schedule)):
+        for predictor in (_MemoFreeOracle(world, schedule),
+                          MixtureOracle(world, schedule),
+                          _ShiftedAnnounce(world, schedule)):
             calls = _FirstRows(predictor, n)
             samples = sample_trajectory(cond, cfg, calls, schedule, n, seed=78)
             runs.append((samples.tobytes(), calls.rows))
-        (memo, memo_calls), (fresh, fresh_calls) = runs
-        differ = sum(a != b for a, b in zip(memo_calls, fresh_calls))
-        if memo != fresh or differ or len(memo_calls) != len(fresh_calls):
-            return False, (f"{world.n_identities}x{world.n_styles} world: memo"
-                           f" samples {'differ' if memo != fresh else 'equal'};"
-                           f" eps differs in {differ} of {len(fresh_calls)}"
-                           " oracle calls")
+        (fresh, fresh_calls), *memo_runs = runs
+        for how, (memo, memo_calls) in zip(("", " (passes announced at x + 1)"),
+                                           memo_runs):
+            differ = sum(a != b for a, b in zip(memo_calls, fresh_calls))
+            if memo != fresh or differ or len(memo_calls) != len(fresh_calls):
+                return False, (f"{world.n_identities}x{world.n_styles} world:"
+                               " memo samples"
+                               f" {'differ' if memo != fresh else 'equal'};"
+                               f" eps differs in {differ} of {len(fresh_calls)}"
+                               f" oracle calls{how}")
     return True, ("samples and every eps bit-identical to memo-free calls: 2x2"
-                  f" and 4x3 worlds; fusion m={cfg.m} T={schedule.T} n={n}")
+                  f" and 4x3 worlds; fusion m={cfg.m} T={schedule.T} n={n};"
+                  " passes announced at x and at x + 1")
 
 
 def _check_mlp_gradient_fd():

@@ -285,6 +285,21 @@ def test_run_replays_from_its_record(tmp_path, mode):
     ("ablate", {"sweep": {"lambdas": [0.0], "seeds": [0]}}, "sweep.lambdas"),
     ("compare", {"denoiser": {"steps": 40}}, "denoiser"),
     ("compare", {"sweep": {"lambdas": [0.0], "seeds": [0]}}, "sweep.lambdas"),
+    # the sampler keys that fusion.mode does not read
+    ("sample", {"fusion": {"mode": "vanilla_cfg", "m": 3, "gamma": 0.9,
+                           "use_refinement": True},
+                "weights": {"omega": 7.0, "omega1": 7.0, "omega2": 0.1}},
+     "fusion.gamma, fusion.m, fusion.use_refinement, weights.omega1,"
+     " weights.omega2"),
+    ("sample", {"fusion": {"mode": "independent", "gamma": 0.9},
+                "weights": {"omega": 7.0, "omega1": 7.0}},
+     "fusion.gamma, weights.omega"),
+    ("sample", {"fusion": {"m": 0, "gamma": 0.3}}, "fusion.gamma"),
+    ("sample", {"fusion": {"use_refinement": False},
+                "weights": {"omega2": 0.1}}, "weights.omega2"),
+    ("sweep-lambda", {"fusion": {"mode": "vanilla_cfg", "m": 2}}, "fusion.m"),
+    ("sweep-lambda", {"fusion": {"m": 0}, "weights": {"omega": 3.0}},
+     "weights.omega"),
 ])
 def test_each_mode_refuses_a_key_it_does_not_read(tmp_path, capsys, mode,
                                                   overrides, key):

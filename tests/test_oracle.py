@@ -4,11 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import fusionsampler.mixture as mixture
 from fusionsampler.conditions import ConditionSet
+from fusionsampler.evaluate import ablation_variants
 from fusionsampler.mixture import (
     MixtureOracle,
     MixtureWorld,
@@ -20,6 +22,7 @@ from fusionsampler.mixture import (
 )
 from fusionsampler.predictors import predict_eps
 from fusionsampler.runconfig import validate_config
+from fusionsampler.sampler import FusionConfig, sample_trajectory
 from fusionsampler.schedule import build_schedule
 from fusionsampler.worlds import (
     conflict_world,
@@ -443,6 +446,9 @@ def _excluding(rng, values, share, keep_one=False):
     gamma=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
     grid_identity=st.booleans(),
 )
+# a subnormal responsibility one ulp off the reference
+@example(seed=2257, n_i=4, n_c=3, d=9, n=188, ab=1.0, gamma=0.0,
+         grid_identity=False)
 def test_oracle_matches_row_major_reference(seed, n_i, n_c, d, n, ab, gamma,
                                             grid_identity):
     # n=None is a single point of shape (d,)
@@ -483,16 +489,19 @@ def test_oracle_matches_row_major_reference(seed, n_i, n_c, d, n, ab, gamma,
     else:
         # numpy sums 8 or more terms pairwise, so last bits may differ; eps
         # is a difference x - sqrt(ab) * post_mean, so it also gets an
-        # absolute slack at the scale of its two terms
+        # absolute slack at the scale of its two terms, and a subnormal
+        # responsibility, whose last bit alone is a relative error near
+        # 1e-11, gets one at the subnormal scale
         scale = np.sqrt(1.0 - ab) / (ab * world.s**2 + 1.0 - ab) \
             * (np.abs(x).max() + np.abs(world.cell_means()).max())
         assert_allclose(got[0], ref[0], rtol=1e-12, atol=1e-12 * scale)
-        assert_allclose(got[1], ref[1], rtol=1e-12)
+        assert_allclose(got[1], ref[1], rtol=1e-12,
+                        atol=np.finfo(float).smallest_normal)
         assert_allclose(got[2], ref[2], rtol=1e-12)
 
 
-# MixtureOracle keeps the x-half of its last (t, x) and the eps of the
-# conditions announced there, and caches the log-weights of each set of
+# MixtureOracle keeps one pass entry, the eps of the conditions last
+# announced at one (t, x), and caches the log-weights of each tuple of
 # conditions; every result must equal a fresh oracle_predict_eps bit for bit.
 _MEMO_T = 12
 _MEMO_SCHEDULE = build_schedule(T=_MEMO_T, beta_end=0.2)
@@ -629,3 +638,37 @@ def test_oracle_memo_does_not_hide_a_non_finite_input():
     x[1, 0] = np.nan  # the same array, changed in place
     with pytest.raises(ValueError, match="x must be finite"):
         oracle.predict_eps(x, None, 6)
+
+
+def test_one_likelihood_pass_per_announcement(monkeypatch):
+    # the five ablation variants through one oracle: every predict_eps call
+    # is served from its pass's announcement, so the x-half runs once per
+    # pass, and the log-weights run once per condition of each distinct
+    # tuple: (cond, nulled), (fused, fused nulled) and (nulled,
+    # identity_only, text_only)
+    counts = {"_diffused_stats": 0, "cell_log_weights": 0, "announce": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_diffused_stats", "cell_log_weights"):
+        monkeypatch.setattr(mixture, name, counted(name, getattr(mixture, name)))
+    monkeypatch.setattr(MixtureOracle, "announce_pass",
+                        counted("announce", MixtureOracle.announce_pass))
+    world = product_world()
+    T, m, seeds = 6, 2, (0, 1)
+    schedule = build_schedule(T=T, beta_end=0.2)
+    oracle = MixtureOracle(world, schedule)
+    cond = ConditionSet(identity=identity_condition(world, 0, 2.0),
+                        text=style_condition(world, 1, 2.0))
+    for _, cfg in ablation_variants(FusionConfig(m=m, gamma=0.4)):
+        for seed in seeds:
+            sample_trajectory(cond, cfg, oracle, schedule, 3, seed=seed)
+    # vanilla, independent, no refinement and m=0: one pass per step; fusion:
+    # m + 1 per step, but one at t=1
+    passes = len(seeds) * (4 * T + (T - 1) * (m + 1) + 1)
+    assert counts == {"_diffused_stats": passes, "cell_log_weights": 7,
+                      "announce": passes}

@@ -24,6 +24,7 @@ from fusionsampler.runconfig import validate_config
 from fusionsampler.sampler import (
     FusionConfig,
     SampleStreams,
+    _joint_guided_eps,
     _stream_state_words,
     ddim_step,
     fusion_step,
@@ -307,6 +308,26 @@ def test_final_step_runs_refinement_only():
     indep = FusionConfig(m=0, mode="independent")
     a = fusion_step(x, 1, conditioned(), full, ORACLE_8, SCHED_8, streams1)
     b = fusion_step(x, 1, conditioned(), indep, ORACLE_8, SCHED_8, streams2)
+    assert a.tobytes() == b.tobytes()
+
+
+def test_fusion_step_runs_the_configured_mode():
+    # vanilla_cfg is one joint-guided reverse step and independent is the
+    # fusion step with m=0, whatever m and gamma say
+    x = np.array([[0.4, -1.0], [2.0, 0.1], [-0.3, 0.6]])
+    t = 5
+    weights = GuidanceWeights(omega=3.0, omega1=1.5, omega2=0.5)
+    vanilla = FusionConfig(m=2, gamma=0.3, weights=weights, mode="vanilla_cfg")
+    got = fusion_step(x, t, conditioned(), vanilla, ORACLE_8, SCHED_8,
+                      SampleStreams(9, 3))
+    eps = _joint_guided_eps(ORACLE_8, x, conditioned(), t, weights.omega)
+    want = ddim_step(x, t, eps, SCHED_8, sigma_at(SCHED_8, vanilla.sigma, t),
+                     SampleStreams(9, 3))
+    assert got.tobytes() == want.tobytes()
+    indep = FusionConfig(m=2, gamma=0.3, weights=weights, mode="independent")
+    m0 = FusionConfig(m=0, weights=weights, mode="fusion")
+    a, b = (fusion_step(x, t, conditioned(), cfg, ORACLE_8, SCHED_8,
+                        SampleStreams(9, 3)) for cfg in (indep, m0))
     assert a.tobytes() == b.tobytes()
 
 
