@@ -31,6 +31,9 @@ _PRODUCT_SAMPLE = {
     "condition": {"identity": [3.0, 0.0], "text": [0.0, 3.0]},
     "sampling": {"n_samples": 40},
 }
+# feasible on the T=20 default schedule: sigma_t^2 <= 1 - alpha_bar[t-1]
+_CUSTOM_SIGMA = [0.0, 0.005, 0.0, 0.05, 0.08, 0.0, 0.12, 0.14, 0.0, 0.18,
+                 0.2, 0.0, 0.24, 0.26, 0.0, 0.3, 0.31, 0.0, 0.34, 0.36]
 _TRAINING = {
     "seed": 0,
     "schedule": {"T": 20},
@@ -57,6 +60,12 @@ CASES = [
      {**_PRODUCT_SAMPLE, "fusion": {"mode": "independent"}}),
     ("sample-no-refinement", "sample",
      {**_PRODUCT_SAMPLE, "fusion": {"use_refinement": False}}),
+    ("sample-ddim_eta", "sample",
+     {**_PRODUCT_SAMPLE, "sigma": {"kind": "ddim_eta", "eta": 0.5}}),
+    # the zeros take ddim_step's deterministic branch
+    ("sample-independent-custom", "sample",
+     {**_PRODUCT_SAMPLE, "fusion": {"mode": "independent"},
+      "sigma": {"kind": "custom", "values": _CUSTOM_SIGMA}}),
     ("train-encoder", "train-encoder", _TRAINING),
     ("sweep-lambda", "sweep-lambda",
      {**_TRAINING, "sampling": {"n_samples": 40},

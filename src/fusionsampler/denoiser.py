@@ -17,7 +17,7 @@ import numpy as np
 from fusionsampler.conditions import ConditionSet
 from fusionsampler.mixture import MixtureWorld
 from fusionsampler.nets import MLP, Adam, TrainingDiverged
-from fusionsampler.schedule import DiffusionSchedule, schedule_from_betas
+from fusionsampler.schedule import DiffusionSchedule
 
 __all__ = [
     "N_TIME_FEATURES",
@@ -129,8 +129,7 @@ class ToyDenoiser:
 
     def predict_eps(self, x_t, cond: ConditionSet | None, t: int) -> np.ndarray:
         x = np.asarray(x_t, dtype=float)
-        if not 1 <= t <= self.T:
-            raise ValueError(f"t must lie in 1..{self.T}, got {t}")
+        self.schedule.alpha_bars(t)  # refuses a t outside 1..T
         squeeze = x.ndim == 1
         x2 = np.atleast_2d(x)
         if x2.shape[1] != self._d:
@@ -151,7 +150,7 @@ class ToyDenoiser:
     @classmethod
     def from_jsonable(cls, obj: dict) -> "ToyDenoiser":
         return cls(MLP.from_jsonable(obj["net"]), obj["d"], obj["k_identity"],
-                   obj["k_text"], schedule_from_betas(obj["beta"]))
+                   obj["k_text"], DiffusionSchedule(obj["beta"]))
 
 
 def diffuse(schedule: DiffusionSchedule, x0: np.ndarray, rng: np.random.Generator):

@@ -55,12 +55,20 @@ def component_responsibility(world: MixtureWorld, x, index: int,
                              axis: str = "identity"):
     """Posterior probability of one identity (or style), other factor
     marginalized out; scalar for a single point, array for a batch."""
+    _check_index(world, index, axis)
+    return _marginal(oracle_responsibilities(world, x, None, 1.0), index, axis)
+
+
+def _check_index(world: MixtureWorld, index: int, axis: str) -> None:
     if axis not in ("identity", "style"):
         raise ValueError(f"axis must be 'identity' or 'style', got {axis!r}")
     n = world.n_identities if axis == "identity" else world.n_styles
     if not 0 <= index < n:
         raise ValueError(f"{axis} index {index} out of range 0..{n - 1}")
-    r = oracle_responsibilities(world, x, None, 1.0)
+
+
+def _marginal(r: np.ndarray, index: int, axis: str):
+    """Cell posterior r summed over the other factor, at one index."""
     marg = r.sum(axis=-1) if axis == "identity" else r.sum(axis=-2)
     # summing cells can overshoot 1 by a few ulp
     out = np.clip(marg[..., index], 0.0, 1.0)
@@ -73,8 +81,11 @@ def adherence_scores(samples, world: MixtureWorld, target_identity: int,
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise ValueError("adherence_scores needs a nonempty sample set")
-    ident = component_responsibility(world, samples, target_identity, "identity")
-    style = component_responsibility(world, samples, target_style, "style")
+    _check_index(world, target_identity, "identity")
+    _check_index(world, target_style, "style")
+    r = oracle_responsibilities(world, samples, None, 1.0)
+    ident = _marginal(r, target_identity, "identity")
+    style = _marginal(r, target_style, "style")
     return float(ident.mean()), float(style.mean())
 
 

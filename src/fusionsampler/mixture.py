@@ -327,16 +327,10 @@ def oracle_eps(world: MixtureWorld, x, cond: ConditionSet | None,
     return _eps_rows(world, logw, x, alpha_bar_t)[0]
 
 
-def _alpha_bar_at(schedule: DiffusionSchedule, t: int) -> float:
-    if not 1 <= t <= schedule.T:
-        raise ValueError(f"t must lie in 1..{schedule.T}, got {t!r}")
-    return float(schedule.alpha_bar[t])
-
-
 def oracle_predict_eps(world: MixtureWorld, x_t, cond: ConditionSet | None, t: int,
                        schedule: DiffusionSchedule) -> np.ndarray:
     """Timestep-indexed oracle prediction (the NoisePredictor entry point)."""
-    return oracle_eps(world, x_t, cond, _alpha_bar_at(schedule, t))
+    return oracle_eps(world, x_t, cond, schedule.alpha_bars(t)[0])
 
 
 def _input_key(t, x: np.ndarray):
@@ -386,14 +380,14 @@ class MixtureOracle:
         """Evaluate the conditions of one guided pass at (x_t, t) as one
         stacked evaluation, and keep each one's eps until a predict_eps call
         at the same (x_t, t) takes it. Replaces the previous entry."""
-        alpha_bar_t = _alpha_bar_at(self.schedule, t)
+        alpha_bar_t, _ = self.schedule.alpha_bars(t)
         conds = tuple(conds)
         x = np.asarray(x_t, dtype=float)
         rows = self._evaluate(conds, x, alpha_bar_t)
         self._pass_key, self._pass_eps = _input_key(t, x), dict(zip(conds, rows))
 
     def predict_eps(self, x_t, cond: ConditionSet | None, t: int) -> np.ndarray:
-        alpha_bar_t = _alpha_bar_at(self.schedule, t)
+        alpha_bar_t, _ = self.schedule.alpha_bars(t)
         x = np.asarray(x_t, dtype=float)
         if cond in self._pass_eps and _input_key(t, x) == self._pass_key:
             return self._pass_eps.pop(cond)

@@ -1,9 +1,12 @@
-"""Gaussian posterior algebra for the reverse process.
+"""Gaussian posterior algebra for the reverse process, and its draws.
 
 Everything here is isotropic: covariances are scalar multiples of I, stored
 and applied as scalars. Conventions: alpha_bar_t is the signal coefficient at
 the current step t, alpha_bar_prev at t-1, and sigma_t the per-step noise
-scale with sigma_t^2 <= 1 - alpha_bar_prev (the reverse posterior's domain).
+scale with sigma_t^2 <= 1 - alpha_bar_prev (the reverse posterior's domain,
+checked by schedule.check_sigma). The reverse draws sample_prev and
+ddim_step end in one draw, which takes no noise at sigma_t = 0; renoise
+draws x_t again.
 """
 
 from __future__ import annotations
@@ -12,7 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fusionsampler.schedule import DiffusionSchedule, SigmaProfile, sigma_values
+from fusionsampler.schedule import (
+    DiffusionSchedule,
+    SigmaProfile,
+    check_sigma,
+    sigma_values,
+)
 
 __all__ = [
     "PosteriorCoefficients",
@@ -20,6 +28,7 @@ __all__ = [
     "predict_x0",
     "sample_prev",
     "sample_prev_mean",
+    "ddim_step",
     "renoise",
     "renoise_coefficients",
     "renoise_mean",
@@ -47,6 +56,12 @@ class PosteriorCoefficients:
     L_scale: float
     B_scale: float
 
+    def mean(self, x_prev) -> np.ndarray:
+        """Sigma * (A * L * (x_prev - b) + B * mu)."""
+        x_prev = np.asarray(x_prev, dtype=float)
+        return self.Sigma_scale * (self.A_scale * self.L_scale * (x_prev - self.b)
+                                   + self.B_scale * self.mu)
+
 
 @dataclass(frozen=True)
 class VarianceBoundReport:
@@ -60,22 +75,6 @@ class VarianceBoundReport:
     @property
     def ok(self) -> bool:
         return self.violations.size == 0
-
-
-def _ab_pair(schedule: DiffusionSchedule, t: int) -> tuple[float, float]:
-    if not 1 <= t <= schedule.T:
-        raise ValueError(f"t must lie in 1..{schedule.T}, got {t!r}")
-    return float(schedule.alpha_bar[t]), float(schedule.alpha_bar[t - 1])
-
-
-def _check_reverse_sigma(sigma_t: float, alpha_bar_prev: float) -> None:
-    if not np.isfinite(sigma_t) or sigma_t < 0.0:
-        raise ValueError(f"sigma_t must be finite and >= 0, got {sigma_t!r}")
-    if sigma_t * sigma_t > 1.0 - alpha_bar_prev:
-        raise ValueError(
-            f"infeasible sigma_t={sigma_t!r}: sigma^2 must not exceed"
-            f" 1 - alpha_bar_prev = {1.0 - alpha_bar_prev!r}"
-        )
 
 
 def predict_x0(x_t, eps, alpha_bar_t: float) -> np.ndarray:
@@ -92,7 +91,7 @@ def predict_x0(x_t, eps, alpha_bar_t: float) -> np.ndarray:
 def sample_prev_mean(x_t, x0_hat, alpha_bar_t: float, alpha_bar_prev: float,
                      sigma_t: float) -> np.ndarray:
     """Mean of the reverse posterior q(x_{t-1} | x_t, x_0)."""
-    _check_reverse_sigma(sigma_t, alpha_bar_prev)
+    check_sigma(sigma_t, alpha_bar_prev)
     x_t = np.asarray(x_t, dtype=float)
     x0_hat = np.asarray(x0_hat, dtype=float)
     direction = (x_t - np.sqrt(alpha_bar_t) * x0_hat) / np.sqrt(1.0 - alpha_bar_t)
@@ -109,8 +108,29 @@ def sample_prev(x_t, x0_hat, t: int, schedule: DiffusionSchedule, sigma_t: float
     sigma_t = 0 is the deterministic limit; no noise is consumed from rng then,
     which keeps draw order identical across stochastic and deterministic steps.
     """
-    ab_t, ab_prev = _ab_pair(schedule, t)
-    mean = sample_prev_mean(x_t, x0_hat, ab_t, ab_prev, sigma_t)
+    ab_t, ab_prev = schedule.alpha_bars(t)
+    return _draw(sample_prev_mean(x_t, x0_hat, ab_t, ab_prev, sigma_t), sigma_t, rng)
+
+
+def ddim_step(x_t, t: int, eps_tilde, schedule: DiffusionSchedule, sigma_t: float,
+              rng) -> np.ndarray:
+    """One reverse step around a guided eps prediction.
+
+    x_{t-1} = sqrt(ab_prev) * x0_hat + sqrt(1 - ab_prev - sigma^2) * eps + sigma * z,
+    with x0_hat from predict_x0: sample_prev with eps_tilde itself as the
+    direction. sigma=0 consumes no randomness.
+    """
+    ab_t, ab_prev = schedule.alpha_bars(t)
+    check_sigma(sigma_t, ab_prev)
+    eps_tilde = np.asarray(eps_tilde, dtype=float)
+    x0_hat = predict_x0(x_t, eps_tilde, ab_t)
+    mean = (np.sqrt(ab_prev) * x0_hat
+            + np.sqrt(1.0 - ab_prev - sigma_t * sigma_t) * eps_tilde)
+    return _draw(mean, sigma_t, rng)
+
+
+def _draw(mean: np.ndarray, sigma_t: float, rng) -> np.ndarray:
+    """mean + sigma_t * z; at sigma_t = 0 the mean itself, with no draw."""
     if sigma_t == 0.0:
         return mean
     return mean + sigma_t * rng.standard_normal(mean.shape)
@@ -119,7 +139,7 @@ def sample_prev(x_t, x0_hat, t: int, schedule: DiffusionSchedule, sigma_t: float
 def renoise_coefficients(x0_hat, alpha_bar_t: float, alpha_bar_prev: float,
                          sigma_t: float) -> PosteriorCoefficients:
     """Coefficients of q(x_t | x_{t-1}, x_0) for a given clean sample."""
-    _check_reverse_sigma(sigma_t, alpha_bar_prev)
+    check_sigma(sigma_t, alpha_bar_prev)
     if sigma_t == 0.0:
         raise ValueError(
             "sigma_t = 0 leaves the re-noising conditional undefined (precision"
@@ -141,19 +161,16 @@ def renoise_coefficients(x0_hat, alpha_bar_t: float, alpha_bar_prev: float,
 def renoise_mean(x_prev, x0_hat, alpha_bar_t: float, alpha_bar_prev: float,
                  sigma_t: float) -> np.ndarray:
     """Mean Sigma * (A * L * (x_prev - b) + B * mu) of the re-noising conditional."""
-    c = renoise_coefficients(x0_hat, alpha_bar_t, alpha_bar_prev, sigma_t)
-    x_prev = np.asarray(x_prev, dtype=float)
-    return c.Sigma_scale * (c.A_scale * c.L_scale * (x_prev - c.b) + c.B_scale * c.mu)
+    return renoise_coefficients(x0_hat, alpha_bar_t, alpha_bar_prev, sigma_t).mean(x_prev)
 
 
 def renoise(x_prev, x0_hat, t: int, schedule: DiffusionSchedule, sigma_t: float,
             rng: np.random.Generator) -> np.ndarray:
     """Draw x_t ~ q(x_t | x_{t-1}, x_0): move forward again around the prediction."""
-    ab_t, ab_prev = _ab_pair(schedule, t)
-    mean = renoise_mean(x_prev, x0_hat, ab_t, ab_prev, sigma_t)
-    # Sigma_scale of renoise_coefficients
-    var = (1.0 - ab_t) * sigma_t * sigma_t / (1.0 - ab_prev)
-    return mean + np.sqrt(var) * rng.standard_normal(mean.shape)
+    ab_t, ab_prev = schedule.alpha_bars(t)
+    c = renoise_coefficients(x0_hat, ab_t, ab_prev, sigma_t)
+    mean = c.mean(x_prev)
+    return mean + np.sqrt(c.Sigma_scale) * rng.standard_normal(mean.shape)
 
 
 def fused_update_coefficients(alpha_bar_t: float, alpha_bar_prev: float,
@@ -197,7 +214,7 @@ def fused_update(x_t, eps_tilde, t: int, schedule: DiffusionSchedule, sigma_t: f
     and the clean-sample prediction are consistent. sigma_t = 0 returns x_t
     unchanged and consumes no randomness.
     """
-    ab_t, ab_prev = _ab_pair(schedule, t)
+    ab_t, ab_prev = schedule.alpha_bars(t)
     x_t = np.asarray(x_t, dtype=float)
     eps_tilde = np.asarray(eps_tilde, dtype=float)
     if x_t.shape != eps_tilde.shape:

@@ -29,6 +29,7 @@ from fusionsampler.schedule import (
     DiffusionSchedule,
     SigmaProfile,
     build_schedule,
+    check_sigma,
 )
 from fusionsampler.worlds import WORLD_PRESETS
 
@@ -147,7 +148,8 @@ def _build_schedule(obj, path: str) -> tuple[DiffusionSchedule, dict]:
         raise ConfigError(f"{path}: {err}") from err
 
 
-def _build_sigma(obj, path: str, T: int) -> tuple[SigmaProfile, dict]:
+def _build_sigma(obj, path: str,
+                 schedule: DiffusionSchedule) -> tuple[SigmaProfile, dict]:
     obj = _require_mapping(obj, path)
     _reject_unknown(obj, path, ("kind", "eta", "values"))
     kind = _as_str(obj.get("kind", "boundary"), f"{path}.kind")
@@ -165,16 +167,23 @@ def _build_sigma(obj, path: str, T: int) -> tuple[SigmaProfile, dict]:
         kwargs["values"] = np.array(
             [_as_num(v, f"{path}.values[{i}]", minimum=0.0) for i, v in enumerate(vals)]
         )
-        if kwargs["values"].size != T:
+        if kwargs["values"].size != schedule.T:
             raise ConfigError(
                 f"{path}.values: need one value per timestep"
-                f" ({T}), got {kwargs['values'].size}"
+                f" ({schedule.T}), got {kwargs['values'].size}"
             )
         resolved["values"] = [float(v) for v in kwargs["values"]]
     try:
-        return SigmaProfile(kind, **kwargs), resolved
+        profile = SigmaProfile(kind, **kwargs)
     except ValueError as err:
         raise ConfigError(f"{path}: {err}") from err
+    if kind == "custom":
+        for i, sig in enumerate(resolved["values"]):
+            try:
+                check_sigma(sig, schedule.alpha_bar[i])
+            except ValueError as err:
+                raise ConfigError(f"{path}.values[{i}]: {err}") from err
+    return profile, resolved
 
 
 def _build_weights(obj, path: str) -> tuple[GuidanceWeights, dict]:
@@ -352,7 +361,7 @@ def validate_config(payload, mode: str | None = None) -> RunConfig:
     if payload.get("world") is not None:
         world = _build_world(payload["world"], "world")
     schedule, schedule_echo = _build_schedule(payload.get("schedule", {}), "schedule")
-    sigma, sigma_echo = _build_sigma(payload.get("sigma", {}), "sigma", schedule.T)
+    sigma, sigma_echo = _build_sigma(payload.get("sigma", {}), "sigma", schedule)
     weights, weights_echo = _build_weights(payload.get("weights", {}), "weights")
     fusion, fusion_echo = _build_fusion(payload.get("fusion", {}), "fusion",
                                         weights, sigma)

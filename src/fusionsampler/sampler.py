@@ -11,6 +11,10 @@ fusion_step, the one per-step operator of all three modes, runs independent
 mode as fusion with m=0, so bit-identity holds structurally. Without the
 refinement step a fusion step is its first joint pass alone, so that setting
 takes m=1.
+
+This module composes the guided predictions and owns the per-sample noise
+streams; the reverse and re-noising draws themselves (ddim_step,
+sample_prev, renoise) live in posterior.
 """
 
 from __future__ import annotations
@@ -23,14 +27,13 @@ import numpy as np
 
 from fusionsampler.conditions import ConditionSet
 from fusionsampler.guidance import GuidanceWeights, cfg_independent, cfg_single
-from fusionsampler.posterior import predict_x0, renoise, sample_prev
+from fusionsampler.posterior import ddim_step, predict_x0, renoise, sample_prev
 from fusionsampler.predictors import NoisePredictor, announce_pass, predict_eps
 from fusionsampler.schedule import DiffusionSchedule, SigmaProfile, sigma_at
 
 __all__ = [
     "FusionConfig",
     "SampleStreams",
-    "ddim_step",
     "fusion_step",
     "sample_trajectory",
 ]
@@ -231,34 +234,6 @@ class SampleStreams:
         self._pos = 0
 
 
-def ddim_step(x_t, t: int, eps_tilde, schedule: DiffusionSchedule, sigma_t: float,
-              rng) -> np.ndarray:
-    """One reverse step around the guided prediction.
-
-    x_{t-1} = sqrt(ab_prev) * x0_hat + sqrt(1 - ab_prev - sigma^2) * eps + sigma * z,
-    with x0_hat from predict_x0; sigma=0 consumes no randomness.
-    """
-    if not 1 <= t <= schedule.T:
-        raise ValueError(f"t must lie in 1..{schedule.T}, got {t!r}")
-    ab_t = float(schedule.alpha_bar[t])
-    ab_prev = float(schedule.alpha_bar[t - 1])
-    if not np.isfinite(sigma_t) or sigma_t < 0.0 or sigma_t * sigma_t > 1.0 - ab_prev:
-        raise ValueError(
-            f"infeasible sigma_t={sigma_t!r} at t={t}: need 0 <= sigma^2 <="
-            f" 1 - alpha_bar[t-1] = {1.0 - ab_prev!r}"
-        )
-    x_t = np.asarray(x_t, dtype=float)
-    eps_tilde = np.asarray(eps_tilde, dtype=float)
-    x0_hat = predict_x0(x_t, eps_tilde, ab_t)
-    mean = (
-        np.sqrt(ab_prev) * x0_hat
-        + np.sqrt(1.0 - ab_prev - sigma_t * sigma_t) * eps_tilde
-    )
-    if sigma_t == 0.0:
-        return mean
-    return mean + sigma_t * rng.standard_normal(mean.shape)
-
-
 def _joint_guided_eps(predictor: NoisePredictor, x, cond: ConditionSet, t: int,
              omega: float) -> np.ndarray:
     nulled = cond.nulled()
@@ -303,7 +278,7 @@ def fusion_step(x_t, t: int, cond: ConditionSet, cfg: FusionConfig,
                 " use m=0 for deterministic steps"
             )
         fusion_cond = cond.with_gamma(cfg.gamma)
-        ab_t = float(schedule.alpha_bar[t])
+        ab_t, _ = schedule.alpha_bars(t)
         for _ in range(m):
             eps = _joint_guided_eps(predictor, x, fusion_cond, t, cfg.weights.omega)
             x0_hat = predict_x0(x, eps, ab_t)

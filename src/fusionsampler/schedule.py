@@ -1,8 +1,14 @@
-"""Discrete diffusion time: cumulative signal coefficients and per-step noise scales."""
+"""Discrete diffusion time: cumulative signal coefficients and per-step noise scales.
+
+Each timestep rule has one home here: DiffusionSchedule derives alpha_bar
+from beta, DiffusionSchedule.alpha_bars(t) is the one t -> (alpha_bar_t,
+alpha_bar_{t-1}) lookup, and check_sigma the one bound sigma_t^2 <= 1 -
+alpha_bar_{t-1}.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -13,7 +19,7 @@ __all__ = [
     "DiffusionSchedule",
     "SigmaProfile",
     "build_schedule",
-    "schedule_from_betas",
+    "check_sigma",
     "sigma_at",
     "sigma_values",
 ]
@@ -22,8 +28,6 @@ DEFAULT_T = 100
 DEFAULT_BETA_START = 1e-4
 DEFAULT_BETA_END = 0.08
 
-_RECURRENCE_RTOL = 1e-12
-
 
 def _float_key(values: np.ndarray) -> tuple:
     """Hash key of a float array that agrees with np.array_equal: 0.0 and
@@ -31,55 +35,63 @@ def _float_key(values: np.ndarray) -> tuple:
     return tuple(values.tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffusionSchedule:
-    """Timestep grid for t = 1..T.
+    """Timestep grid for t = 1..T, built from the per-step variances alone.
 
+    beta has length T; beta[i] is the step variance for timestep t = i+1.
     alpha_bar has length T+1 and is indexed 0..T with alpha_bar[0] = 1.0
-    (clean data). beta has length T; beta[i] is the step variance for
-    timestep t = i+1, so alpha_bar[t] = alpha_bar[t-1] * (1 - beta[t-1]).
+    (clean data) and alpha_bar[t] = alpha_bar[t-1] * (1 - beta[t-1]).
     """
 
-    T: int
-    alpha_bar: np.ndarray
     beta: np.ndarray
+    T: int = field(init=False)
+    alpha_bar: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.T, (int, np.integer)) or self.T < 1:
-            raise ValueError(f"T must be a positive integer, got {self.T!r}")
-        ab = np.asarray(self.alpha_bar, dtype=float)
         be = np.asarray(self.beta, dtype=float)
-        if ab.shape != (self.T + 1,):
-            raise ValueError(f"alpha_bar must have shape ({self.T + 1},), got {ab.shape}")
-        if be.shape != (self.T,):
-            raise ValueError(f"beta must have shape ({self.T},), got {be.shape}")
-        if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(be))):
-            raise ValueError("schedule arrays must be finite")
-        if ab[0] != 1.0:
-            raise ValueError(f"alpha_bar[0] must be 1.0, got {ab[0]!r}")
-        if not np.all((ab > 0.0) & (ab <= 1.0)):
-            raise ValueError("alpha_bar values must lie in (0, 1]")
-        if not np.all(np.diff(ab) < 0.0):
-            raise ValueError("alpha_bar must be strictly decreasing")
+        if be.ndim != 1 or be.size == 0:
+            raise ValueError(f"beta must be a nonempty 1-d array, got shape {be.shape}")
+        if not np.all(np.isfinite(be)):
+            raise ValueError("beta values must be finite")
         if not np.all((be > 0.0) & (be < 1.0)):
             raise ValueError("beta values must lie in (0, 1)")
-        recurrence = ab[:-1] * (1.0 - be)
-        if not np.all(np.abs(ab[1:] - recurrence) <= _RECURRENCE_RTOL * np.abs(ab[1:])):
-            raise ValueError("alpha_bar does not satisfy the cumulative-product recurrence")
+        ab = np.concatenate(([1.0], np.cumprod(1.0 - be)))
+        if not (ab[-1] > 0.0 and np.all(np.diff(ab) < 0.0)):
+            raise ValueError("alpha_bar must stay positive and strictly decrease;"
+                             " it underflows, or 1 - beta rounds to 1")
         ab.setflags(write=False)
         be.setflags(write=False)
-        object.__setattr__(self, "alpha_bar", ab)
         object.__setattr__(self, "beta", be)
+        object.__setattr__(self, "T", int(be.size))
+        object.__setattr__(self, "alpha_bar", ab)
 
-    # the generated __eq__ would compare the arrays elementwise and raise
+    def alpha_bars(self, t: int) -> tuple[float, float]:
+        """(alpha_bar[t], alpha_bar[t-1]) as floats, for t in 1..T."""
+        if not 1 <= t <= self.T:
+            raise ValueError(f"t must lie in 1..{self.T}, got {t!r}")
+        return float(self.alpha_bar[t]), float(self.alpha_bar[t - 1])
+
+    # alpha_bar is a function of beta; comparing the arrays themselves with
+    # the generated __eq__ would raise
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.T == other.T and np.array_equal(self.alpha_bar, other.alpha_bar)
-                and np.array_equal(self.beta, other.beta))
+        return np.array_equal(self.beta, other.beta)
 
     def __hash__(self):
-        return hash((self.T, _float_key(self.alpha_bar), _float_key(self.beta)))
+        return hash(_float_key(self.beta))
+
+
+def check_sigma(sigma_t: float, alpha_bar_prev: float) -> None:
+    """Refuse a sigma_t outside the reverse posterior's domain
+    0 <= sigma_t^2 <= 1 - alpha_bar[t-1]."""
+    gap = 1.0 - float(alpha_bar_prev)
+    if not np.isfinite(sigma_t) or sigma_t < 0.0 or sigma_t * sigma_t > gap:
+        raise ValueError(
+            f"infeasible sigma_t={float(sigma_t)!r}: violates"
+            f" 0 <= sigma^2 <= 1 - alpha_bar[t-1] = {gap!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -145,32 +157,16 @@ def build_schedule(
     """
     if not isinstance(T, (int, np.integer)) or isinstance(T, bool) or T < 1:
         raise ValueError(f"T must be a positive integer, got {T!r}")
-    for name, v in (("beta_start", beta_start), ("beta_end", beta_end)):
-        if not np.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
     if not 0.0 < beta_start <= beta_end < 1.0:
         raise ValueError(
             f"need 0 < beta_start <= beta_end < 1, got ({beta_start!r}, {beta_end!r})"
         )
-    beta = np.linspace(beta_start, beta_end, T)
-    alpha_bar = np.concatenate(([1.0], np.cumprod(1.0 - beta)))
-    return DiffusionSchedule(T=int(T), alpha_bar=alpha_bar, beta=beta)
-
-
-def schedule_from_betas(beta) -> DiffusionSchedule:
-    """Rebuild a schedule from its per-step variances (serialized runs);
-    reproduces build_schedule's cumulative product bit for bit."""
-    beta = np.asarray(beta, dtype=float)
-    alpha_bar = np.concatenate(([1.0], np.cumprod(1.0 - beta)))
-    return DiffusionSchedule(T=int(beta.shape[0]), alpha_bar=alpha_bar, beta=beta)
+    return DiffusionSchedule(np.linspace(beta_start, beta_end, T))
 
 
 def sigma_at(schedule: DiffusionSchedule, profile: SigmaProfile, t: int) -> float:
     """Noise scale sigma_t for one timestep; feasibility sigma_t^2 <= 1 - alpha_bar[t-1]."""
-    if not 1 <= t <= schedule.T:
-        raise ValueError(f"t must lie in 1..{schedule.T}, got {t!r}")
-    ab_t = schedule.alpha_bar[t]
-    ab_prev = schedule.alpha_bar[t - 1]
+    ab_t, ab_prev = schedule.alpha_bars(t)
     if profile.kind == "boundary":
         gap = 1.0 - ab_prev
         sig = np.sqrt(gap)
@@ -192,11 +188,7 @@ def sigma_at(schedule: DiffusionSchedule, profile: SigmaProfile, t: int) -> floa
             f"custom sigma values must have length T={schedule.T}, got {vals.shape[0]}"
         )
     sig = float(vals[t - 1])
-    if sig * sig > 1.0 - ab_prev:
-        raise ValueError(
-            f"custom sigma_t={sig!r} at t={t} violates sigma^2 <= 1 - alpha_bar[t-1]"
-            f" = {1.0 - ab_prev!r}"
-        )
+    check_sigma(sig, ab_prev)
     return sig
 
 

@@ -99,8 +99,7 @@ def _check_posterior_two_path():
     worst_var = 0.0
     for _ in range(20):
         t = int(rng.integers(2, schedule.T + 1))
-        ab_t = float(schedule.alpha_bar[t])
-        ab_prev = float(schedule.alpha_bar[t - 1])
+        ab_t, ab_prev = schedule.alpha_bars(t)
         sigma = float(rng.uniform(0.25, 0.95)) * np.sqrt(1.0 - ab_prev)
         x_t = 2.0 * rng.standard_normal(3)
         eps_tilde = rng.standard_normal(3)
@@ -127,8 +126,7 @@ def _check_boundary_sigma_collapse():
     schedule = build_schedule()
     worst = 0.0
     for t in range(1, schedule.T + 1):
-        ab_t = float(schedule.alpha_bar[t])
-        ab_prev = float(schedule.alpha_bar[t - 1])
+        ab_t, ab_prev = schedule.alpha_bars(t)
         sigma_b = float(np.sqrt(1.0 - ab_prev))
         eps_coeff, noise_coeff = fused_update_coefficients(ab_t, ab_prev, sigma_b)
         target = np.sqrt(1.0 - ab_t)

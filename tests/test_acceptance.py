@@ -28,7 +28,7 @@ from fusionsampler.posterior import (
     sample_prev_mean,
 )
 from fusionsampler.sampler import FusionConfig, sample_trajectory
-from fusionsampler.schedule import SigmaProfile, build_schedule, schedule_from_betas
+from fusionsampler.schedule import DiffusionSchedule, SigmaProfile, build_schedule
 from fusionsampler.worlds import identity_condition, product_world, style_condition
 
 
@@ -74,7 +74,7 @@ def test_fused_step_equals_two_stage_composition():
                     abs(var_two - noise_c ** 2) / noise_c ** 2)
 
     # Monte Carlo confirmation on a fixed step: alpha_bar 0.8 -> 0.5
-    sched = schedule_from_betas([0.2, 0.375])
+    sched = DiffusionSchedule([0.2, 0.375])
     n = 100_000
     ab_t, ab_prev, sigma = 0.5, 0.8, 0.1
     x_t = np.full((n, 1), 0.45)

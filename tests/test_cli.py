@@ -339,6 +339,16 @@ def test_run_schema_violation_exits_2_with_path(tmp_path, capsys):
     assert "fusion.gamma" in capsys.readouterr().err
 
 
+def test_run_refuses_infeasible_custom_sigma_before_any_output(tmp_path, capsys):
+    out = tmp_path / "untouched"
+    cfg = _config(tmp_path, {"schedule": {"T": 3},
+                             "sigma": {"kind": "custom", "values": [0.5, 0.1, 0.2]}})
+    assert main(["run", "--config", cfg, "--mode", "sample",
+                 "--out", str(out)]) == 2
+    assert "sigma.values[0]: infeasible sigma_t=0.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_failure_leaves_no_partial_outputs(tmp_path, capsys):
     out = tmp_path / "untouched"
     cfg = _config(tmp_path, {"condition": {"identity": [1.0, 2.0, 3.0, 4.0]}})

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fusionsampler.evaluate as evaluate
 from fusionsampler.artifacts import render_csv
 from fusionsampler.evaluate import (
     ABLATION_COLUMNS,
@@ -90,6 +91,18 @@ def test_adherence_single_sample_equals_its_row():
     ident, style = adherence_scores(x, WORLD, 0, 1)
     assert ident == component_responsibility(WORLD, x[0], 0, "identity")
     assert style == component_responsibility(WORLD, x[0], 1, "style")
+
+
+def test_adherence_scores_one_posterior_both_ways(monkeypatch):
+    x, _ = WORLD.sample(50, _rng(4))
+    want = (component_responsibility(WORLD, x, 1, "identity").mean(),
+            component_responsibility(WORLD, x, 0, "style").mean())
+    calls = []
+    real = evaluate.oracle_responsibilities
+    monkeypatch.setattr(evaluate, "oracle_responsibilities",
+                        lambda *args: calls.append(args) or real(*args))
+    assert adherence_scores(x, WORLD, 1, 0) == want
+    assert len(calls) == 1
 
 
 def test_adherence_rejects_empty():

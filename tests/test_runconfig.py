@@ -65,9 +65,9 @@ def test_null_world_and_condition_mean_absent():
 
 def test_custom_sigma_values_accepted():
     cfg = validate_config({"schedule": {"T": 3},
-                           "sigma": {"kind": "custom", "values": [0.0, 0.1, 0.2]}})
+                           "sigma": {"kind": "custom", "values": [0.0, 0.005, 0.2]}})
     assert cfg.fusion.sigma.kind == "custom"
-    assert cfg.fusion.sigma.values.tolist() == [0.0, 0.1, 0.2]
+    assert cfg.fusion.sigma.values.tolist() == [0.0, 0.005, 0.2]
 
 
 @pytest.mark.parametrize("payload, fragment", [
@@ -115,6 +115,13 @@ def test_custom_sigma_values_accepted():
     ({"condition": {"text": {"a": 1.0}}}, "condition.text"),
     ({"seed": -1}, "seed: must be >= 0"),
     ({"sweep": {"seeds": [0, -2]}}, "sweep.seeds[1]: must be >= 0"),
+    # 1 - alpha_bar[1] = 1e-4 bounds sigma_2 at 0.01 on the default schedule
+    ({"schedule": {"T": 3}, "sigma": {"kind": "custom", "values": [0.0, 0.1, 0.2]}},
+     "sigma.values[1]: infeasible sigma_t=0.1"),
+    ({"schedule": {"T": 8}, "sigma": {"kind": "custom", "values": [0.0] + [0.05] * 7}},
+     "sigma.values[1]: infeasible sigma_t=0.05"),
+    ({"schedule": {"T": 3}, "sigma": {"kind": "custom", "values": [0.5, 0.0, 0.0]}},
+     "sigma.values[0]: infeasible"),
 ])
 def test_violations_name_the_offending_path(payload, fragment):
     with pytest.raises(ConfigError) as err:

@@ -78,7 +78,7 @@ def test_config_json_round_trip():
         sigma=SigmaProfile("ddim_eta", eta=0.7),
         mode="fusion",
     )
-    vals = [0.0] + [0.05] * 7
+    vals = [0.0, 0.005] + [0.05] * 6
     custom = validate_config({"schedule": {"T": 8},
                               "sigma": {"kind": "custom", "values": vals}})
     back = validate_config(json.loads(json.dumps(custom.payload))).fusion

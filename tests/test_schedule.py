@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from fusionsampler.schedule import (
     DiffusionSchedule,
@@ -69,11 +69,41 @@ def test_build_schedule_rejects_bad_inputs(kwargs):
         build_schedule(**kwargs)
 
 
-def test_schedule_rejects_broken_recurrence():
-    ab = np.array([1.0, 0.9, 0.5])
-    beta = np.array([0.1, 0.1])
-    with pytest.raises(ValueError, match="recurrence"):
-        DiffusionSchedule(T=2, alpha_bar=ab, beta=beta)
+def test_schedule_derives_alpha_bar_from_beta():
+    beta = np.linspace(1e-4, 0.08, 30)
+    s = DiffusionSchedule(beta)
+    assert s.T == 30
+    assert_array_equal(s.alpha_bar, np.concatenate(([1.0], np.cumprod(1.0 - beta))))
+    assert s == build_schedule(T=30)
+    assert DiffusionSchedule([0.2, 0.375]).alpha_bar.tolist() == [1.0, 0.8, 0.5]
+
+
+@pytest.mark.parametrize("beta, fragment", [
+    ([], "nonempty 1-d"),
+    ([[0.1, 0.2]], "nonempty 1-d"),
+    (0.1, "nonempty 1-d"),
+    ([0.1, float("nan")], "finite"),
+    ([0.1, float("inf")], "finite"),
+    ([0.0, 0.1], r"\(0, 1\)"),
+    ([0.1, 1.0], r"\(0, 1\)"),
+    ([0.1, -0.2], r"\(0, 1\)"),
+    ([0.1, 1e-17], "1 - beta rounds to 1"),
+    ([0.9] * 400, "underflows"),
+])
+def test_schedule_rejects_bad_beta(beta, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        DiffusionSchedule(beta)
+
+
+def test_alpha_bars_lookup():
+    s = build_schedule(T=6, beta_start=0.05, beta_end=0.3)
+    for t in range(1, s.T + 1):
+        ab_t, ab_prev = s.alpha_bars(t)
+        assert type(ab_t) is float and type(ab_prev) is float
+        assert ab_t == s.alpha_bar[t] and ab_prev == s.alpha_bar[t - 1]
+    for t in (0, s.T + 1, -1):
+        with pytest.raises(ValueError, match="t must lie"):
+            s.alpha_bars(t)
 
 
 def test_schedule_arrays_are_read_only():
