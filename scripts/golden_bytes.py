@@ -67,6 +67,13 @@ CASES = [
      {**_PRODUCT_SAMPLE, "fusion": {"mode": "independent"},
       "sigma": {"kind": "custom", "values": _CUSTOM_SIGMA}}),
     ("train-encoder", "train-encoder", _TRAINING),
+    # every schedule and training key, and scalar preset arguments, set
+    ("train-encoder-args", "train-encoder",
+     {"seed": 1, "world": {"preset": "product", "identity_spacing": 3.0, "s": 0.5},
+      "schedule": {"T": 20, "beta_start": 0.001, "beta_end": 0.2},
+      "denoiser": {"steps": 100},
+      "training": {"lam": 0.5, "steps": 20, "batch": 32, "augment": False,
+                   "lr": 0.001}}),
     ("sweep-lambda", "sweep-lambda",
      {**_TRAINING, "sampling": {"n_samples": 40},
       "sweep": {"lambdas": [0.0, 1.0, 10.0], "seeds": [0, 1]}}),

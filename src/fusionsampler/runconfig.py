@@ -1,13 +1,14 @@
 """Run configuration: a JSON mapping validated into constructed objects.
 
 The schema is flat sections (seed, out_dir, world, schedule, sigma, fusion,
-weights, training, condition, sampling, sweep, denoiser), every one optional.
-Violations raise ConfigError with the dotted path of the offending key, and
-unknown keys are rejected rather than ignored so a typo cannot silently fall
-back to a default. Validated for a run mode, a key that mode does not read
-(MODE_KEYS) is refused the same way. validate_config also materializes the
-resolved payload of the keys the run reads, which run records embed so a run
-can be reproduced from its output alone.
+weights, training, condition, sampling, sweep, denoiser), every one optional;
+a section that feeds one constructor takes its keys and defaults from it
+(_read_section). Violations raise ConfigError with the dotted path of the
+offending key, and unknown keys are rejected rather than ignored so a typo
+cannot silently fall back to a default. Validated for a run mode, a key that
+mode does not read (MODE_KEYS) is refused the same way. validate_config also
+materializes the resolved payload of the keys the run reads, which run
+records embed so a run can be reproduced from its output alone.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ from fusionsampler.guidance import GuidanceWeights
 from fusionsampler.mixture import MixtureWorld
 from fusionsampler.sampler import FusionConfig
 from fusionsampler.schedule import (
-    DEFAULT_BETA_END,
-    DEFAULT_BETA_START,
-    DEFAULT_T,
     DiffusionSchedule,
     SigmaProfile,
     build_schedule,
@@ -114,6 +112,43 @@ def _as_str(value, path: str) -> str:
     return value
 
 
+# bounds on outside input, by key path; the constructors check theirs again
+_BOUNDS = {"schedule.T": {"minimum": 1}, "fusion.m": {"minimum": 0},
+           "fusion.gamma": {"minimum": 0.0, "maximum": 1.0},
+           "training.lam": {"minimum": 0.0}, "training.steps": {"minimum": 0},
+           "training.batch": {"minimum": 1}}
+# the JSON type a key must have, by the type of its parameter's default
+_READERS = {bool: _as_bool, int: _as_int, float: _as_num, str: _as_str}
+
+
+def _construct(fn, path: str, *args, **kwargs):
+    """fn(*args, **kwargs), with its ValueError or TypeError reported at path."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, TypeError) as err:
+        raise ConfigError(f"{path}: {err}") from err
+
+
+def _read_section(obj, path: str, fn, **supplied):
+    """Construct fn from section path; returns (fn's result, the section's echo).
+
+    The section's keys are fn's keyword parameters but those in supplied,
+    which other sections give. An absent key takes its parameter's default;
+    a given one must have its default's JSON type (_READERS) and lie within
+    _BOUNDS, or passes unchecked if that default is not a JSON scalar.
+    """
+    obj = _require_mapping(obj, path)
+    defaults = {key: p.default for key, p in inspect.signature(fn).parameters.items()
+                if key not in supplied}
+    _reject_unknown(obj, path, defaults)
+    echo = {**defaults, **obj}
+    for key, default in defaults.items():
+        reader = _READERS.get(type(default))
+        if key in obj and reader is not None:
+            echo[key] = reader(obj[key], f"{path}.{key}", **_BOUNDS.get(f"{path}.{key}", {}))
+    return _construct(fn, path, **supplied, **echo), echo
+
+
 def _build_world(obj, path: str) -> MixtureWorld:
     obj = _require_mapping(obj, path)
     if "preset" not in obj:
@@ -123,29 +158,8 @@ def _build_world(obj, path: str) -> MixtureWorld:
         raise ConfigError(
             f"{path}.preset: unknown preset {name!r}; choose from {sorted(WORLD_PRESETS)}"
         )
-    fn = WORLD_PRESETS[name]
-    params = inspect.signature(fn).parameters
     kwargs = {k: v for k, v in obj.items() if k != "preset"}
-    _reject_unknown(kwargs, path, params)
-    try:
-        return fn(**kwargs)
-    except (ValueError, TypeError) as err:
-        raise ConfigError(f"{path}: {err}") from err
-
-
-def _build_schedule(obj, path: str) -> tuple[DiffusionSchedule, dict]:
-    obj = _require_mapping(obj, path)
-    _reject_unknown(obj, path, ("T", "beta_start", "beta_end"))
-    resolved = {
-        "T": _as_int(obj.get("T", DEFAULT_T), f"{path}.T", minimum=1),
-        "beta_start": _as_num(obj.get("beta_start", DEFAULT_BETA_START),
-                              f"{path}.beta_start"),
-        "beta_end": _as_num(obj.get("beta_end", DEFAULT_BETA_END), f"{path}.beta_end"),
-    }
-    try:
-        return build_schedule(**resolved), resolved
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from err
+    return _read_section(kwargs, path, WORLD_PRESETS[name])[0]
 
 
 def _build_sigma(obj, path: str,
@@ -173,65 +187,11 @@ def _build_sigma(obj, path: str,
                 f" ({schedule.T}), got {kwargs['values'].size}"
             )
         resolved["values"] = [float(v) for v in kwargs["values"]]
-    try:
-        profile = SigmaProfile(kind, **kwargs)
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from err
+    profile = _construct(SigmaProfile, path, kind, **kwargs)
     if kind == "custom":
         for i, sig in enumerate(resolved["values"]):
-            try:
-                check_sigma(sig, schedule.alpha_bar[i])
-            except ValueError as err:
-                raise ConfigError(f"{path}.values[{i}]: {err}") from err
+            _construct(check_sigma, f"{path}.values[{i}]", sig, schedule.alpha_bar[i])
     return profile, resolved
-
-
-def _build_weights(obj, path: str) -> tuple[GuidanceWeights, dict]:
-    obj = _require_mapping(obj, path)
-    _reject_unknown(obj, path, ("omega", "omega1", "omega2"))
-    resolved = {
-        "omega": _as_num(obj.get("omega", 2.0), f"{path}.omega"),
-        "omega1": _as_num(obj.get("omega1", 2.0), f"{path}.omega1"),
-        "omega2": _as_num(obj.get("omega2", 2.0), f"{path}.omega2"),
-    }
-    return GuidanceWeights(**resolved), resolved
-
-
-def _build_fusion(obj, path: str, weights: GuidanceWeights,
-                  sigma: SigmaProfile) -> tuple[FusionConfig, dict]:
-    obj = _require_mapping(obj, path)
-    _reject_unknown(obj, path, ("m", "gamma", "use_refinement", "mode"))
-    resolved = {
-        "m": _as_int(obj.get("m", 1), f"{path}.m", minimum=0),
-        "gamma": _as_num(obj.get("gamma", 0.4), f"{path}.gamma",
-                         minimum=0.0, maximum=1.0),
-        "use_refinement": _as_bool(obj.get("use_refinement", True),
-                                   f"{path}.use_refinement"),
-        "mode": _as_str(obj.get("mode", "fusion"), f"{path}.mode"),
-    }
-    try:
-        return FusionConfig(m=resolved["m"], gamma=resolved["gamma"],
-                            use_refinement=resolved["use_refinement"],
-                            weights=weights, sigma=sigma,
-                            mode=resolved["mode"]), resolved
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from err
-
-
-def _build_training(obj, path: str, seed: int) -> tuple[TrainingConfig, dict]:
-    obj = _require_mapping(obj, path)
-    _reject_unknown(obj, path, ("lam", "steps", "batch", "augment", "lr"))
-    resolved = {
-        "lam": _as_num(obj.get("lam", 0.0), f"{path}.lam", minimum=0.0),
-        "steps": _as_int(obj.get("steps", 600), f"{path}.steps", minimum=0),
-        "batch": _as_int(obj.get("batch", 128), f"{path}.batch", minimum=1),
-        "augment": _as_bool(obj.get("augment", True), f"{path}.augment"),
-        "lr": _as_num(obj.get("lr", 2e-3), f"{path}.lr"),
-    }
-    try:
-        return TrainingConfig(seed=seed, **resolved), resolved
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from err
 
 
 def _as_slot(value, path: str):
@@ -259,10 +219,7 @@ def _build_condition(obj, path: str) -> ConditionSet:
         "gamma": _as_num(obj.get("gamma", 1.0), f"{path}.gamma",
                          minimum=0.0, maximum=1.0),
     }
-    try:
-        return ConditionSet.from_jsonable(payload)
-    except ValueError as err:  # a ragged slot
-        raise ConfigError(f"{path}: {err}") from err
+    return _construct(ConditionSet.from_jsonable, path, payload)  # raises on a ragged slot
 
 
 def _build_sweep(obj, path: str) -> dict:
@@ -274,12 +231,18 @@ def _build_sweep(obj, path: str) -> dict:
         raise ConfigError(f"{path}.lambdas: expected a nonempty list of numbers")
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError(f"{path}.seeds: expected a nonempty list of integers")
-    return {
+    resolved = {
         "lambdas": [_as_num(v, f"{path}.lambdas[{i}]", minimum=0.0)
                     for i, v in enumerate(lambdas)],
         "seeds": [_as_int(v, f"{path}.seeds[{i}]", minimum=0)
                   for i, v in enumerate(seeds)],
     }
+    for key, values in resolved.items():  # a repeat would run its cells twice
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise ConfigError(f"{path}.{key}[{i}]: duplicate of"
+                                  f" {path}.{key}[{values.index(v)}]")
+    return resolved
 
 
 @dataclass(frozen=True)
@@ -360,13 +323,15 @@ def validate_config(payload, mode: str | None = None) -> RunConfig:
     world = None
     if payload.get("world") is not None:
         world = _build_world(payload["world"], "world")
-    schedule, schedule_echo = _build_schedule(payload.get("schedule", {}), "schedule")
+    schedule, schedule_echo = _read_section(payload.get("schedule", {}), "schedule",
+                                            build_schedule)
     sigma, sigma_echo = _build_sigma(payload.get("sigma", {}), "sigma", schedule)
-    weights, weights_echo = _build_weights(payload.get("weights", {}), "weights")
-    fusion, fusion_echo = _build_fusion(payload.get("fusion", {}), "fusion",
-                                        weights, sigma)
-    training, training_echo = _build_training(payload.get("training", {}),
-                                              "training", seed)
+    weights, weights_echo = _read_section(payload.get("weights", {}), "weights",
+                                          GuidanceWeights)
+    fusion, fusion_echo = _read_section(payload.get("fusion", {}), "fusion",
+                                        FusionConfig, weights=weights, sigma=sigma)
+    training, training_echo = _read_section(payload.get("training", {}), "training",
+                                            TrainingConfig, seed=seed)
     condition = None
     if payload.get("condition") is not None:
         condition = _build_condition(payload["condition"], "condition")

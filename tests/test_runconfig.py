@@ -1,6 +1,8 @@
 """Config schema: defaults, construction, and key-path error reporting."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -122,11 +124,30 @@ def test_custom_sigma_values_accepted():
      "sigma.values[1]: infeasible sigma_t=0.05"),
     ({"schedule": {"T": 3}, "sigma": {"kind": "custom", "values": [0.5, 0.0, 0.0]}},
      "sigma.values[0]: infeasible"),
+    # preset parameters with a scalar default take its JSON type
+    ({"world": {"preset": "product", "s": True}}, "world.s: expected a number"),
+    ({"world": {"preset": "conflict", "a": False}}, "world.a: expected a number"),
+    # a repeated entry would run the same cells twice
+    ({"sweep": {"seeds": [0, 0]}}, "sweep.seeds[1]: duplicate of sweep.seeds[0]"),
+    ({"sweep": {"lambdas": [0.0, 1.0, 1]}},
+     "sweep.lambdas[2]: duplicate of sweep.lambdas[1]"),
 ])
 def test_violations_name_the_offending_path(payload, fragment):
     with pytest.raises(ConfigError) as err:
         validate_config(payload)
     assert fragment in str(err.value)
+
+
+def test_readme_config_block_lists_the_defaults():
+    # the README's config example copies the constructors' defaults;
+    # its world and condition are examples
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    shown = json.loads(re.sub(r"//.*", "", block))
+    defaults = validate_config({}).payload
+    assert set(shown) == set(defaults)
+    for section in set(shown) - {"world", "condition"}:
+        assert shown[section] == defaults[section], section
 
 
 def test_omega_list_is_an_unknown_key():

@@ -274,6 +274,58 @@ def test_boundary_sigma_moments_match_recursion():
     assert np.all(np.abs(got_var - V) < 4.0 * V * np.sqrt(2.0 / (n - 1)))
 
 
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("prof", [SigmaProfile("boundary"),
+                                  SigmaProfile("ddim_eta", eta=0.5)],
+                         ids=["boundary", "ddim_eta"])
+def test_fusion_stage_moments_match_recursion(m, prof):
+    """Fusion runs on an exact single-Gaussian predictor follow the same kind
+    of scalar mean/variance recursion: per step, m passes of a reverse draw
+    and a re-noising draw, then the refinement step; at t=1 only the
+    refinement. Guidance is a no-op with one cell. The short schedule keeps
+    alpha_bar_T near 0.76, so x_T ~ Normal(0, I) is far from the diffused
+    data and every pass moves the law by more than the tolerance."""
+    mu = np.array([2.0, 0.5])
+    world = single_gaussian_world(mean=mu, s=0.6)
+    sched = build_schedule(T=6, beta_start=0.01, beta_end=0.08)
+    oracle = MixtureOracle(world, sched)
+    cfg = FusionConfig(m=m, sigma=prof, mode="fusion")
+    n = 4000
+    samples = sample_trajectory(ConditionSet(), cfg, oracle, sched, n, seed=6160)
+    s2 = 0.6 * 0.6
+    mean, V = 0.0, 1.0  # x = mean * mu + noise of variance V per dim
+    for t in range(sched.T, 0, -1):
+        ab = sched.alpha_bar[t]
+        abp = sched.alpha_bar[t - 1]
+        v = ab * s2 + 1.0 - ab
+        sig = sigma_at(sched, prof, t)
+        # exact clean-sample prediction x0_hat = p * x + q * mu
+        p, q = np.sqrt(ab) * s2 / v, (1.0 - ab) / v
+        if t > 1:
+            # reverse draw x' = sqrt(abp) x0_hat + k (x - sqrt(ab) x0_hat) + sig z;
+            # re-noising draws x from its Gaussian conditional given x' and
+            # x0_hat, whose variance is S and whose mean is
+            # g x' + (sqrt(ab) S / (1 - ab) - g (sqrt(abp) - k sqrt(ab))) x0_hat
+            k = np.sqrt(1.0 - abp - sig * sig) / np.sqrt(1.0 - ab)
+            S = (1.0 - ab) * sig * sig / (1.0 - abp)
+            g = S * k / (sig * sig)
+            w = np.sqrt(ab) * S / (1.0 - ab)  # x0_hat's net weight
+            for _ in range(m):
+                mean = (w * p + g * k) * mean + w * q
+                V = (w * p + g * k) ** 2 * V + g * g * sig * sig + S
+        # refinement: x = sqrt(abp) x0_hat + r eps + sig z, with the exact
+        # eps = sqrt(1 - ab) (x - sqrt(ab) mu) / v
+        r = np.sqrt(1.0 - abp - sig * sig)
+        a = np.sqrt(abp) * p + r * np.sqrt(1.0 - ab) / v
+        c = np.sqrt(abp) * q - r * np.sqrt(ab * (1.0 - ab)) / v
+        mean = a * mean + c
+        V = a * a * V + sig * sig
+    got_mean = samples.mean(axis=0)
+    assert np.all(np.abs(got_mean - mean * mu) < 4.0 * np.sqrt(V / n))
+    got_var = samples.var(axis=0, ddof=1)
+    assert np.all(np.abs(got_var - V) < 4.0 * V * np.sqrt(2.0 / (n - 1)))
+
+
 def test_m1_no_refinement_matches_vanilla():
     # one fusion iteration that returns before re-noising is exactly a
     # joint-condition guided reverse step, up to float association
