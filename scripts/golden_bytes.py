@@ -66,6 +66,13 @@ CASES = [
     ("sample-independent-custom", "sample",
      {**_PRODUCT_SAMPLE, "fusion": {"mode": "independent"},
       "sigma": {"kind": "custom", "values": _CUSTOM_SIGMA}}),
+    # list preset arguments set
+    ("sample-single-mean", "sample",
+     {"seed": 2, "world": {"preset": "single", "mean": [1.5, -0.5], "s": 0.8},
+      "schedule": {"T": 20}, "sampling": {"n_samples": 40}}),
+    ("sample-conflict-prior", "sample",
+     {**_PRODUCT_SAMPLE, "world": {"preset": "conflict", "prior": [1, 2, 3, 4]},
+      "condition": _CONFLICT["condition"]}),
     ("train-encoder", "train-encoder", _TRAINING),
     # every schedule and training key, and scalar preset arguments, set
     ("train-encoder-args", "train-encoder",

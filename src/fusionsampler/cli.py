@@ -99,7 +99,7 @@ def _mode_train_encoder(cfg: RunConfig) -> tuple[dict, dict]:
     den = train_denoiser(world, cfg.schedule, cfg.denoiser_steps, seed=cfg.seed)
     net = train_promptnet(world, den, cfg.training)
     # held-out error on 1000 fresh prior draws
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, 13))))
+    rng = np.random.default_rng((cfg.seed, 13))
     x0, cells = world.sample(1000, rng)
     recon, norm = heldout_metrics(net, den, x0, cells % world.n_styles, rng)
     metrics = {"recon_error": recon, "embed_norm": norm,

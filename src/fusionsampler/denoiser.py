@@ -194,7 +194,7 @@ def train_denoiser(world: MixtureWorld, schedule: DiffusionSchedule,
     sizes = (d + n_i + n_c + N_TIME_FEATURES, *hidden, d)
     net = MLP(sizes, seed=seed)
     den = ToyDenoiser(net, d, n_i, n_c, schedule)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 1))))
+    rng = np.random.default_rng((seed, 1))
     opt = Adam(net.params.size, lr=_LR)
     for step in range(1, steps + 1):
         x_t, channels, t, eps, _, _ = sample_training_batch(

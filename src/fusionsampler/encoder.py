@@ -173,7 +173,7 @@ def train_promptnet(world: MixtureWorld, denoiser: ToyDenoiser,
     unchanged.
     """
     n_c = world.n_styles
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((tc.seed, 2))))
+    rng = np.random.default_rng((tc.seed, 2))
     net = new_promptnet(denoiser, seed=tc.seed)
     scale = np.sqrt(np.diag(world.data_cov()))
     opt = Adam(net.net.params.size, lr=tc.lr)
@@ -202,6 +202,9 @@ class EncoderConditionedDenoiser:
     def __init__(self, encoder: ToyPromptNet, denoiser: ToyDenoiser):
         if encoder.k != denoiser.k_identity or encoder.d != denoiser.d:
             raise ValueError("encoder output does not fit the denoiser's identity channel")
+        if encoder.T != denoiser.T:
+            raise ValueError(f"encoder T={encoder.T} does not match the denoiser's"
+                             f" T={denoiser.T}")
         self.encoder = encoder
         self.denoiser = denoiser
 

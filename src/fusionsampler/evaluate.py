@@ -166,7 +166,7 @@ def regularization_sweep(cfg: RunConfig) -> list[dict]:
             rows.extend(blank(lam, f"backbone failed at step {err.step}")
                         for lam in cfg.lambdas)
             continue
-        ref_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 11))))
+        ref_rng = np.random.default_rng((seed, 11))
         x_ref = world.sample(1, ref_rng, identity=REF_IDENTITY, style=REF_STYLE)[0][0]
         text = np.zeros(world.n_styles)
         text[TARGET_STYLE] = 1.0
@@ -175,11 +175,9 @@ def regularization_sweep(cfg: RunConfig) -> list[dict]:
             try:
                 net = train_promptnet(world, den,
                                       replace(cfg.training, lam=float(lam), seed=seed))
-                rng = np.random.Generator(
-                    np.random.PCG64(np.random.SeedSequence((seed, 12))))
                 row["recon_error"], row["embed_norm"] = heldout_metrics(
                     net, den, np.broadcast_to(x_ref, (N_RECON, world.d)),
-                    np.full(N_RECON, REF_STYLE), rng)
+                    np.full(N_RECON, REF_STYLE), np.random.default_rng((seed, 12)))
                 wrapper = EncoderConditionedDenoiser(net, den)
                 cond = ConditionSet(identity=x_ref, text=text)
                 samples = sample_trajectory(cond, cfg.fusion, wrapper, cfg.schedule,

@@ -66,7 +66,7 @@ class MLP:
         self.sizes = sizes
         self.params = np.zeros(sum(i * o + o for i, o in zip(sizes[:-1], sizes[1:])))
         self.W, self.b = self._views(self.params)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        rng = np.random.default_rng(seed)
         for w in self.W:
             fan_in, fan_out = w.shape
             limit = np.sqrt(6.0 / (fan_in + fan_out))

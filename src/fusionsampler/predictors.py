@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -11,7 +11,6 @@ from fusionsampler.conditions import ConditionSet
 __all__ = ["NoisePredictor", "announce_pass", "predict_eps"]
 
 
-@runtime_checkable
 class NoisePredictor(Protocol):
     """Anything producing eps_hat(x_t, conditions, t) with data dimension d.
 
@@ -36,8 +35,8 @@ def _checked_input(predictor: NoisePredictor, x_t) -> np.ndarray:
 def announce_pass(predictor: NoisePredictor, x_t, conds, t: int) -> None:
     """Tell a predictor which conditions the next predict_eps calls of one
     guided pass ask for at (x_t, t), through its optional announce_pass
-    method, so that it can evaluate them together. The predict_eps calls are
-    made as before; a predictor without the method is not called."""
+    method, so that it can evaluate them together. The predict_eps calls
+    follow either way; a predictor without the method is not called."""
     announce = getattr(predictor, "announce_pass", None)
     if announce is not None:
         announce(_checked_input(predictor, x_t), conds, t)

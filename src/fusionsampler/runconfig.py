@@ -3,9 +3,10 @@
 The schema is flat sections (seed, out_dir, world, schedule, sigma, fusion,
 weights, training, condition, sampling, sweep, denoiser), every one optional;
 a section that feeds one constructor takes its keys and defaults from it
-(_read_section). Violations raise ConfigError with the dotted path of the
-offending key, and unknown keys are rejected rather than ignored so a typo
-cannot silently fall back to a default. Validated for a run mode, a key that
+(_read_section), the others from _PLAIN, and a value must have its default's
+JSON type (_read_values). Violations raise ConfigError with the dotted path
+of the offending key, and unknown keys are rejected rather than ignored so a
+typo cannot silently fall back to a default. Validated for a run mode, a key that
 mode does not read (MODE_KEYS) is refused the same way. validate_config also
 materializes the resolved payload of the keys the run reads, which run
 records embed so a run can be reproduced from its output alone.
@@ -90,7 +91,11 @@ def _as_int(value, path: str, minimum: int | None = None) -> int:
 def _as_num(value, path: str, minimum=None, maximum=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{path}: must be finite, got an integer too large"
+                          " for a float") from None
     if not np.isfinite(out):
         raise ConfigError(f"{path}: must be finite, got {value!r}")
     if minimum is not None and out < minimum:
@@ -112,13 +117,35 @@ def _as_str(value, path: str) -> str:
     return value
 
 
-# bounds on outside input, by key path; the constructors check theirs again
+# bounds on outside input, by key path; the constructors check theirs again.
+# A list key's bounds hold for each entry, and unique refuses a repeat.
 _BOUNDS = {"schedule.T": {"minimum": 1}, "fusion.m": {"minimum": 0},
            "fusion.gamma": {"minimum": 0.0, "maximum": 1.0},
            "training.lam": {"minimum": 0.0}, "training.steps": {"minimum": 0},
-           "training.batch": {"minimum": 1}}
-# the JSON type a key must have, by the type of its parameter's default
+           "training.batch": {"minimum": 1}, "sigma.values": {"minimum": 0.0},
+           "sampling.n_samples": {"minimum": 1}, "denoiser.steps": {"minimum": 1},
+           # a repeated entry would run the same cells twice
+           "sweep.lambdas": {"minimum": 0.0, "unique": True},
+           "sweep.seeds": {"minimum": 0, "unique": True}}
+# the JSON type a key must have, by the type of its default
 _READERS = {bool: _as_bool, int: _as_int, float: _as_num, str: _as_str}
+# the sections that feed no constructor: their keys and defaults
+_PLAIN = {"sampling": {"n_samples": 500},
+          "sweep": {"lambdas": (0.0, 0.01, 0.1, 1.0, 10.0), "seeds": (0, 1, 2)},
+          "denoiser": {"steps": 4000}}
+
+
+def _as_list(value, path: str, default: tuple, unique: bool = False,
+             **bounds) -> list:
+    """A nonempty list whose entries have the type of default's entries."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a nonempty list, got {value!r}")
+    read = _READERS[type(default[0])]
+    out = [read(v, f"{path}[{i}]", **bounds) for i, v in enumerate(value)]
+    for i, v in enumerate(out):
+        if unique and v in out[:i]:
+            raise ConfigError(f"{path}[{i}]: duplicate of {path}[{out.index(v)}]")
+    return out
 
 
 def _construct(fn, path: str, *args, **kwargs):
@@ -129,23 +156,36 @@ def _construct(fn, path: str, *args, **kwargs):
         raise ConfigError(f"{path}: {err}") from err
 
 
+def _read_values(obj, path: str, defaults: dict) -> dict:
+    """The mapping at path resolved against defaults, as JSON values.
+
+    An absent key takes its default, a tuple as a list. A given one must
+    have its default's JSON type (_READERS), a tuple default asking for a
+    list of its entries' type (_as_list), and lie within _BOUNDS.
+    """
+    obj = _require_mapping(obj, path)
+    _reject_unknown(obj, path, defaults)
+    echo = {}
+    for key, default in defaults.items():
+        bounds = _BOUNDS.get(f"{path}.{key}", {})
+        if key not in obj:
+            echo[key] = list(default) if isinstance(default, tuple) else default
+        elif isinstance(default, tuple):
+            echo[key] = _as_list(obj[key], f"{path}.{key}", default, **bounds)
+        else:
+            echo[key] = _READERS[type(default)](obj[key], f"{path}.{key}", **bounds)
+    return echo
+
+
 def _read_section(obj, path: str, fn, **supplied):
     """Construct fn from section path; returns (fn's result, the section's echo).
 
-    The section's keys are fn's keyword parameters but those in supplied,
-    which other sections give. An absent key takes its parameter's default;
-    a given one must have its default's JSON type (_READERS) and lie within
-    _BOUNDS, or passes unchecked if that default is not a JSON scalar.
+    The section's keys and defaults are fn's keyword parameters but those in
+    supplied, which other sections give; _read_values reads them.
     """
-    obj = _require_mapping(obj, path)
     defaults = {key: p.default for key, p in inspect.signature(fn).parameters.items()
                 if key not in supplied}
-    _reject_unknown(obj, path, defaults)
-    echo = {**defaults, **obj}
-    for key, default in defaults.items():
-        reader = _READERS.get(type(default))
-        if key in obj and reader is not None:
-            echo[key] = reader(obj[key], f"{path}.{key}", **_BOUNDS.get(f"{path}.{key}", {}))
+    echo = _read_values(obj, path, defaults)
     return _construct(fn, path, **supplied, **echo), echo
 
 
@@ -164,29 +204,17 @@ def _build_world(obj, path: str) -> MixtureWorld:
 
 def _build_sigma(obj, path: str,
                  schedule: DiffusionSchedule) -> tuple[SigmaProfile, dict]:
-    obj = _require_mapping(obj, path)
-    _reject_unknown(obj, path, ("kind", "eta", "values"))
-    kind = _as_str(obj.get("kind", "boundary"), f"{path}.kind")
-    resolved: dict = {"kind": kind}
-    kwargs: dict = {}
-    if "eta" in obj:
-        if kind != "ddim_eta":
-            raise ConfigError(f"{path}.eta: only valid for kind 'ddim_eta', not {kind!r}")
-        kwargs["eta"] = _as_num(obj["eta"], f"{path}.eta")
-        resolved["eta"] = kwargs["eta"]
-    if "values" in obj:
-        vals = obj["values"]
-        if not isinstance(vals, list) or not vals:
-            raise ConfigError(f"{path}.values: expected a nonempty list of numbers")
-        kwargs["values"] = np.array(
-            [_as_num(v, f"{path}.values[{i}]", minimum=0.0) for i, v in enumerate(vals)]
-        )
-        if kwargs["values"].size != schedule.T:
-            raise ConfigError(
-                f"{path}.values: need one value per timestep"
-                f" ({schedule.T}), got {kwargs['values'].size}"
-            )
-        resolved["values"] = [float(v) for v in kwargs["values"]]
+    # values has no default: (0.0,) only gives its entries' type
+    given = _read_values(obj, path, {"kind": "boundary", "eta": 0.0, "values": (0.0,)})
+    resolved = {key: given[key] for key in ("kind", *obj)}  # kind and the given keys
+    kind = resolved["kind"]
+    if "eta" in obj and kind != "ddim_eta":
+        raise ConfigError(f"{path}.eta: only valid for kind 'ddim_eta', not {kind!r}")
+    if "values" in obj and len(resolved["values"]) != schedule.T:
+        raise ConfigError(f"{path}.values: need one value per timestep"
+                          f" ({schedule.T}), got {len(resolved['values'])}")
+    kwargs = {key: np.array(v) if key == "values" else v
+              for key, v in resolved.items() if key != "kind"}
     profile = _construct(SigmaProfile, path, kind, **kwargs)
     if kind == "custom":
         for i, sig in enumerate(resolved["values"]):
@@ -220,29 +248,6 @@ def _build_condition(obj, path: str) -> ConditionSet:
                          minimum=0.0, maximum=1.0),
     }
     return _construct(ConditionSet.from_jsonable, path, payload)  # raises on a ragged slot
-
-
-def _build_sweep(obj, path: str) -> dict:
-    obj = _require_mapping(obj, path)
-    _reject_unknown(obj, path, ("lambdas", "seeds"))
-    lambdas = obj.get("lambdas", [0.0, 0.01, 0.1, 1.0, 10.0])
-    seeds = obj.get("seeds", [0, 1, 2])
-    if not isinstance(lambdas, list) or not lambdas:
-        raise ConfigError(f"{path}.lambdas: expected a nonempty list of numbers")
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError(f"{path}.seeds: expected a nonempty list of integers")
-    resolved = {
-        "lambdas": [_as_num(v, f"{path}.lambdas[{i}]", minimum=0.0)
-                    for i, v in enumerate(lambdas)],
-        "seeds": [_as_int(v, f"{path}.seeds[{i}]", minimum=0)
-                  for i, v in enumerate(seeds)],
-    }
-    for key, values in resolved.items():  # a repeat would run its cells twice
-        for i, v in enumerate(values):
-            if v in values[:i]:
-                raise ConfigError(f"{path}.{key}[{i}]: duplicate of"
-                                  f" {path}.{key}[{values.index(v)}]")
-    return resolved
 
 
 @dataclass(frozen=True)
@@ -336,16 +341,8 @@ def validate_config(payload, mode: str | None = None) -> RunConfig:
     if payload.get("condition") is not None:
         condition = _build_condition(payload["condition"], "condition")
 
-    sampling = _require_mapping(payload.get("sampling", {}), "sampling")
-    _reject_unknown(sampling, "sampling", ("n_samples",))
-    n_samples = _as_int(sampling.get("n_samples", 500), "sampling.n_samples",
-                        minimum=1)
-
-    sweep_echo = _build_sweep(payload.get("sweep", {}), "sweep")
-
-    den = _require_mapping(payload.get("denoiser", {}), "denoiser")
-    _reject_unknown(den, "denoiser", ("steps",))
-    denoiser_steps = _as_int(den.get("steps", 4000), "denoiser.steps", minimum=1)
+    plain = {section: _read_values(payload.get(section, {}), section, defaults)
+             for section, defaults in _PLAIN.items()}
 
     row, reader = (_SECTIONS, None) if mode is None else (MODE_KEYS[mode], mode)
     if mode in ("sample", "sweep-lambda"):
@@ -371,9 +368,7 @@ def validate_config(payload, mode: str | None = None) -> RunConfig:
         "weights": weights_echo,
         "training": training_echo,
         "condition": None if condition is None else condition.to_jsonable(),
-        "sampling": {"n_samples": n_samples},
-        "sweep": sweep_echo,
-        "denoiser": {"steps": denoiser_steps},
+        **plain,
     }
     echo = {}
     for section, value in resolved.items():
@@ -389,9 +384,9 @@ def validate_config(payload, mode: str | None = None) -> RunConfig:
         fusion=fusion,
         training=training,
         condition=condition,
-        n_samples=n_samples,
-        lambdas=tuple(sweep_echo["lambdas"]),
-        sweep_seeds=tuple(sweep_echo["seeds"]),
-        denoiser_steps=denoiser_steps,
+        n_samples=plain["sampling"]["n_samples"],
+        lambdas=tuple(plain["sweep"]["lambdas"]),
+        sweep_seeds=tuple(plain["sweep"]["seeds"]),
+        denoiser_steps=plain["denoiser"]["steps"],
         payload=echo,
     )

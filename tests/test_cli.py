@@ -349,6 +349,17 @@ def test_run_refuses_infeasible_custom_sigma_before_any_output(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_run_refuses_a_huge_integer_for_a_float_key_before_any_output(tmp_path,
+                                                                      capsys):
+    out = tmp_path / "untouched"
+    cfg = _config(tmp_path, {"fusion": {"gamma": 10**400}})
+    assert main(["run", "--config", cfg, "--mode", "sample",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "fusion.gamma: must be finite" in err and "0" * 40 not in err
+    assert not out.exists()
+
+
 def test_run_failure_leaves_no_partial_outputs(tmp_path, capsys):
     out = tmp_path / "untouched"
     cfg = _config(tmp_path, {"condition": {"identity": [1.0, 2.0, 3.0, 4.0]}})

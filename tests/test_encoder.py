@@ -168,6 +168,13 @@ def test_wrapper_validation_and_shapes():
     assert_allclose(batch[0], single, rtol=1e-15)
 
 
+def test_wrapper_refuses_an_encoder_of_another_T():
+    # a T=40 encoder would read t as t/40 over a T=100 denoiser
+    net = ToyPromptNet(new_promptnet(DEN, seed=0).net, 2, 2, 40)
+    with pytest.raises(ValueError, match=r"encoder T=40 .* T=100"):
+        EncoderConditionedDenoiser(net, DEN)
+
+
 def test_heldout_metrics_equal_the_loss_at_lam_zero_and_the_encoder_norm():
     net = train_promptnet(WORLD, DEN, TrainingConfig(lam=0.3, steps=30, seed=5))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((123, 9))))

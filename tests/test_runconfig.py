@@ -131,11 +131,41 @@ def test_custom_sigma_values_accepted():
     ({"sweep": {"seeds": [0, 0]}}, "sweep.seeds[1]: duplicate of sweep.seeds[0]"),
     ({"sweep": {"lambdas": [0.0, 1.0, 1]}},
      "sweep.lambdas[2]: duplicate of sweep.lambdas[1]"),
+    # list preset arguments take their default entries' JSON type
+    ({"world": {"preset": "conflict", "prior": [True, 1, 1, 1]}},
+     "world.prior[0]: expected a number"),
+    ({"world": {"preset": "single", "mean": [True, False]}},
+     "world.mean[0]: expected a number"),
+    # an integer beyond the float range is refused, not an OverflowError
+    ({"fusion": {"gamma": 10**400}}, "fusion.gamma: must be finite"),
+    ({"sweep": {"lambdas": [0.0, -10**400]}}, "sweep.lambdas[1]: must be finite"),
 ])
 def test_violations_name_the_offending_path(payload, fragment):
     with pytest.raises(ConfigError) as err:
         validate_config(payload)
     assert fragment in str(err.value)
+
+
+# (key, a valid list for it, the payload that sets it)
+_LIST_KEYS = [
+    ("sweep.lambdas", [0.0, 1.0], lambda v: {"sweep": {"lambdas": v}}),
+    ("sweep.seeds", [0, 1], lambda v: {"sweep": {"seeds": v}}),
+    ("sigma.values", [0.0, 0.005, 0.0],
+     lambda v: {"schedule": {"T": 3}, "sigma": {"kind": "custom", "values": v}}),
+    ("world.prior", [0.45, 0.05, 0.35, 0.15],
+     lambda v: {"world": {"preset": "conflict", "prior": v}}),
+    ("world.mean", [1.0, -1.0], lambda v: {"world": {"preset": "single", "mean": v}}),
+]
+
+
+@pytest.mark.parametrize("key, valid, wrap", _LIST_KEYS, ids=[k[0] for k in _LIST_KEYS])
+def test_list_keys_refuse_a_non_list_an_empty_list_and_bad_entries(key, valid, wrap):
+    validate_config(wrap(valid))
+    for value, where in ((valid[0], key), ({"a": valid}, key), ([], key),
+                         ([valid[0], True, *valid[2:]], f"{key}[1]"),
+                         ([valid[0], "1", *valid[2:]], f"{key}[1]")):
+        with pytest.raises(ConfigError, match=re.escape(where + ":")):
+            validate_config(wrap(value))
 
 
 def test_readme_config_block_lists_the_defaults():
