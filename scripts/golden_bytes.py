@@ -1,9 +1,11 @@
 """Hash the artifacts of a fixed set of small CLI runs.
 
 Runs `python3 -m fusionsampler run` once per case below, each into its own
-temporary directory, and prints one JSON object that maps "case/file" to the
-sha256 of that file. A change that must keep the artifact bytes can be
-checked with one diff of the output before and after it:
+temporary directory, then `python3 -m fusionsampler report` over all of them,
+and prints one JSON object that maps "case/file" to the sha256 of that file;
+the report's rollup is "report/summary.csv". A change that must keep the
+artifact bytes can be checked with one diff of the output before and after
+it:
 
     python3 scripts/golden_bytes.py > after.json
     python3 scripts/golden_bytes.py --src /path/to/other/checkout/src > before.json
@@ -100,18 +102,21 @@ def golden_bytes(src: str) -> dict:
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
     hashes = {}
     with tempfile.TemporaryDirectory() as tmp:
+        def cli(*args):
+            subprocess.run([sys.executable, "-m", "fusionsampler", *args],
+                           env=env, cwd=tmp, check=True, stdout=subprocess.DEVNULL)
+
         for name, mode, config in CASES:
             cfg_path = os.path.join(tmp, f"{name}.json")
             with open(cfg_path, "w") as fh:
                 json.dump(config, fh)
             out = os.path.join(tmp, name)
-            subprocess.run(
-                [sys.executable, "-m", "fusionsampler", "run", "--config", cfg_path,
-                 "--mode", mode, "--out", out],
-                env=env, cwd=tmp, check=True, stdout=subprocess.DEVNULL,
-            )
+            cli("run", "--config", cfg_path, "--mode", mode, "--out", out)
             for file in sorted(os.listdir(out)):
                 hashes[f"{name}/{file}"] = _sha256(os.path.join(out, file))
+        # the rollup of every case's record, written into tmp itself
+        cli("report", "--out", tmp)
+        hashes["report/summary.csv"] = _sha256(os.path.join(tmp, "summary.csv"))
     return hashes
 
 

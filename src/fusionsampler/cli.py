@@ -13,16 +13,17 @@ Output directory precedence for run: --out, then the config's out_dir, then
 the PROFUSION_OUT environment variable, then ./runs. report resolves the
 directory to scan the same way, minus the config. Every mode hands the
 config validated for it (runconfig.MODE_KEYS: a key the mode does not read
-is refused with exit 2) to the driver it runs, and run_record.json echoes
-only the keys the mode read. The sweep.seeds list does double duty as the
-seed list for the ablate and compare modes; with neither world nor condition
-those two run the built-in benchmark's config, which their record echoes.
+is refused with exit 2) to the driver it runs. run_record.json holds the
+mode, the seed, the echo of only the keys the mode read, and the mode's
+metrics; a mode's table is written once, to its metrics.csv. The
+sweep.seeds list does double duty as the seed list for the ablate and
+compare modes; with neither world nor condition those two run the built-in
+benchmark's config, which their record echoes.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -140,7 +141,7 @@ def _mode_sweep(cfg: RunConfig) -> tuple[dict, dict]:
         "metrics.csv": render_csv(rows, columns=SWEEP_COLUMNS),
         "sweep.svg": render_scatter_svg(points, "adherence by regularization"),
     }
-    return metrics, {**files, "rows": rows}
+    return metrics, files
 
 
 def _variant_summary(rows: list[dict]) -> list[dict]:
@@ -174,7 +175,7 @@ def _mode_ablate(cfg: RunConfig, per_variant: bool = False) -> tuple[dict, dict]
         "metrics.csv": table,
         "variants.svg": render_scatter_svg(points, "sampler variants"),
     }
-    return metrics, {**files, "rows": rows}
+    return metrics, files
 
 
 RUN_MODES = {
@@ -210,7 +211,12 @@ def cmd_run(args) -> int:
     except FileNotFoundError:
         print(f"error: config file not found: {args.config}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as err:
+    except OSError as err:
+        print(f"error: cannot read config: {err}", file=sys.stderr)
+        return 2
+    except ValueError as err:
+        # JSONDecodeError, UnicodeDecodeError, and an integer literal past
+        # Python's int-string limit
         print(f"error: config is not valid JSON: {err}", file=sys.stderr)
         return 2
     if args.seed is not None:
@@ -239,11 +245,9 @@ def cmd_run(args) -> int:
         print(f"error: run failed: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
 
-    record = {"mode": args.mode, "seed": ran.seed, "config": ran.payload,
-              "metrics": metrics}
-    if "rows" in files:
-        record["rows"] = files.pop("rows")
-    files["run_record.json"] = render_json(record)
+    files["run_record.json"] = render_json(
+        {"mode": args.mode, "seed": ran.seed, "config": ran.payload,
+         "metrics": metrics})
 
     out_dir = _resolve_out(args.out, cfg.out_dir)
     try:

@@ -15,6 +15,7 @@ records embed so a run can be reproduced from its output alone.
 from __future__ import annotations
 
 import inspect
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,15 @@ MODE_KEYS = {
 }
 
 
+# the offending value as a message shows it: a config value can be of any
+# size, so a long string, integer or list is cut and a nested container
+# shows as [...]; a float is always whole. Keeps a message near 120 chars.
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel, _SHORT.maxlist, _SHORT.maxdict = 1, 2, 1
+_SHORT.maxstring = _SHORT.maxlong = 20
+_SHORT.maxother = 24
+
+
 def _require_mapping(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(value).__name__}")
@@ -82,38 +92,38 @@ def _reject_unknown(obj: dict, path: str, allowed) -> None:
 
 def _as_int(value, path: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+        raise ConfigError(f"{path}: expected an integer, got {_SHORT.repr(value)}")
     if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
+        raise ConfigError(f"{path}: must be >= {minimum}, got {_SHORT.repr(value)}")
     return value
 
 
 def _as_num(value, path: str, minimum=None, maximum=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
+        raise ConfigError(f"{path}: expected a number, got {_SHORT.repr(value)}")
     try:
         out = float(value)
     except OverflowError:  # an integer beyond the float range
         raise ConfigError(f"{path}: must be finite, got an integer too large"
                           " for a float") from None
     if not np.isfinite(out):
-        raise ConfigError(f"{path}: must be finite, got {value!r}")
+        raise ConfigError(f"{path}: must be finite, got {_SHORT.repr(value)}")
     if minimum is not None and out < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value!r}")
+        raise ConfigError(f"{path}: must be >= {minimum}, got {_SHORT.repr(value)}")
     if maximum is not None and out > maximum:
-        raise ConfigError(f"{path}: must be <= {maximum}, got {value!r}")
+        raise ConfigError(f"{path}: must be <= {maximum}, got {_SHORT.repr(value)}")
     return out
 
 
 def _as_bool(value, path: str) -> bool:
     if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected true or false, got {value!r}")
+        raise ConfigError(f"{path}: expected true or false, got {_SHORT.repr(value)}")
     return value
 
 
 def _as_str(value, path: str) -> str:
     if not isinstance(value, str):
-        raise ConfigError(f"{path}: expected a string, got {value!r}")
+        raise ConfigError(f"{path}: expected a string, got {_SHORT.repr(value)}")
     return value
 
 
@@ -139,7 +149,7 @@ def _as_list(value, path: str, default: tuple, unique: bool = False,
              **bounds) -> list:
     """A nonempty list whose entries have the type of default's entries."""
     if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a nonempty list, got {value!r}")
+        raise ConfigError(f"{path}: expected a nonempty list, got {_SHORT.repr(value)}")
     read = _READERS[type(default[0])]
     out = [read(v, f"{path}[{i}]", **bounds) for i, v in enumerate(value)]
     for i, v in enumerate(out):
@@ -196,7 +206,8 @@ def _build_world(obj, path: str) -> MixtureWorld:
     name = _as_str(obj["preset"], f"{path}.preset")
     if name not in WORLD_PRESETS:
         raise ConfigError(
-            f"{path}.preset: unknown preset {name!r}; choose from {sorted(WORLD_PRESETS)}"
+            f"{path}.preset: unknown preset {_SHORT.repr(name)};"
+            f" choose from {sorted(WORLD_PRESETS)}"
         )
     kwargs = {k: v for k, v in obj.items() if k != "preset"}
     return _read_section(kwargs, path, WORLD_PRESETS[name])[0]
@@ -209,7 +220,8 @@ def _build_sigma(obj, path: str,
     resolved = {key: given[key] for key in ("kind", *obj)}  # kind and the given keys
     kind = resolved["kind"]
     if "eta" in obj and kind != "ddim_eta":
-        raise ConfigError(f"{path}.eta: only valid for kind 'ddim_eta', not {kind!r}")
+        raise ConfigError(f"{path}.eta: only valid for kind 'ddim_eta',"
+                          f" not {_SHORT.repr(kind)}")
     if "values" in obj and len(resolved["values"]) != schedule.T:
         raise ConfigError(f"{path}.values: need one value per timestep"
                           f" ({schedule.T}), got {len(resolved['values'])}")
@@ -229,7 +241,7 @@ def _as_slot(value, path: str):
         return None
     if not isinstance(value, list):
         raise ConfigError(
-            f'{path}: expected a list of numbers and "-inf", got {value!r}')
+            f'{path}: expected a list of numbers and "-inf", got {_SHORT.repr(value)}')
     for i, v in enumerate(value):
         if isinstance(v, list):
             _as_slot(v, f"{path}[{i}]")

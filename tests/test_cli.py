@@ -1,5 +1,6 @@
 """Command behavior end to end, driven through main(argv) in process."""
 
+import csv
 import json
 import os
 
@@ -10,8 +11,16 @@ import fusionsampler.verify as verify
 from fusionsampler.artifacts import load_json
 from fusionsampler.cli import main
 from fusionsampler.encoder import ToyPromptNet
-from fusionsampler.evaluate import ABLATION_COLUMNS, SWEEP_COLUMNS, degeneration_benchmark
+from fusionsampler.evaluate import (
+    ABLATION_COLUMNS,
+    SWEEP_COLUMNS,
+    ablation_suite,
+    degeneration_benchmark,
+    regularization_sweep,
+)
+from fusionsampler.nets import TrainingDiverged
 from fusionsampler.posterior import fused_update_coefficients
+from fusionsampler.runconfig import validate_config
 
 _SAMPLER = {
     "seed": 0,
@@ -148,7 +157,7 @@ def test_run_sweep_outputs_table_and_svg(tmp_path):
     assert lines[0] == ",".join(SWEEP_COLUMNS)
     assert len(lines) == 3  # 2 lambdas x 1 seed
     record = load_json(out / "run_record.json")
-    assert len(record["rows"]) == 2
+    assert "rows" not in record
     assert "spearman_recon" in record["metrics"]
     assert (out / "sweep.svg").read_text().startswith("<svg")
 
@@ -177,6 +186,75 @@ def test_run_compare_aggregates_one_row_per_variant(tmp_path):
     assert lines[0] == "variant,identity_score,style_score,min_score"
     assert len(lines) == 6
     assert load_json(out / "run_record.json")["metrics"]["n_variants"] == 5
+
+
+@pytest.mark.parametrize("mode", sorted(FAST))
+def test_run_record_holds_only_mode_seed_config_and_metrics(tmp_path, mode):
+    # a mode's table is written once, to metrics.csv
+    out = tmp_path / mode
+    assert main(["run", "--config", _config(tmp_path, mode=mode), "--mode", mode,
+                 "--out", str(out)]) == 0
+    assert sorted(load_json(out / "run_record.json")) == [
+        "config", "metrics", "mode", "seed"]
+
+
+def _read_table(path) -> list[dict]:
+    """metrics.csv rows with each cell parsed back: empty is None, then an
+    int, a float (written with repr, so its bits come back) or the text."""
+    def cell(text):
+        if text == "":
+            return None
+        for parse in (int, float):
+            try:
+                return parse(text)
+            except ValueError:
+                pass
+        return text
+
+    with open(path, newline="") as fh:
+        return [{key: cell(text) for key, text in row.items()}
+                for row in csv.DictReader(fh)]
+
+
+def test_ablate_table_reads_back_as_the_suite_rows(tmp_path):
+    out = tmp_path / "ab"
+    assert main(["run", "--config", _config(tmp_path, mode="ablate"),
+                 "--mode", "ablate", "--out", str(out)]) == 0
+    rows = ablation_suite(validate_config(FAST["ablate"], "ablate"))
+    # repr tells 1 from 1.0 and compares every float's shortest round trip
+    assert repr(_read_table(out / "metrics.csv")) == repr(rows)
+
+
+def test_sweep_table_reads_back_as_the_sweep_rows(tmp_path, monkeypatch):
+    # lam=1 fails in encoder training and lam=10 in sampling, with a comma
+    # in its status; both failed rows keep their status and their blanks
+    real_train, real_sample = evaluate.train_promptnet, evaluate.sample_trajectory
+    cell = {}
+
+    def train(world, den, tc):
+        cell["lam"] = tc.lam
+        if tc.lam == 1.0:
+            raise TrainingDiverged(3, float("nan"))
+        return real_train(world, den, tc)
+
+    def sample(*args, **kwargs):
+        if cell["lam"] == 10.0:
+            raise RuntimeError("non-finite state, at t=3")
+        return real_sample(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "train_promptnet", train)
+    monkeypatch.setattr(evaluate, "sample_trajectory", sample)
+    payload = {**FAST["sweep-lambda"],
+               "sweep": {"lambdas": [0.0, 1.0, 10.0], "seeds": [0]}}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "sw"
+    assert main(["run", "--config", str(path), "--mode", "sweep-lambda",
+                 "--out", str(out)]) == 0
+    rows = regularization_sweep(validate_config(payload, "sweep-lambda"))
+    assert [row["status"] for row in rows] == [
+        "ok", "failed at step 3", "sampling failed: non-finite state, at t=3"]
+    assert repr(_read_table(out / "metrics.csv")) == repr(rows)
 
 
 def test_run_ablate_needs_world_and_condition_together(tmp_path, capsys):
@@ -331,6 +409,28 @@ def test_run_invalid_json_exits_2(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["run", "--config", str(path), "--mode", "sample"]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, error", [
+    ("not-utf8", "error: config is not valid JSON: "),
+    ("directory", "error: cannot read config: "),
+    ("huge-integer", "error: config is not valid JSON: "),
+], ids=["not-utf8", "directory", "huge-integer"])
+def test_run_config_that_cannot_be_read_as_json_exits_2(tmp_path, capsys, name,
+                                                        error):
+    path = tmp_path / "cfg.json"
+    if name == "not-utf8":
+        path.write_bytes(b'\xff\xfe{"seed": 0}')
+    elif name == "directory":
+        path.mkdir()
+    else:  # past Python's int-string limit
+        path.write_text('{"seed": ' + "9" * 5000 + "}")
+    out = tmp_path / "untouched"
+    assert main(["run", "--config", str(path), "--mode", "sample",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(error)
+    assert not out.exists()
 
 
 def test_run_schema_violation_exits_2_with_path(tmp_path, capsys):

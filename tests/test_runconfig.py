@@ -146,6 +146,28 @@ def test_violations_name_the_offending_path(payload, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("payload, start", [
+    ({"seed": -10**400}, "seed: must be >= 0, got -1"),
+    ({"sweep": {"seeds": "x" * 300}}, "sweep.seeds: expected a nonempty list"),
+    ({"out_dir": ["a"] * 100}, "out_dir: expected a string"),
+    ({"fusion": {"gamma": 10**300}}, "fusion.gamma: must be <= 1.0"),
+    ({"schedule": {"T": {str(k): [k] * 50 for k in range(50)}}},
+     "schedule.T: expected an integer"),
+    ({"training": {"augment": ["x" * 100] * 3}}, "training.augment: expected true"),
+    ({"world": {"preset": "p" * 300}}, "world.preset: unknown preset"),
+    ({"sigma": {"kind": "k" * 300, "eta": 0.5}}, "sigma.eta: only valid"),
+    ({"condition": {"identity": {"k" * 100: "v" * 100}}},
+     "condition.identity: expected a list"),
+    ({"condition": {"text": [0.0, "t" * 300]}}, "condition.text[1]: expected a number"),
+])
+def test_violations_show_the_value_shortened(payload, start):
+    # the message keeps the key path, whatever the size of the value
+    with pytest.raises(ConfigError) as err:
+        validate_config(payload)
+    assert str(err.value).startswith(start)
+    assert len(str(err.value)) < 120, str(err.value)
+
+
 # (key, a valid list for it, the payload that sets it)
 _LIST_KEYS = [
     ("sweep.lambdas", [0.0, 1.0], lambda v: {"sweep": {"lambdas": v}}),
