@@ -7,18 +7,19 @@ failed run leaves no partial files. The write goes through temp files renamed
 into place; an output that cannot be written exits 1 with no truncated
 artifact and no temp file left. report scans a directory (and its
 immediate subdirectories) for run_record.json files and rolls them up into
-summary.csv, naming unreadable records in warnings instead of aborting.
+summary.csv, naming unreadable records in warnings instead of aborting; it
+writes summary.csv the same way, and exits 1 when it cannot.
 
-Output directory precedence for run: --out, then the config's out_dir, then
-the PROFUSION_OUT environment variable, then ./runs. report resolves the
-directory to scan the same way, minus the config. Every mode hands the
-config validated for it (runconfig.MODE_KEYS: a key the mode does not read
-is refused with exit 2) to the driver it runs. run_record.json holds the
-mode, the seed, the echo of only the keys the mode read, and the mode's
-metrics; a mode's table is written once, to its metrics.csv. The
-sweep.seeds list does double duty as the seed list for the ablate and
-compare modes; with neither world nor condition those two run the built-in
-benchmark's config, which their record echoes.
+Each run setting has one source: the JSON config holds every input of a
+run, and --out (default runs) alone names the directory that run writes and
+report scans. Every mode hands the config validated for it
+(runconfig.MODE_KEYS: a key the mode does not read is refused with exit 2)
+to the driver it runs. run_record.json holds the mode, the seed, the echo of
+only the keys the mode read, and the mode's metrics; a mode's table is
+written once, to its metrics.csv. The sweep.seeds list does double duty as
+the seed list for the ablate and compare modes; with neither world nor
+condition those two run the built-in benchmark, which reads no key, and
+their record echoes the benchmark's own config.
 """
 
 from __future__ import annotations
@@ -53,18 +54,6 @@ from fusionsampler.verify import run_checks
 from fusionsampler.worlds import product_world
 
 __all__ = ["main", "RUN_MODES"]
-
-_ENV_OUT = "PROFUSION_OUT"
-_DEFAULT_OUT = "runs"
-
-
-def _resolve_out(flag: str | None, config_dir: str | None = None) -> str:
-    if flag is not None:
-        return flag
-    if config_dir is not None:
-        return config_dir
-    return os.environ.get(_ENV_OUT) or _DEFAULT_OUT
-
 
 # ---------------------------------------------------------------- run modes
 
@@ -219,11 +208,6 @@ def cmd_run(args) -> int:
         # Python's int-string limit
         print(f"error: config is not valid JSON: {err}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        if not isinstance(payload, dict):
-            print("error: config: expected a mapping", file=sys.stderr)
-            return 2
-        payload = {**payload, "seed": args.seed}
     try:
         cfg = validate_config(payload, args.mode)
     except ConfigError as err:
@@ -249,9 +233,8 @@ def cmd_run(args) -> int:
         {"mode": args.mode, "seed": ran.seed, "config": ran.payload,
          "metrics": metrics})
 
-    out_dir = _resolve_out(args.out, cfg.out_dir)
     try:
-        paths = _write_run_dir(out_dir, files)
+        paths = _write_run_dir(args.out, files)
     except OSError as err:
         print(f"error: cannot write run directory: {err}", file=sys.stderr)
         return 1
@@ -260,13 +243,13 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _write_run_dir(out_dir: str, files: dict) -> list[str]:
+def _write_run_dir(directory: str, files: dict) -> list[str]:
     """Write every artifact to a .tmp file beside its target, then rename them
     all into place. A failed write removes the temp files, so it never leaves
     a truncated artifact behind."""
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(directory, exist_ok=True)
     names = sorted(files)
-    paths = [os.path.join(out_dir, name) for name in names]
+    paths = [os.path.join(directory, name) for name in names]
     try:
         for name, path in zip(names, paths):
             with open(path + ".tmp", "w") as fh:
@@ -313,7 +296,7 @@ def _summary_row(path: str, root: str) -> dict:
 
 
 def cmd_report(args) -> int:
-    root = _resolve_out(args.out)
+    root = args.out
     paths = _record_paths(root)
     rows = []
     unreadable = 0
@@ -326,18 +309,20 @@ def cmd_report(args) -> int:
                   file=sys.stderr)
             unreadable += 1
 
-    if not paths:
-        print(f"warning: no run records found under {root}", file=sys.stderr)
     columns = ["path", "mode", "seed"]
     for row in rows:
         for key in row:
             if key not in columns:
                 columns.append(key)
-    summary_path = os.path.join(root, "summary.csv")
-    os.makedirs(root, exist_ok=True)
-    with open(summary_path, "w") as fh:
-        fh.write(render_csv(rows, columns=columns))
+    try:
+        [summary_path] = _write_run_dir(
+            root, {"summary.csv": render_csv(rows, columns=columns)})
+    except OSError as err:
+        print(f"error: cannot write summary: {err}", file=sys.stderr)
+        return 1
 
+    if not paths:
+        print(f"warning: no run records found under {root}", file=sys.stderr)
     print(f"{len(rows)} run record(s) under {root}"
           + (f" ({unreadable} unreadable)" if unreadable else ""))
     for row in rows:
@@ -360,12 +345,10 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute one mode from a JSON config")
     p_run.add_argument("--config", required=True, help="path to the JSON config")
     p_run.add_argument("--mode", required=True, choices=sorted(RUN_MODES))
-    p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+    p_run.add_argument("--out", default="runs", help="output directory")
 
     p_report = sub.add_parser("report", help="aggregate run records")
-    p_report.add_argument("--out", default=None, help="directory to scan")
+    p_report.add_argument("--out", default="runs", help="directory to scan")
 
     args = parser.parse_args(argv)
     return {"verify": cmd_verify, "run": cmd_run, "report": cmd_report}[args.command](args)

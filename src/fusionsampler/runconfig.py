@@ -1,7 +1,7 @@
 """Run configuration: a JSON mapping validated into constructed objects.
 
-The schema is flat sections (seed, out_dir, world, schedule, sigma, fusion,
-weights, training, condition, sampling, sweep, denoiser), every one optional;
+The schema is flat sections (seed, world, schedule, sigma, fusion, weights,
+training, condition, sampling, sweep, denoiser), every one optional;
 a section that feeds one constructor takes its keys and defaults from it
 (_read_section), the others from _PLAIN, and a value must have its default's
 JSON type (_read_values). Violations raise ConfigError with the dotted path
@@ -9,7 +9,9 @@ of the offending key, and unknown keys are rejected rather than ignored so a
 typo cannot silently fall back to a default. Validated for a run mode, a key that
 mode does not read (MODE_KEYS) is refused the same way. validate_config also
 materializes the resolved payload of the keys the run reads, which run
-records embed so a run can be reproduced from its output alone.
+records embed so a run can be reproduced from its output alone. The config
+is the one source of a run's inputs; where a run writes is the CLI's --out,
+not a config key.
 """
 
 from __future__ import annotations
@@ -40,31 +42,30 @@ class ConfigError(ValueError):
     """A config payload violates the schema; the message carries key paths."""
 
 
-_SECTIONS = ("seed", "out_dir", "world", "schedule", "sigma", "fusion", "weights",
-             "training", "condition", "sampling", "sweep", "denoiser")
+_SECTIONS = ("seed", "world", "schedule", "sigma", "fusion", "weights", "training",
+             "condition", "sampling", "sweep", "denoiser")
 
 # The keys each run mode reads: a whole section, or "section.key" where a
 # mode reads only part of one. Every mode accepts seed, though ablate,
 # compare and sweep-lambda take their seeds from sweep.seeds: the benchmark
 # configs in perfbench/workloads.py set it for them. ablate and compare
 # with neither world nor condition run the built-in benchmark
-# (evaluate.degeneration_benchmark), which reads the "builtin" row and fixes
-# everything else itself. sample and sweep-lambda read only the fusion and
-# weights keys of the sampler that fusion.mode names (_sampler_keys);
-# ablate and compare read them all through their variants.
+# (evaluate.degeneration_benchmark), which fixes every setting itself: its
+# "builtin" row is empty, so it accepts only {}. sample and sweep-lambda
+# read only the fusion and weights keys of the sampler that fusion.mode
+# names (_sampler_keys); ablate and compare read them all through their
+# variants.
 _SAMPLER = ("schedule", "sigma", "fusion", "weights")
-_ABLATE = ("seed", "out_dir", "world", *_SAMPLER, "condition", "sampling",
-           "sweep.seeds")
+_ABLATE = ("seed", "world", *_SAMPLER, "condition", "sampling", "sweep.seeds")
 MODE_KEYS = {
-    "sample": ("seed", "out_dir", "world", *_SAMPLER, "condition", "sampling"),
-    "train-encoder": ("seed", "out_dir", "world", "schedule", "training",
-                      "denoiser"),
-    "sweep-lambda": ("seed", "out_dir", "world", *_SAMPLER, "training.steps",
+    "sample": ("seed", "world", *_SAMPLER, "condition", "sampling"),
+    "train-encoder": ("seed", "world", "schedule", "training", "denoiser"),
+    "sweep-lambda": ("seed", "world", *_SAMPLER, "training.steps",
                      "training.batch", "training.augment", "training.lr",
                      "sampling", "sweep", "denoiser"),
     "ablate": _ABLATE,
     "compare": _ABLATE,
-    "builtin": ("seed", "out_dir"),
+    "builtin": (),
 }
 
 
@@ -158,12 +159,20 @@ def _as_list(value, path: str, default: tuple, unique: bool = False,
     return out
 
 
+# a constructor's message may echo a value of any size; cut to this many
+# characters behind its key path, it stays near 120 chars
+_CONSTRUCTOR_TEXT = 96
+
+
 def _construct(fn, path: str, *args, **kwargs):
     """fn(*args, **kwargs), with its ValueError or TypeError reported at path."""
     try:
         return fn(*args, **kwargs)
     except (ValueError, TypeError) as err:
-        raise ConfigError(f"{path}: {err}") from err
+        text = str(err)
+        if len(text) > _CONSTRUCTOR_TEXT:
+            text = text[:_CONSTRUCTOR_TEXT - 3] + "..."
+        raise ConfigError(f"{path}: {text}") from err
 
 
 def _read_values(obj, path: str, defaults: dict) -> dict:
@@ -275,7 +284,6 @@ class RunConfig:
     """
 
     seed: int
-    out_dir: str | None
     world: MixtureWorld | None
     schedule: DiffusionSchedule
     fusion: FusionConfig
@@ -333,9 +341,6 @@ def validate_config(payload, mode: str | None = None) -> RunConfig:
     _reject_unknown(payload, "", _SECTIONS)
 
     seed = _as_int(payload.get("seed", 0), "seed", minimum=0)
-    out_dir = None
-    if payload.get("out_dir") is not None:
-        out_dir = _as_str(payload["out_dir"], "out_dir")
 
     world = None
     if payload.get("world") is not None:
@@ -372,7 +377,6 @@ def validate_config(payload, mode: str | None = None) -> RunConfig:
     _refuse_unread(payload, row, reader)
     resolved = {
         "seed": seed,
-        "out_dir": out_dir,
         "world": payload.get("world"),
         "schedule": schedule_echo,
         "sigma": sigma_echo,
@@ -390,7 +394,6 @@ def validate_config(payload, mode: str | None = None) -> RunConfig:
             echo[section] = {key: v for key, v in value.items() if key in sub}
     return RunConfig(
         seed=seed,
-        out_dir=out_dir,
         world=world,
         schedule=schedule,
         fusion=fusion,

@@ -121,19 +121,6 @@ def test_run_rerun_is_byte_identical(tmp_path):
                 (mode, name)
 
 
-def test_run_seed_flag_overrides_config(tmp_path):
-    cfg = _config(tmp_path)
-    main(["run", "--config", cfg, "--mode", "sample", "--out",
-          str(tmp_path / "s0")])
-    main(["run", "--config", cfg, "--mode", "sample", "--out",
-          str(tmp_path / "s9"), "--seed", "9"])
-    rec = load_json(tmp_path / "s9" / "run_record.json")
-    assert rec["seed"] == 9
-    assert rec["config"]["seed"] == 9
-    assert (tmp_path / "s0" / "samples.csv").read_text() \
-        != (tmp_path / "s9" / "samples.csv").read_text()
-
-
 def test_run_train_encoder_artifacts_reload(tmp_path):
     out = tmp_path / "enc"
     rc = main(["run", "--config", _config(tmp_path, mode="train-encoder"),
@@ -268,17 +255,17 @@ def test_run_ablate_needs_world_and_condition_together(tmp_path, capsys):
 
 def test_run_builtin_ablate_refuses_settings_it_does_not_use(tmp_path, capsys):
     # neither world nor condition runs the built-in benchmark, which fixes
-    # its own sampler, schedule, sample count and seeds
+    # its own sampler, schedule, sample count and seeds, and reads no key
     out = tmp_path / "builtin"
     path = tmp_path / "builtin.json"
-    path.write_text(json.dumps({"sweep": {"seeds": [7]},
+    path.write_text(json.dumps({"seed": 3, "sweep": {"seeds": [7]},
                                 "sampling": {"n_samples": 8},
                                 "fusion": {"m": 0}}))
     assert main(["run", "--config", str(path), "--mode", "ablate",
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "built-in benchmark" in err
-    assert "fusion, sampling, sweep" in err
+    assert "fusion, sampling, seed, sweep" in err
     assert not out.exists()
 
 
@@ -330,14 +317,13 @@ def _replay(tmp_path, config: str, mode: str) -> dict:
 # the sections each mode's record echoes, and the keys of the sections it
 # reads only in part
 _ECHOED = {
-    "sample": ["seed", "out_dir", "world", "schedule", "sigma", "fusion",
-               "weights", "condition", "sampling"],
-    "train-encoder": ["seed", "out_dir", "world", "schedule", "training",
-                      "denoiser"],
-    "sweep-lambda": ["seed", "out_dir", "world", "schedule", "sigma", "fusion",
-                     "weights", "training", "sampling", "sweep", "denoiser"],
-    "ablate": ["seed", "out_dir", "world", "schedule", "sigma", "fusion",
-               "weights", "condition", "sampling", "sweep"],
+    "sample": ["seed", "world", "schedule", "sigma", "fusion", "weights",
+               "condition", "sampling"],
+    "train-encoder": ["seed", "world", "schedule", "training", "denoiser"],
+    "sweep-lambda": ["seed", "world", "schedule", "sigma", "fusion", "weights",
+                     "training", "sampling", "sweep", "denoiser"],
+    "ablate": ["seed", "world", "schedule", "sigma", "fusion", "weights",
+               "condition", "sampling", "sweep"],
 }
 _ECHOED["compare"] = _ECHOED["ablate"]
 
@@ -387,6 +373,16 @@ def test_each_mode_refuses_a_key_it_does_not_read(tmp_path, capsys, mode,
     err = capsys.readouterr().err
     assert f"not read by {mode}: {key}" in err
     assert not out.exists()
+
+
+def test_run_has_no_seed_flag(tmp_path, capsys):
+    # the seed is a config key only
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--config", _config(tmp_path), "--mode", "sample",
+              "--out", str(tmp_path / "s9"), "--seed", "9"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
+    assert not (tmp_path / "s9").exists()
 
 
 def test_builtin_benchmark_records_and_replays_the_config_it_ran(tmp_path):
@@ -529,28 +525,26 @@ def test_run_write_failing_partway_leaves_no_truncated_artifact(
             assert path.read_bytes() == (ref / path.name).read_bytes(), target
 
 
-def test_out_dir_precedence_flag_config_env(tmp_path, monkeypatch):
+def test_environment_does_not_move_the_run_directory(tmp_path, monkeypatch,
+                                                     capsys):
+    # without --out, run writes to ./runs and report scans it, whatever
+    # PROFUSION_OUT (once a third way to name the directory) says
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("PROFUSION_OUT", str(tmp_path / "from_env"))
-    cfg = _config(tmp_path)
-    assert main(["run", "--config", cfg, "--mode", "sample"]) == 0
-    assert (tmp_path / "from_env" / "run_record.json").exists()
-
-    cfg_dir = _config(tmp_path, {"out_dir": str(tmp_path / "from_cfg")},
-                      name="cfg2.json")
-    assert main(["run", "--config", cfg_dir, "--mode", "sample"]) == 0
-    assert (tmp_path / "from_cfg" / "run_record.json").exists()
-
-    assert main(["run", "--config", cfg_dir, "--mode", "sample",
-                 "--out", str(tmp_path / "from_flag")]) == 0
-    assert (tmp_path / "from_flag" / "run_record.json").exists()
+    assert main(["run", "--config", _config(tmp_path), "--mode", "sample"]) == 0
+    assert (tmp_path / "runs" / "run_record.json").exists()
+    assert main(["report"]) == 0
+    assert "1 run record(s) under runs" in capsys.readouterr().out
+    assert (tmp_path / "runs" / "summary.csv").exists()
+    assert not (tmp_path / "from_env").exists()
 
 
 def test_report_aggregates_runs_into_summary(tmp_path, capsys):
     cfg = _config(tmp_path)
     main(["run", "--config", cfg, "--mode", "sample",
           "--out", str(tmp_path / "runs" / "r1")])
-    main(["run", "--config", cfg, "--mode", "sample",
-          "--out", str(tmp_path / "runs" / "r2"), "--seed", "5"])
+    main(["run", "--config", _config(tmp_path, {"seed": 5}, name="cfg5.json"),
+          "--mode", "sample", "--out", str(tmp_path / "runs" / "r2")])
     capsys.readouterr()
     assert main(["report", "--out", str(tmp_path / "runs")]) == 0
     out = capsys.readouterr().out
@@ -609,3 +603,34 @@ def test_report_skips_malformed_records(tmp_path, capsys):
     assert "1 run record(s)" in captured.out and "(3 unreadable)" in captured.out
     lines = (tmp_path / "runs" / "summary.csv").read_text().splitlines()
     assert len(lines) == 2 and "good" in lines[1]
+
+
+def test_report_into_a_regular_file_exits_1(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("keep me")
+    assert main(["report", "--out", str(target)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write summary: ")
+    assert target.read_text() == "keep me"
+    assert list(tmp_path.glob("**/*.tmp")) == []
+
+
+def test_report_write_failing_leaves_the_old_summary(tmp_path, monkeypatch,
+                                                     capsys):
+    runs = tmp_path / "runs"
+    cfg = _config(tmp_path)
+    main(["run", "--config", cfg, "--mode", "sample", "--out", str(runs / "r1")])
+    assert main(["report", "--out", str(runs)]) == 0
+    before = (runs / "summary.csv").read_bytes()
+    main(["run", "--config", cfg, "--mode", "sample", "--out", str(runs / "r2")])
+    capsys.readouterr()
+
+    def failing_replace(src, dst):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr("os.replace", failing_replace)
+    assert main(["report", "--out", str(runs)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: cannot write summary: [Errno 5] Input/output error"]
+    assert (runs / "summary.csv").read_bytes() == before
+    assert list(tmp_path.glob("**/*.tmp")) == []

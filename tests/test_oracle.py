@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal, assert_array_less
 
 import fusionsampler.mixture as mixture
 from fusionsampler.conditions import ConditionSet
@@ -449,6 +449,9 @@ def _excluding(rng, values, share, keep_one=False):
 # a subnormal responsibility one ulp off the reference
 @example(seed=2257, n_i=4, n_c=3, d=9, n=188, ab=1.0, gamma=0.0,
          grid_identity=False)
+# a responsibility near 5e-109, 1.36e-12 relative off the reference
+@example(seed=148, n_i=4, n_c=2, d=9, n=8, ab=1.0, gamma=0.0,
+         grid_identity=False)
 def test_oracle_matches_row_major_reference(seed, n_i, n_c, d, n, ab, gamma,
                                             grid_identity):
     # n=None is a single point of shape (d,)
@@ -489,14 +492,19 @@ def test_oracle_matches_row_major_reference(seed, n_i, n_c, d, n, ab, gamma,
     else:
         # numpy sums 8 or more terms pairwise, so last bits may differ; eps
         # is a difference x - sqrt(ab) * post_mean, so it also gets an
-        # absolute slack at the scale of its two terms, and a subnormal
-        # responsibility, whose last bit alone is a relative error near
-        # 1e-11, gets one at the subnormal scale
+        # absolute slack at the scale of its two terms. A responsibility is
+        # r = exp(logit - lse), so its relative error is the absolute error
+        # of that exponent, which grows with |log r|; a subnormal one, whose
+        # last bit alone is a relative error near 1e-11, also gets an
+        # absolute slack at the subnormal scale
         scale = np.sqrt(1.0 - ab) / (ab * world.s**2 + 1.0 - ab) \
             * (np.abs(x).max() + np.abs(world.cell_means()).max())
         assert_allclose(got[0], ref[0], rtol=1e-12, atol=1e-12 * scale)
-        assert_allclose(got[1], ref[1], rtol=1e-12,
-                        atol=np.finfo(float).smallest_normal)
+        r_ref = np.asarray(ref[1])
+        log_r = np.abs(np.log(np.where(r_ref > 0.0, r_ref, 1.0)))
+        bound = 1e-12 * np.maximum(1.0, log_r) * r_ref \
+            + np.finfo(float).smallest_normal
+        assert_array_less(np.abs(np.asarray(got[1]) - r_ref), bound)
         assert_allclose(got[2], ref[2], rtol=1e-12)
 
 

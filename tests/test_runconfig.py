@@ -12,7 +12,6 @@ from fusionsampler.runconfig import MODE_KEYS, ConfigError, validate_config
 
 FULL = {
     "seed": 7,
-    "out_dir": "somewhere",
     "world": {"preset": "product", "identity_spacing": 1.5, "style_offset": 1.5,
               "s": 0.7},
     "schedule": {"T": 40, "beta_end": 0.1},
@@ -31,7 +30,6 @@ FULL = {
 def test_empty_payload_resolves_defaults():
     cfg = validate_config({})
     assert cfg.seed == 0
-    assert cfg.out_dir is None
     assert cfg.world is None and cfg.condition is None
     assert cfg.schedule.T == 100
     assert cfg.fusion.m == 1 and cfg.fusion.mode == "fusion"
@@ -46,7 +44,7 @@ def test_empty_payload_resolves_defaults():
 
 def test_full_payload_constructs_every_component():
     cfg = validate_config(FULL)
-    assert cfg.seed == 7 and cfg.out_dir == "somewhere"
+    assert cfg.seed == 7
     assert cfg.world.n_identities == 2 and cfg.world.s == 0.7
     assert cfg.schedule.T == 40
     assert cfg.fusion.m == 3 and cfg.fusion.sigma.eta == 0.5
@@ -80,6 +78,7 @@ def test_custom_sigma_values_accepted():
     ({"world": {}}, "world.preset"),
     ({"seed": True}, "seed"),
     ({"seed": 1.5}, "seed"),
+    # not a key: the CLI's --out alone names the run directory
     ({"out_dir": 3}, "out_dir"),
     ({"schedule": {"T": 0}}, "schedule.T"),
     ({"schedule": {"beta_end": "big"}}, "schedule.beta_end"),
@@ -149,7 +148,7 @@ def test_violations_name_the_offending_path(payload, fragment):
 @pytest.mark.parametrize("payload, start", [
     ({"seed": -10**400}, "seed: must be >= 0, got -1"),
     ({"sweep": {"seeds": "x" * 300}}, "sweep.seeds: expected a nonempty list"),
-    ({"out_dir": ["a"] * 100}, "out_dir: expected a string"),
+    ({"fusion": {"mode": ["a"] * 100}}, "fusion.mode: expected a string"),
     ({"fusion": {"gamma": 10**300}}, "fusion.gamma: must be <= 1.0"),
     ({"schedule": {"T": {str(k): [k] * 50 for k in range(50)}}},
      "schedule.T: expected an integer"),
@@ -159,6 +158,9 @@ def test_violations_name_the_offending_path(payload, fragment):
     ({"condition": {"identity": {"k" * 100: "v" * 100}}},
      "condition.identity: expected a list"),
     ({"condition": {"text": [0.0, "t" * 300]}}, "condition.text[1]: expected a number"),
+    # a constructor's message is cut too
+    ({"fusion": {"mode": "x" * 300}}, "fusion: mode must be one of"),
+    ({"sigma": {"kind": "k" * 300}}, "sigma: unknown sigma profile kind 'kkk"),
 ])
 def test_violations_show_the_value_shortened(payload, start):
     # the message keeps the key path, whatever the size of the value
@@ -200,6 +202,29 @@ def test_readme_config_block_lists_the_defaults():
     assert set(shown) == set(defaults)
     for section in set(shown) - {"world", "condition"}:
         assert shown[section] == defaults[section], section
+
+
+def test_readme_modes_table_lists_the_mode_keys():
+    # the "keys it reads" column of the README's Modes table is MODE_KEYS:
+    # each mode's row, then for ablate and compare the built-in one
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    table = text.split("### Modes\n", 1)[1].strip().split("\n\n", 1)[0]
+    shown = {}
+    for line in table.splitlines()[2:]:
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        shown[cells[0].strip("`")] = cells[2]
+    if shown["compare"] == "as `ablate`":
+        shown["compare"] = shown["ablate"]
+    assert set(shown) == set(RUN_MODES)
+
+    def listed(keys):
+        return ", ".join(f"`{key}`" for key in keys) or "no key"
+
+    for mode, cell in shown.items():
+        expected = listed(MODE_KEYS[mode])
+        if mode in ("ablate", "compare"):
+            expected += "; built-in: " + listed(MODE_KEYS["builtin"])
+        assert cell == expected, mode
 
 
 def test_omega_list_is_an_unknown_key():
@@ -258,7 +283,12 @@ def test_mode_echo_is_part_of_the_full_echo_and_replays(mode, payload):
 
 @pytest.mark.parametrize("mode, payload", _MODE_PAYLOADS)
 def test_every_mode_accepts_seed_and_refuses_the_full_payload(mode, payload):
-    assert validate_config({**payload, "seed": 5}, mode).seed == 5
+    if mode in ("ablate", "compare") and not payload:
+        # the built-in benchmark reads no key, seed included
+        with pytest.raises(ConfigError, match="built-in benchmark.*: seed$"):
+            validate_config({"seed": 5}, mode)
+    else:
+        assert validate_config({**payload, "seed": 5}, mode).seed == 5
     # every mode leaves at least one key of FULL unread
     with pytest.raises(ConfigError, match="not read by"):
         validate_config(FULL, mode)
