@@ -87,9 +87,7 @@ CASES = [
      {**_TRAINING, "sampling": {"n_samples": 40},
       "sweep": {"lambdas": [0.0, 1.0, 10.0], "seeds": [0, 1]}}),
     ("ablate-conflict", "ablate", _CONFLICT),
-    ("compare-conflict", "compare", _CONFLICT),
     ("ablate-builtin", "ablate", {}),
-    ("compare-builtin", "compare", {}),
 ]
 
 

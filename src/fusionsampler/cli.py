@@ -4,11 +4,14 @@ verify prints one CSV row per check on stdout and exits nonzero when any
 fails. run executes one mode from a JSON config; every mode stages its
 artifacts in memory and writes them only after the whole mode finishes, so a
 failed run leaves no partial files. The write goes through temp files renamed
-into place; an output that cannot be written exits 1 with no truncated
-artifact and no temp file left. report scans a directory (and its
-immediate subdirectories) for run_record.json files and rolls them up into
-summary.csv, naming unreadable records in warnings instead of aborting; it
-writes summary.csv the same way, and exits 1 when it cannot.
+into place, run_record.json last; an output that cannot be written exits 1
+with no truncated artifact, no temp file and no run record left. run refuses
+with exit 1, before the mode starts, an --out that already holds a
+run_record.json, so one directory never mixes two runs' files. report scans
+a directory (and its immediate subdirectories) for run_record.json files and
+rolls them up into summary.csv, naming unreadable records in warnings
+instead of aborting; it writes summary.csv the same way, and exits 1 when it
+cannot.
 
 Each run setting has one source: the JSON config holds every input of a
 run, and --out (default runs) alone names the directory that run writes and
@@ -17,9 +20,9 @@ report scans. Every mode hands the config validated for it
 to the driver it runs. run_record.json holds the mode, the seed, the echo of
 only the keys the mode read, and the mode's metrics; a mode's table is
 written once, to its metrics.csv. The sweep.seeds list does double duty as
-the seed list for the ablate and compare modes; with neither world nor
-condition those two run the built-in benchmark, which reads no key, and
-their record echoes the benchmark's own config.
+the seed list for the ablate mode; with neither world nor condition it runs
+the built-in benchmark, which reads no key, and its record echoes the
+benchmark's own config.
 """
 
 from __future__ import annotations
@@ -144,24 +147,18 @@ def _variant_summary(rows: list[dict]) -> list[dict]:
     return out
 
 
-def _mode_ablate(cfg: RunConfig, per_variant: bool = False) -> tuple[dict, dict]:
-    """ablate writes one metrics row per (variant, seed); compare
-    (per_variant=True) aggregates them to one row per variant. cfg has both
-    world and condition."""
+def _mode_ablate(cfg: RunConfig) -> tuple[dict, dict]:
+    """One metrics row per (variant, seed); the best variant and the plot
+    use each variant's mean scores. cfg has both world and condition."""
     rows = ablation_suite(cfg)
     summary = _variant_summary(rows)
     best = max(summary, key=lambda row: row["min_score"])
-    metrics = {"best_variant": best["variant"], "best_min_score": best["min_score"]}
-    if per_variant:
-        metrics["n_variants"] = len(summary)
-        table = render_csv(summary)
-    else:
-        metrics["n_rows"] = len(rows)
-        table = render_csv(rows, columns=ABLATION_COLUMNS)
+    metrics = {"best_variant": best["variant"], "best_min_score": best["min_score"],
+               "n_rows": len(rows)}
     points = [(row["identity_score"], row["style_score"], row["variant"])
               for row in summary]
     files = {
-        "metrics.csv": table,
+        "metrics.csv": render_csv(rows, columns=ABLATION_COLUMNS),
         "variants.svg": render_scatter_svg(points, "sampler variants"),
     }
     return metrics, files
@@ -172,7 +169,6 @@ RUN_MODES = {
     "train-encoder": _mode_train_encoder,
     "sweep-lambda": _mode_sweep,
     "ablate": _mode_ablate,
-    "compare": lambda cfg: _mode_ablate(cfg, per_variant=True),
 }
 
 
@@ -214,10 +210,15 @@ def cmd_run(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
-    # ablate and compare with neither world nor condition run the built-in
-    # benchmark; the record echoes the config that ran
+    if os.path.exists(os.path.join(args.out, "run_record.json")):
+        print(f"error: {args.out} already holds a run (run_record.json);"
+              " choose another --out", file=sys.stderr)
+        return 1
+
+    # ablate with neither world nor condition runs the built-in benchmark;
+    # the record echoes the config that ran
     ran = cfg
-    if args.mode in ("ablate", "compare") and cfg.world is None:
+    if args.mode == "ablate" and cfg.world is None:
         ran = degeneration_benchmark()
     try:
         metrics, files = RUN_MODES[args.mode](ran)
@@ -245,10 +246,11 @@ def cmd_run(args) -> int:
 
 def _write_run_dir(directory: str, files: dict) -> list[str]:
     """Write every artifact to a .tmp file beside its target, then rename them
-    all into place. A failed write removes the temp files, so it never leaves
-    a truncated artifact behind."""
+    all into place, run_record.json last. A failed write removes the temp
+    files, so it never leaves a truncated artifact behind, nor a run record
+    beside missing artifacts."""
     os.makedirs(directory, exist_ok=True)
-    names = sorted(files)
+    names = sorted(files, key=lambda name: (name == "run_record.json", name))
     paths = [os.path.join(directory, name) for name in names]
     try:
         for name, path in zip(names, paths):

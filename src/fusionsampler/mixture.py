@@ -55,7 +55,7 @@ predict_eps call per condition. MixtureOracle keeps:
   repeated calls, so a trajectory announces at most 2 tuples, and the cache
   is cleared above 8.
 
-Every result is bit-identical to a fresh oracle_predict_eps call.
+Every result is bit-identical to a fresh oracle_eps call at alpha_bar_t.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ __all__ = [
     "oracle_eps",
     "oracle_log_density",
     "oracle_responsibilities",
-    "oracle_predict_eps",
 ]
 
 
@@ -325,12 +324,6 @@ def oracle_eps(world: MixtureWorld, x, cond: ConditionSet | None,
     """Exact eps = -sqrt(1 - alpha_bar) * grad log p_t(x | cond)."""
     logw = cell_log_weights(world, cond).reshape(-1, 1)
     return _eps_rows(world, logw, x, alpha_bar_t)[0]
-
-
-def oracle_predict_eps(world: MixtureWorld, x_t, cond: ConditionSet | None, t: int,
-                       schedule: DiffusionSchedule) -> np.ndarray:
-    """Timestep-indexed oracle prediction (the NoisePredictor entry point)."""
-    return oracle_eps(world, x_t, cond, schedule.alpha_bars(t)[0])
 
 
 def _input_key(t, x: np.ndarray):

@@ -31,7 +31,6 @@ __all__ = [
     "ddim_step",
     "renoise",
     "renoise_coefficients",
-    "renoise_mean",
     "fused_update",
     "fused_update_coefficients",
     "check_variance_bound",
@@ -156,12 +155,6 @@ def renoise_coefficients(x0_hat, alpha_bar_t: float, alpha_bar_prev: float,
         L_scale=float(1.0 / (sigma_t * sigma_t)),
         B_scale=float(1.0 / (1.0 - alpha_bar_t)),
     )
-
-
-def renoise_mean(x_prev, x0_hat, alpha_bar_t: float, alpha_bar_prev: float,
-                 sigma_t: float) -> np.ndarray:
-    """Mean Sigma * (A * L * (x_prev - b) + B * mu) of the re-noising conditional."""
-    return renoise_coefficients(x0_hat, alpha_bar_t, alpha_bar_prev, sigma_t).mean(x_prev)
 
 
 def renoise(x_prev, x0_hat, t: int, schedule: DiffusionSchedule, sigma_t: float,

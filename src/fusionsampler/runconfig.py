@@ -46,25 +46,22 @@ _SECTIONS = ("seed", "world", "schedule", "sigma", "fusion", "weights", "trainin
              "condition", "sampling", "sweep", "denoiser")
 
 # The keys each run mode reads: a whole section, or "section.key" where a
-# mode reads only part of one. Every mode accepts seed, though ablate,
-# compare and sweep-lambda take their seeds from sweep.seeds: the benchmark
-# configs in perfbench/workloads.py set it for them. ablate and compare
-# with neither world nor condition run the built-in benchmark
-# (evaluate.degeneration_benchmark), which fixes every setting itself: its
-# "builtin" row is empty, so it accepts only {}. sample and sweep-lambda
-# read only the fusion and weights keys of the sampler that fusion.mode
-# names (_sampler_keys); ablate and compare read them all through their
-# variants.
+# mode reads only part of one. Every mode accepts seed, though ablate and
+# sweep-lambda take their seeds from sweep.seeds: the benchmark configs in
+# perfbench/workloads.py set it for them. ablate with neither world nor
+# condition runs the built-in benchmark (evaluate.degeneration_benchmark),
+# which fixes every setting itself: its "builtin" row is empty, so it
+# accepts only {}. sample and sweep-lambda read only the fusion and weights
+# keys of the sampler that fusion.mode names (_sampler_keys); ablate reads
+# them all through its variants.
 _SAMPLER = ("schedule", "sigma", "fusion", "weights")
-_ABLATE = ("seed", "world", *_SAMPLER, "condition", "sampling", "sweep.seeds")
 MODE_KEYS = {
     "sample": ("seed", "world", *_SAMPLER, "condition", "sampling"),
     "train-encoder": ("seed", "world", "schedule", "training", "denoiser"),
     "sweep-lambda": ("seed", "world", *_SAMPLER, "training.steps",
                      "training.batch", "training.augment", "training.lr",
                      "sampling", "sweep", "denoiser"),
-    "ablate": _ABLATE,
-    "compare": _ABLATE,
+    "ablate": ("seed", "world", *_SAMPLER, "condition", "sampling", "sweep.seeds"),
     "builtin": (),
 }
 
@@ -333,8 +330,8 @@ def validate_config(payload, mode: str | None = None) -> RunConfig:
 
     With a run mode, a key outside that mode's MODE_KEYS row is refused and
     the payload echoes only the row's keys; sample and sweep-lambda narrow
-    fusion and weights to the keys fusion.mode reads, and ablate and compare
-    with neither world nor condition use the "builtin" row. Raises
+    fusion and weights to the keys fusion.mode reads, and ablate with
+    neither world nor condition uses the "builtin" row. Raises
     ConfigError naming the offending key path on any violation.
     """
     payload = _require_mapping(payload, "config")
@@ -365,15 +362,14 @@ def validate_config(payload, mode: str | None = None) -> RunConfig:
     if mode in ("sample", "sweep-lambda"):
         row = (*(key for key in row if key not in ("fusion", "weights")),
                *_sampler_keys(fusion))
-    if mode in ("ablate", "compare"):
+    if mode == "ablate":
         if (world is None) != (condition is None):
             raise ConfigError(
-                f"world, condition: {mode} needs both world and condition (or"
+                "world, condition: ablate needs both world and condition (or"
                 " neither, which runs the built-in benchmark)")
         if world is None:
             row = MODE_KEYS["builtin"]
-            reader = (f"the built-in benchmark ({mode} with neither world"
-                      " nor condition)")
+            reader = "the built-in benchmark (ablate with neither world nor condition)"
     _refuse_unread(payload, row, reader)
     resolved = {
         "seed": seed,

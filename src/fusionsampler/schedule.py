@@ -29,12 +29,6 @@ DEFAULT_BETA_START = 1e-4
 DEFAULT_BETA_END = 0.08
 
 
-def _float_key(values: np.ndarray) -> tuple:
-    """Hash key of a float array that agrees with np.array_equal: 0.0 and
-    -0.0 hash alike as Python floats."""
-    return tuple(values.tolist())
-
-
 @dataclass(frozen=True, eq=False)
 class DiffusionSchedule:
     """Timestep grid for t = 1..T, built from the per-step variances alone.
@@ -42,6 +36,8 @@ class DiffusionSchedule:
     beta has length T; beta[i] is the step variance for timestep t = i+1.
     alpha_bar has length T+1 and is indexed 0..T with alpha_bar[0] = 1.0
     (clean data) and alpha_bar[t] = alpha_bar[t-1] * (1 - beta[t-1]).
+    Equality and hashing are by identity (eq=False), as for ConditionSet;
+    compare beta for value equality.
     """
 
     beta: np.ndarray
@@ -72,16 +68,6 @@ class DiffusionSchedule:
             raise ValueError(f"t must lie in 1..{self.T}, got {t!r}")
         return float(self.alpha_bar[t]), float(self.alpha_bar[t - 1])
 
-    # alpha_bar is a function of beta; comparing the arrays themselves with
-    # the generated __eq__ would raise
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return np.array_equal(self.beta, other.beta)
-
-    def __hash__(self):
-        return hash(_float_key(self.beta))
-
 
 def check_sigma(sigma_t: float, alpha_bar_prev: float) -> None:
     """Refuse a sigma_t outside the reverse posterior's domain
@@ -94,13 +80,14 @@ def check_sigma(sigma_t: float, alpha_bar_prev: float) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SigmaProfile:
     """Per-step noise scale rule.
 
     kind "boundary" pins sigma_t = sqrt(1 - alpha_bar[t-1]); "ddim_eta"
     interpolates between deterministic (eta=0) and ancestral (eta=1)
     sampling; "custom" carries explicit values, values[i] for t = i+1.
+    Equality and hashing are by identity (eq=False), as for ConditionSet.
     """
 
     kind: str
@@ -125,19 +112,6 @@ class SigmaProfile:
             object.__setattr__(self, "values", vals)
         elif self.values is not None:
             raise ValueError(f"values are only valid for kind='custom', not {self.kind!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        if self.values is None or other.values is None:
-            same_values = self.values is other.values
-        else:
-            same_values = np.array_equal(self.values, other.values)
-        return self.kind == other.kind and self.eta == other.eta and same_values
-
-    def __hash__(self):
-        values = None if self.values is None else _float_key(self.values)
-        return hash((self.kind, self.eta, values))
 
 
 def build_schedule(

@@ -25,7 +25,6 @@ from fusionsampler.mixture import (
     MixtureOracle,
     oracle_eps,
     oracle_log_density,
-    oracle_predict_eps,
 )
 from fusionsampler.nets import MLP, fd_gradient
 from fusionsampler.posterior import (
@@ -33,7 +32,6 @@ from fusionsampler.posterior import (
     fused_update_coefficients,
     predict_x0,
     renoise_coefficients,
-    renoise_mean,
     sample_prev_mean,
 )
 from fusionsampler.predictors import announce_pass
@@ -102,7 +100,7 @@ def _check_posterior_two_path():
         x0 = predict_x0(x_t, eps_tilde, ab_t)
         m1 = sample_prev_mean(x_t, x0, ab_t, ab_prev, sigma)
         c = renoise_coefficients(x0, ab_t, ab_prev, sigma)
-        mean_two = renoise_mean(m1, x0, ab_t, ab_prev, sigma)
+        mean_two = c.mean(m1)
         var_two = (c.Sigma_scale * c.A_scale * c.L_scale) ** 2 * sigma ** 2 \
             + c.Sigma_scale
         eps_coeff, noise_coeff = fused_update_coefficients(ab_t, ab_prev, sigma)
@@ -223,7 +221,7 @@ def _prefix_mismatch(make_predictor, cond, cfg, schedule, sizes, seed,
 
 class _MemoFreeOracle:
     """The mixture oracle without MixtureOracle's caches: every call is a
-    fresh oracle_predict_eps."""
+    fresh oracle_eps."""
 
     def __init__(self, world, schedule):
         self.world, self.schedule = world, schedule
@@ -233,7 +231,7 @@ class _MemoFreeOracle:
         return self.world.d
 
     def predict_eps(self, x_t, cond, t):
-        return oracle_predict_eps(self.world, x_t, cond, t, self.schedule)
+        return oracle_eps(self.world, x_t, cond, self.schedule.alpha_bars(t)[0])
 
 
 def _check_batch_prefix_invariance():
@@ -248,7 +246,7 @@ def _check_batch_prefix_invariance():
     - a 4x3 product world at n=1 and n=4: for a lone row numpy would sum its
       12 cells pairwise instead of in order, if the oracle let it.
     Each case runs through MixtureOracle, which evaluates a guided pass's
-    conditions stacked, and through one fresh oracle_predict_eps per call:
+    conditions stacked, and through one fresh oracle_eps per call:
     a stack of 2 or 3 conditions over one row is not a lone row to numpy."""
     schedule = build_schedule(T=40, beta_end=0.15)
     cfg = FusionConfig(m=2, gamma=0.5)

@@ -1,15 +1,18 @@
 """Command behavior end to end, driven through main(argv) in process."""
 
 import csv
+import importlib.util
 import json
 import os
+import re
 
+import numpy as np
 import pytest
 
 import fusionsampler.evaluate as evaluate
 import fusionsampler.verify as verify
 from fusionsampler.artifacts import load_json
-from fusionsampler.cli import main
+from fusionsampler.cli import RUN_MODES, main
 from fusionsampler.encoder import ToyPromptNet
 from fusionsampler.evaluate import (
     ABLATION_COLUMNS,
@@ -41,7 +44,6 @@ FAST = {
                      "sweep": {"lambdas": [0.0, 1.0], "seeds": [0]}},
     "ablate": {**_SAMPLER, "condition": _CONDITION, "sweep": {"seeds": [0]}},
 }
-FAST["compare"] = FAST["ablate"]
 
 
 def _config(tmp_path, overrides=None, name="cfg.json", mode="sample"):
@@ -86,6 +88,20 @@ def test_verify_injected_bug_fails_and_names_the_check(monkeypatch, capsys):
     assert "boundary_sigma_collapse" in captured.err
 
 
+def test_golden_cases_are_valid_runs_of_every_mode():
+    # scripts/golden_bytes.py runs its cases one after another; a stale mode
+    # or config would stop it partway, after every case before it had run
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                        "golden_bytes.py")
+    spec = importlib.util.spec_from_file_location("golden_bytes", path)
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    for name, mode, config in golden.CASES:
+        assert mode in RUN_MODES, name
+        validate_config(config, mode)
+    assert {mode for _, mode, _ in golden.CASES} == set(RUN_MODES)
+
+
 def test_run_sample_writes_record_samples_metrics(tmp_path):
     out = tmp_path / "out"
     rc = main(["run", "--config", _config(tmp_path), "--mode", "sample",
@@ -108,7 +124,7 @@ def test_run_sample_writes_record_samples_metrics(tmp_path):
 
 def test_run_rerun_is_byte_identical(tmp_path):
     # every mode at its FAST smoke config
-    for mode in ("sample", "train-encoder", "sweep-lambda", "ablate", "compare"):
+    for mode in ("sample", "train-encoder", "sweep-lambda", "ablate"):
         cfg = _config(tmp_path, name=f"{mode}.json", mode=mode)
         outs = [tmp_path / mode / sub for sub in ("a", "b")]
         for out in outs:
@@ -164,15 +180,34 @@ def test_run_ablate_rows_per_variant_and_seed(tmp_path):
     assert (out / "variants.svg").read_text().startswith("<svg")
 
 
-def test_run_compare_aggregates_one_row_per_variant(tmp_path):
-    out = tmp_path / "cmp"
-    rc = main(["run", "--config", _config(tmp_path, mode="compare"),
-               "--mode", "compare", "--out", str(out)])
-    assert rc == 0
-    lines = (out / "metrics.csv").read_text().splitlines()
-    assert lines[0] == "variant,identity_score,style_score,min_score"
-    assert len(lines) == 6
-    assert load_json(out / "run_record.json")["metrics"]["n_variants"] == 5
+def test_run_ablate_best_variant_is_the_best_mean_min_score(tmp_path):
+    # the record's best variant is the variant whose min(mean identity, mean
+    # style) over its metrics.csv rows is largest, and variants.svg labels
+    # the variants in file order. On the conflict world the variants' means
+    # differ, and the best by min is not the best by identity.
+    conflict = {"world": {"preset": "conflict"},
+                "condition": {"identity": [[16.0, 10.0], [0.0, 0.0]],
+                              "text": [0.0, 4.0]},
+                "fusion": {"m": 2, "gamma": 0.06},
+                "weights": {"omega": 4.0, "omega1": 0.6, "omega2": 5.0},
+                "sampling": {"n_samples": 24}, "sweep": {"seeds": [0, 1]}}
+    out = tmp_path / "ab"
+    assert main(["run", "--config", _config(tmp_path, conflict, mode="ablate"),
+                 "--mode", "ablate", "--out", str(out)]) == 0
+    rows = _read_table(out / "metrics.csv")
+    names = list(dict.fromkeys(row["variant"] for row in rows))
+    scores = []
+    for name in names:
+        mine = [row for row in rows if row["variant"] == name]
+        scores.append(min(float(np.mean([row["identity_score"] for row in mine])),
+                          float(np.mean([row["style_score"] for row in mine]))))
+    best = max(range(len(names)), key=scores.__getitem__)
+    metrics = load_json(out / "run_record.json")["metrics"]
+    assert (metrics["best_variant"], metrics["best_min_score"]) == (names[best],
+                                                                    scores[best])
+    # each point is a circle followed by its label
+    svg = (out / "variants.svg").read_text()
+    assert re.findall(r'r="5" fill="[^"]*"/>\n<text [^>]*>([^<]*)</text>', svg) == names
 
 
 @pytest.mark.parametrize("mode", sorted(FAST))
@@ -272,7 +307,7 @@ def test_run_builtin_ablate_refuses_settings_it_does_not_use(tmp_path, capsys):
 @pytest.mark.parametrize("mode, world, condition", [
     ("sweep-lambda", {"preset": "single"}, None),
     ("ablate", {"preset": "single"}, {"identity": [1.0], "text": [1.0]}),
-    ("compare", {"preset": "product", "n_styles": 1},
+    ("ablate", {"preset": "product", "n_styles": 1},
      {"identity": [1.0, 0.0], "text": [1.0]}),
 ])
 def test_run_refuses_a_world_the_protocol_cannot_score(tmp_path, monkeypatch, capsys,
@@ -325,7 +360,6 @@ _ECHOED = {
     "ablate": ["seed", "world", "schedule", "sigma", "fusion", "weights",
                "condition", "sampling", "sweep"],
 }
-_ECHOED["compare"] = _ECHOED["ablate"]
 
 
 @pytest.mark.parametrize("mode", sorted(FAST))
@@ -336,7 +370,7 @@ def test_run_replays_from_its_record(tmp_path, mode):
     assert sorted(echo) == sorted(_ECHOED[mode])
     if mode == "sweep-lambda":
         assert sorted(echo["training"]) == ["augment", "batch", "lr", "steps"]
-    if mode in ("ablate", "compare"):
+    if mode == "ablate":
         assert list(echo["sweep"]) == ["seeds"]
 
 
@@ -347,8 +381,8 @@ def test_run_replays_from_its_record(tmp_path, mode):
     ("sweep-lambda", {"condition": _CONDITION}, "condition"),
     ("ablate", {"denoiser": {"steps": 40}}, "denoiser"),
     ("ablate", {"sweep": {"lambdas": [0.0], "seeds": [0]}}, "sweep.lambdas"),
-    ("compare", {"denoiser": {"steps": 40}}, "denoiser"),
-    ("compare", {"sweep": {"lambdas": [0.0], "seeds": [0]}}, "sweep.lambdas"),
+    ("ablate", {"training": {"steps": 8}}, "training"),
+    ("train-encoder", {"sigma": {"kind": "boundary"}}, "sigma"),
     # the sampler keys that fusion.mode does not read
     ("sample", {"fusion": {"mode": "vanilla_cfg", "m": 3, "gamma": 0.9,
                            "use_refinement": True},
@@ -504,25 +538,54 @@ def test_run_write_failing_partway_leaves_no_truncated_artifact(
         return fh
 
     real_replace = os.replace
-    calls = []
 
-    def failing_replace(src, dst):
-        calls.append(dst)
-        if len(calls) == 2:
-            raise OSError(5, "Input/output error")
-        real_replace(src, dst)
+    def replace_failing_at(position):
+        calls = []
 
-    for target, patch in (("builtins.open", failing_open),
-                          ("os.replace", failing_replace)):
-        out = tmp_path / target
+        def failing_replace(src, dst):
+            calls.append(dst)
+            if len(calls) == position:
+                raise OSError(5, "Input/output error")
+            real_replace(src, dst)
+        return failing_replace
+
+    # open fails on the second file; a rename fails at each of the 3
+    # positions, the last being run_record.json's
+    cases = [("builtins.open", failing_open)] + [
+        ("os.replace", replace_failing_at(position)) for position in (1, 2, 3)]
+    for i, (target, patch) in enumerate(cases):
+        out = tmp_path / f"out{i}"
         with monkeypatch.context() as m:
             m.setattr(target, patch)
             assert main(["run", "--config", cfg, "--mode", "sample",
                          "--out", str(out)]) == 1, target
         assert "error: cannot write run directory" in capsys.readouterr().err
         assert list(out.glob("*.tmp")) == [], target
+        # no record marks the directory as holding a run
+        assert not (out / "run_record.json").exists(), (target, i)
         for path in out.iterdir():
             assert path.read_bytes() == (ref / path.name).read_bytes(), target
+        # so the same --out takes a retry
+        assert main(["run", "--config", cfg, "--mode", "sample",
+                     "--out", str(out)]) == 0, (target, i)
+        assert sorted(os.listdir(out)) == sorted(os.listdir(ref))
+
+
+def test_run_refuses_an_out_that_holds_a_run(tmp_path, capsys):
+    # a second run into one directory would leave the first run's files that
+    # it does not write (sweep.svg under an ablate) beside its own
+    out = tmp_path / "r"
+    assert main(["run", "--config", _config(tmp_path), "--mode", "sample",
+                 "--out", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+    assert main(["run", "--config", _config(tmp_path, mode="ablate", name="ab.json"),
+                 "--mode", "ablate", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {out} already holds a run")
+    assert captured.out == ""
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_environment_does_not_move_the_run_directory(tmp_path, monkeypatch,

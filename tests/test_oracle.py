@@ -17,7 +17,6 @@ from fusionsampler.mixture import (
     cell_log_weights,
     oracle_eps,
     oracle_log_density,
-    oracle_predict_eps,
     oracle_responsibilities,
 )
 from fusionsampler.predictors import predict_eps
@@ -228,7 +227,7 @@ def test_oracle_predictor_wraps_schedule():
         assert_array_equal(oracle.predict_eps(x, None, t), want)
         assert_array_equal(predict_eps(oracle, x, None, t), want)
     with pytest.raises(ValueError, match="t must lie"):
-        oracle_predict_eps(w, x, None, 11, sched)
+        oracle.predict_eps(x, None, 11)
 
 
 def test_predict_eps_dispatch_validation():
@@ -510,14 +509,14 @@ def test_oracle_matches_row_major_reference(seed, n_i, n_c, d, n, ab, gamma,
 
 # MixtureOracle keeps one pass entry, the eps of the conditions last
 # announced at one (t, x), and caches the log-weights of each tuple of
-# conditions; every result must equal a fresh oracle_predict_eps bit for bit.
+# conditions; every result must equal a fresh oracle_eps bit for bit.
 _MEMO_T = 12
 _MEMO_SCHEDULE = build_schedule(T=_MEMO_T, beta_end=0.2)
 
 
 def _assert_fresh(oracle, x, cond, t):
     got = oracle.predict_eps(x, cond, t)
-    want = oracle_predict_eps(oracle.world, np.array(x), cond, t, oracle.schedule)
+    want = oracle_eps(oracle.world, np.array(x), cond, oracle.schedule.alpha_bars(t)[0])
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     return got

@@ -11,7 +11,6 @@ from fusionsampler.posterior import (
     predict_x0,
     renoise,
     renoise_coefficients,
-    renoise_mean,
     sample_prev,
     sample_prev_mean,
 )
@@ -100,8 +99,8 @@ def test_renoise_matches_joint_conditioning_oracle():
     x0 = np.array([0.7, -0.2])
     for x_prev in (np.array([-0.3, 0.9]), np.array([1.5, 0.0]), np.array([0.0, 0.0])):
         want_mean, want_var = conditioned_renoise_oracle(x_prev, x0, ab_t, ab_prev, sigma)
-        got_mean = renoise_mean(x_prev, x0, ab_t, ab_prev, sigma)
-        got_var = renoise_coefficients(x0, ab_t, ab_prev, sigma).Sigma_scale
+        c = renoise_coefficients(x0, ab_t, ab_prev, sigma)
+        got_mean, got_var = c.mean(x_prev), c.Sigma_scale
         assert_allclose(got_mean, want_mean, rtol=1e-8)
         assert_allclose(got_var, want_var, rtol=1e-8)
 
@@ -110,10 +109,9 @@ def test_renoise_boundary_drops_x_prev_dependence():
     # dyadic probe: the vanishing coefficient is exactly zero only when the
     # radicand 1 - ab_prev - sigma^2 is float-exact; 0.75 and 0.5 are
     x0 = np.array([0.4])
-    m1 = renoise_mean(np.array([10.0]), x0, 0.5, 0.75, 0.5)
-    m2 = renoise_mean(np.array([-10.0]), x0, 0.5, 0.75, 0.5)
-    assert_allclose(m1, m2, rtol=0, atol=0)
-    assert renoise_coefficients(x0, 0.5, 0.75, 0.5).A_scale == 0.0
+    c = renoise_coefficients(x0, 0.5, 0.75, 0.5)
+    assert_allclose(c.mean(np.array([10.0])), c.mean(np.array([-10.0])), rtol=0, atol=0)
+    assert c.A_scale == 0.0
     # non-dyadic boundaries land within sqrt(ulp) of zero instead
     sig = np.sqrt(1.0 - 0.8)
     c = renoise_coefficients(x0, 0.5, 0.8, sig)
@@ -121,7 +119,8 @@ def test_renoise_boundary_drops_x_prev_dependence():
 
 
 def test_renoise_zero_inputs_zero_mean():
-    assert_allclose(renoise_mean(np.zeros(3), np.zeros(3), 0.5, 0.8, 0.1), np.zeros(3), atol=1e-15)
+    c = renoise_coefficients(np.zeros(3), 0.5, 0.8, 0.1)
+    assert_allclose(c.mean(np.zeros(3)), np.zeros(3), atol=1e-15)
 
 
 def test_renoise_requires_stochastic_sigma():
@@ -198,7 +197,7 @@ def two_path_moments(x_t, x0, ab_t, ab_prev, sigma):
     m1 = sample_prev_mean(x_t, x0, ab_t, ab_prev, sigma)
     c = renoise_coefficients(x0, ab_t, ab_prev, sigma)
     gain = c.Sigma_scale * c.A_scale * c.L_scale
-    mean = renoise_mean(m1, x0, ab_t, ab_prev, sigma)
+    mean = c.mean(m1)
     var = gain**2 * sigma**2 + c.Sigma_scale
     return mean, var
 

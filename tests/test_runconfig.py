@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -206,15 +207,13 @@ def test_readme_config_block_lists_the_defaults():
 
 def test_readme_modes_table_lists_the_mode_keys():
     # the "keys it reads" column of the README's Modes table is MODE_KEYS:
-    # each mode's row, then for ablate and compare the built-in one
+    # each mode's row, then for ablate the built-in one
     text = (Path(__file__).parents[1] / "README.md").read_text()
     table = text.split("### Modes\n", 1)[1].strip().split("\n\n", 1)[0]
     shown = {}
     for line in table.splitlines()[2:]:
         cells = [cell.strip() for cell in line.strip("|").split("|")]
         shown[cells[0].strip("`")] = cells[2]
-    if shown["compare"] == "as `ablate`":
-        shown["compare"] = shown["ablate"]
     assert set(shown) == set(RUN_MODES)
 
     def listed(keys):
@@ -222,7 +221,7 @@ def test_readme_modes_table_lists_the_mode_keys():
 
     for mode, cell in shown.items():
         expected = listed(MODE_KEYS[mode])
-        if mode in ("ablate", "compare"):
+        if mode == "ablate":
             expected += "; built-in: " + listed(MODE_KEYS["builtin"])
         assert cell == expected, mode
 
@@ -246,18 +245,23 @@ def test_resolved_payload_revalidates_to_itself():
         first = validate_config(payload)
         second = validate_config(json.loads(render_json(first.payload)))
         assert render_json(first.payload) == render_json(second.payload)
-        assert first.fusion == second.fusion
+        f1, f2 = first.fusion, second.fusion
+        # a sigma profile compares by identity, so compare its fields
+        assert replace(f1, sigma=f2.sigma) == f2
+        assert (f1.sigma.kind, f1.sigma.eta, f1.sigma.values) == (
+            f2.sigma.kind, f2.sigma.eta, f2.sigma.values)
         assert first.training == second.training
         assert first.lambdas == second.lambdas
         assert first.n_samples == second.n_samples
         assert (first.world is None) == (second.world is None)
 
 
-# the least payload that runs each mode: ablate and compare need world and
-# condition together, or neither for the built-in benchmark
-_MODE_PAYLOADS = [(mode, {}) for mode in sorted(RUN_MODES)] + [
-    (mode, {"world": {"preset": "product"}, "condition": {"text": [0.0, 3.0]}})
-    for mode in ("ablate", "compare")]
+# the least payload that runs each mode: ablate needs world and condition
+# together, or neither for the built-in benchmark
+_MODE_PAYLOADS = [
+    ("ablate", {}),
+    ("ablate", {"world": {"preset": "product"}, "condition": {"text": [0.0, 3.0]}}),
+] + [(mode, {}) for mode in sorted(RUN_MODES) if mode != "ablate"]
 
 
 def test_mode_keys_name_every_run_mode_and_only_schema_keys():
@@ -283,7 +287,7 @@ def test_mode_echo_is_part_of_the_full_echo_and_replays(mode, payload):
 
 @pytest.mark.parametrize("mode, payload", _MODE_PAYLOADS)
 def test_every_mode_accepts_seed_and_refuses_the_full_payload(mode, payload):
-    if mode in ("ablate", "compare") and not payload:
+    if mode == "ablate" and not payload:
         # the built-in benchmark reads no key, seed included
         with pytest.raises(ConfigError, match="built-in benchmark.*: seed$"):
             validate_config({"seed": 5}, mode)
@@ -294,10 +298,9 @@ def test_every_mode_accepts_seed_and_refuses_the_full_payload(mode, payload):
         validate_config(FULL, mode)
 
 
-@pytest.mark.parametrize("mode", ["ablate", "compare"])
-def test_ablate_and_compare_refuse_half_set_and_builtin_extras(mode):
+def test_ablate_refuses_half_set_and_builtin_extras():
     for half in ("world", "condition"):
         with pytest.raises(ConfigError, match="both world and condition"):
-            validate_config({half: FULL[half]}, mode)
+            validate_config({half: FULL[half]}, "ablate")
     with pytest.raises(ConfigError, match="built-in benchmark.*: fusion$"):
-        validate_config({"fusion": {"m": 3}}, mode)
+        validate_config({"fusion": {"m": 3}}, "ablate")
