@@ -22,9 +22,20 @@ def render_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_json(path: str):
+    """The JSON value in the file at path. An object that repeats a key
+    raises ValueError rather than keep the last value silently."""
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=_unique_keys)
 
 
 def format_cell(value) -> str:

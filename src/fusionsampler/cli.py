@@ -6,8 +6,9 @@ artifacts in memory and writes them only after the whole mode finishes, so a
 failed run leaves no partial files. The write goes through temp files renamed
 into place, run_record.json last; an output that cannot be written exits 1
 with no truncated artifact, no temp file and no run record left. run refuses
-with exit 1, before the mode starts, an --out that already holds a
-run_record.json, so one directory never mixes two runs' files. report scans
+with exit 1, before the mode starts, an --out that cannot become a directory
+or that already holds a run_record.json, so one directory never mixes two
+runs' files. report scans
 a directory (and its immediate subdirectories) for run_record.json files and
 rolls them up into summary.csv, naming unreadable records in warnings
 instead of aborting; it writes summary.csv the same way, and exits 1 when it
@@ -210,6 +211,11 @@ def cmd_run(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
+    blocker = _non_directory(args.out)
+    if blocker is not None:
+        print(f"error: cannot write run directory {args.out}: {blocker} is not"
+              " a directory", file=sys.stderr)
+        return 1
     if os.path.exists(os.path.join(args.out, "run_record.json")):
         print(f"error: {args.out} already holds a run (run_record.json);"
               " choose another --out", file=sys.stderr)
@@ -242,6 +248,14 @@ def cmd_run(args) -> int:
     for path in paths:
         print(path)
     return 0
+
+
+def _non_directory(path: str) -> str | None:
+    """path itself, or its nearest existing ancestor, when that is not a
+    directory, so that path cannot become one; None otherwise."""
+    while path and not os.path.lexists(path):
+        path = os.path.dirname(path)
+    return path if path and not os.path.isdir(path) else None
 
 
 def _write_run_dir(directory: str, files: dict) -> list[str]:

@@ -7,7 +7,8 @@ a section that feeds one constructor takes its keys and defaults from it
 JSON type (_read_values). Violations raise ConfigError with the dotted path
 of the offending key, and unknown keys are rejected rather than ignored so a
 typo cannot silently fall back to a default. Validated for a run mode, a key that
-mode does not read (MODE_KEYS) is refused the same way. validate_config also
+mode does not read (MODE_KEYS) is refused the same way, and so is a sigma
+profile that the mode's fusion stage cannot run. validate_config also
 materializes the resolved payload of the keys the run reads, which run
 records embed so a run can be reproduced from its output alone. The config
 is the one source of a run's inputs; where a run writes is the CLI's --out,
@@ -32,6 +33,7 @@ from fusionsampler.schedule import (
     SigmaProfile,
     build_schedule,
     check_sigma,
+    sigma_at,
 )
 from fusionsampler.worlds import WORLD_PRESETS
 
@@ -310,6 +312,18 @@ def _sampler_keys(fusion: FusionConfig) -> tuple[str, ...]:
     return keys
 
 
+def _check_fusion_sigma(fusion: FusionConfig, schedule: DiffusionSchedule) -> None:
+    """The fusion stage re-noises with sigma_t, so with m >= 1 and the
+    refinement step it needs sigma_t > 0 at every t >= 2 (it does not run at
+    t = 1); refused here rather than midway through a trajectory."""
+    if fusion.m >= 1 and fusion.use_refinement:
+        for t in range(2, schedule.T + 1):
+            if sigma_at(schedule, fusion.sigma, t) == 0.0:
+                raise ConfigError(
+                    f"sigma: 0 at t={t}, but fusion.m >= 1 with refinement"
+                    " needs sigma_t > 0 at every t >= 2")
+
+
 def _subkeys(row, section: str) -> list[str]:
     return [key.partition(".")[2] for key in row if key.startswith(section + ".")]
 
@@ -371,6 +385,10 @@ def validate_config(payload, mode: str | None = None) -> RunConfig:
             row = MODE_KEYS["builtin"]
             reader = "the built-in benchmark (ablate with neither world nor condition)"
     _refuse_unread(payload, row, reader)
+    # ablate runs the fusion variant whatever fusion.mode says
+    if mode == "ablate" or (mode in ("sample", "sweep-lambda")
+                            and fusion.mode == "fusion"):
+        _check_fusion_sigma(fusion, schedule)
     resolved = {
         "seed": seed,
         "world": payload.get("world"),

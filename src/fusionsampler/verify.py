@@ -4,7 +4,9 @@ Each check is a named function returning pass/fail plus a one-line detail;
 run_checks() executes them in a fixed order so the command-line front end can
 print one row per check. The checks cross-validate independent code paths
 (closed-form score vs finite differences, fused step vs two-stage
-composition) rather than re-asserting constants.
+composition) rather than re-asserting constants. Each property is checked
+once, and every bit-exactness check runs its trajectories through one
+helper, _rows_mismatch.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ def _check_oracle_score_fd():
                      text=style_condition(world, 1, 2.0)),
     ]
     rng = np.random.default_rng(101)
-    h = 1e-5
     worst = 0.0
     probes = 0
     for cond in conds:
@@ -72,12 +73,7 @@ def _check_oracle_score_fd():
             for _ in range(4):
                 x = world.data_mean() + 2.0 * rng.standard_normal(world.d)
                 eps = oracle_eps(world, x, cond, ab)
-                grad = np.zeros(world.d)
-                for i in range(world.d):
-                    step = np.zeros(world.d)
-                    step[i] = h
-                    grad[i] = (oracle_log_density(world, x + step, cond, ab)
-                               - oracle_log_density(world, x - step, cond, ab)) / (2 * h)
+                grad = fd_gradient(lambda y: oracle_log_density(world, y, cond, ab), x)
                 eps_fd = -np.sqrt(1.0 - ab) * grad
                 worst = max(worst, _rel(np.max(np.abs(eps - eps_fd)),
                                         np.max(np.abs(eps))))
@@ -152,33 +148,6 @@ def _check_variance_bound():
     return True, f"{len(profiles)} profiles clean; min margin {min_margin:.3e}"
 
 
-def _check_m0_matches_independent():
-    """mode='fusion' with m=0 must reproduce mode='independent' bit for bit."""
-    world = product_world()
-    schedule = build_schedule(T=12, beta_end=0.15)
-    predictor = MixtureOracle(world, schedule)
-    cond = ConditionSet(identity=identity_condition(world, 0, 2.0),
-                        text=style_condition(world, 1, 2.0))
-    trials = [
-        (GuidanceWeights(), SigmaProfile("boundary")),
-        (GuidanceWeights(omega=1.5, omega1=3.0, omega2=0.5),
-         SigmaProfile("ddim_eta", eta=0.7)),
-        (GuidanceWeights(omega=4.0, omega1=0.5, omega2=2.0),
-         SigmaProfile("ddim_eta", eta=0.0)),
-    ]
-    for i, (weights, sigma) in enumerate(trials):
-        cfg_fusion = FusionConfig(m=0, use_refinement=True, weights=weights,
-                                  sigma=sigma, mode="fusion")
-        cfg_indep = FusionConfig(m=0, use_refinement=True, weights=weights,
-                                 sigma=sigma, mode="independent")
-        a = sample_trajectory(cond, cfg_fusion, predictor, schedule, 6, seed=40 + i)
-        b = sample_trajectory(cond, cfg_indep, predictor, schedule, 6, seed=40 + i)
-        if a.tobytes() != b.tobytes():
-            gap = np.max(np.abs(a - b))
-            return False, f"trial {i} differs; max abs gap {gap:.2e}"
-    return True, f"{len(trials)} configurations bit-identical at n=6 T={schedule.T}"
-
-
 class _FirstRows:
     """Predictor wrapper that keeps the bytes of the first n rows of every
     prediction it passes on, and passes on pass announcements too."""
@@ -199,24 +168,53 @@ class _FirstRows:
         return eps
 
 
-def _prefix_mismatch(make_predictor, cond, cfg, schedule, sizes, seed,
-                     what: str) -> str | None:
-    """Run one trajectory at each of sizes = (n, n_big) samples, each with a
-    predictor from make_predictor(). None when the first n rows of the
-    samples and of every prediction are bit-identical, else what differs."""
-    n, n_big = sizes
-    runs = []
-    for size in sizes:
-        calls = _FirstRows(make_predictor(), n)
+def _rows_mismatch(cond, schedule, seed: int, runs) -> str | None:
+    """Run one trajectory per (label, predictor, cfg, size) of runs. None when
+    the first n rows of every run's samples and of each of its predictions
+    are bit-identical to the first run's, whose size is n; else which run
+    differs and how. The predictions are compared too because a last-bit
+    difference in eps is often rounded away in the next state."""
+    n = runs[0][3]
+    ref = None
+    for label, predictor, cfg, size in runs:
+        calls = _FirstRows(predictor, n)
         samples = sample_trajectory(cond, cfg, calls, schedule, size, seed=seed)
-        runs.append((samples[:n].tobytes(), calls.rows))
-    (small, small_calls), (big, big_calls) = runs
-    differ = sum(a != b for a, b in zip(small_calls, big_calls))
-    if small == big and not differ:
-        return None
-    return (f"first {n} rows differ at n={n_big}; samples"
-            f" {'differ' if small != big else 'equal'}; eps differs"
-            f" in {differ} of {len(small_calls)} {what} calls")
+        if ref is None:
+            ref, ref_calls = samples[:n].tobytes(), calls.rows
+            continue
+        same = samples[:n].tobytes() == ref
+        # a missing or an extra call counts as one that differs
+        differ = (sum(a != b for a, b in zip(calls.rows, ref_calls))
+                  + abs(len(calls.rows) - len(ref_calls)))
+        if not same or differ:
+            return (f"first {n} rows differ through {label}: samples"
+                    f" {'equal' if same else 'differ'}; eps differs in {differ}"
+                    f" of {len(ref_calls)} calls")
+    return None
+
+
+def _check_m0_matches_independent():
+    """mode='fusion' with m=0 must reproduce mode='independent' bit for bit."""
+    world = product_world()
+    schedule = build_schedule(T=12, beta_end=0.15)
+    predictor = MixtureOracle(world, schedule)
+    cond = ConditionSet(identity=identity_condition(world, 0, 2.0),
+                        text=style_condition(world, 1, 2.0))
+    trials = [
+        (GuidanceWeights(), SigmaProfile("boundary")),
+        (GuidanceWeights(omega=1.5, omega1=3.0, omega2=0.5),
+         SigmaProfile("ddim_eta", eta=0.7)),
+        (GuidanceWeights(omega=4.0, omega1=0.5, omega2=2.0),
+         SigmaProfile("ddim_eta", eta=0.0)),
+    ]
+    for i, (weights, sigma) in enumerate(trials):
+        runs = [(mode, predictor, FusionConfig(m=0, weights=weights, sigma=sigma,
+                                               mode=mode), 6)
+                for mode in ("fusion", "independent")]
+        detail = _rows_mismatch(cond, schedule, 40 + i, runs)
+        if detail:
+            return False, f"trial {i}: {detail}"
+    return True, f"{len(trials)} configurations bit-identical at n=6 T={schedule.T}"
 
 
 class _MemoFreeOracle:
@@ -234,35 +232,50 @@ class _MemoFreeOracle:
         return oracle_eps(self.world, x_t, cond, self.schedule.alpha_bars(t)[0])
 
 
-def _check_batch_prefix_invariance():
-    """Sample i's noise comes from (seed, i) alone and the oracle treats rows
-    independently, so the first n rows of a fusion trajectory, and of every
-    oracle call in it, must not depend on how many samples run beside them,
-    bit for bit. The oracle calls are compared too because a last-bit
-    difference in eps is often rounded away in the next state. Two cases:
-    - the 2x2 product world at n=5 and n=8: m=2 and T=40 draw about 400
+class _ShiftedAnnounce(MixtureOracle):
+    """MixtureOracle whose passes are announced at x + 1.0 instead of the x
+    their calls then ask for, so every one of those calls must be served
+    with a fresh evaluation."""
+
+    def announce_pass(self, x_t, conds, t):
+        super().announce_pass(x_t + 1.0, conds, t)
+
+
+def _check_oracle_rows_exact():
+    """An oracle row's bits depend on that row alone: sample i's noise comes
+    from (seed, i) alone and the oracle treats rows independently. So the
+    first n rows of a fusion trajectory, and of every oracle call in it,
+    must equal those of memo-free oracle_eps calls at n samples, bit for
+    bit: through memo-free calls at n_big, through MixtureOracle (which
+    evaluates the 2 or 3 conditions a guided pass announces as one stack,
+    serves the pass's calls at the announced (t, x) from that entry, and
+    caches each condition tuple's cell log-weights) at n and n_big, and
+    through one whose passes are announced at a shifted x, where no call may
+    be served from the entry. With m=2 each t sees three inputs. Two cases:
+    - the 2x2 product world at n=5 and n_big=8: m=2 and T=40 draw about 400
       values per stream, so every stream refills its noise buffer several
       times;
-    - a 4x3 product world at n=1 and n=4: for a lone row numpy would sum its
-      12 cells pairwise instead of in order, if the oracle let it.
-    Each case runs through MixtureOracle, which evaluates a guided pass's
-    conditions stacked, and through one fresh oracle_eps per call:
-    a stack of 2 or 3 conditions over one row is not a lone row to numpy."""
+    - a 4x3 product world at n=1 and n_big=4: for a lone row numpy would sum
+      its 12 cells pairwise instead of in order, if the oracle let it; a
+      stack of conditions over one row is not a lone row to numpy."""
     schedule = build_schedule(T=40, beta_end=0.15)
     cfg = FusionConfig(m=2, gamma=0.5)
     for world, n, n_big in ((product_world(), 5, 8), (product_world(4, 3), 1, 4)):
         cond = ConditionSet(identity=identity_condition(world, 0, 2.0),
                             text=style_condition(world, 1, 2.0))
-        for label, oracle in (("MixtureOracle", MixtureOracle),
-                              ("memo-free calls", _MemoFreeOracle)):
-            detail = _prefix_mismatch(lambda: oracle(world, schedule), cond,
-                                      cfg, schedule, (n, n_big), 77, "oracle")
-            if detail:
-                return False, (f"{world.n_identities}x{world.n_styles} world:"
-                               f" {detail} through {label}")
-    return True, ("first rows of samples and oracle calls bit-identical: 2x2"
-                  " world n=5 vs 8 and 4x3 world n=1 vs 4;"
-                  f" fusion m={cfg.m} T={schedule.T}; stacked and memo-free")
+        runs = [(f"{label} at n={size}", oracle(world, schedule), cfg, size)
+                for label, oracle, size in (
+                    ("memo-free calls", _MemoFreeOracle, n),
+                    ("memo-free calls", _MemoFreeOracle, n_big),
+                    ("MixtureOracle", MixtureOracle, n),
+                    ("MixtureOracle", MixtureOracle, n_big),
+                    ("MixtureOracle announced at x + 1", _ShiftedAnnounce, n))]
+        detail = _rows_mismatch(cond, schedule, 77, runs)
+        if detail:
+            return False, f"{world.n_identities}x{world.n_styles} world: {detail}"
+    return True, ("first rows of samples and every eps bit-identical to memo-free"
+                  " calls at n: 2x2 world n=5 vs 8 and 4x3 world n=1 vs 4;"
+                  f" stacked and announced at x + 1; fusion m={cfg.m} T={schedule.T}")
 
 
 def _check_learned_batch_prefix_invariance():
@@ -287,61 +300,14 @@ def _check_learned_batch_prefix_invariance():
          ConditionSet(identity=world.cell_means()[0, 0], text=text)),
     )
     for name, predictor, cond in cases:
-        for sizes in ((5, 8), (1, 4)):
-            detail = _prefix_mismatch(lambda: predictor, cond, cfg, schedule,
-                                      sizes, 79, "predictor")
+        for n, n_big in ((5, 8), (1, 4)):
+            runs = [(f"{name} at n={size}", predictor, cfg, size) for size in (n, n_big)]
+            detail = _rows_mismatch(cond, schedule, 79, runs)
             if detail:
-                return False, f"{name}: {detail}"
+                return False, detail
     return True, ("first rows of samples and predictor calls bit-identical:"
                   " denoiser and encoder wrapper at n=5 vs 8 and 1 vs 4;"
                   f" fusion m={cfg.m} T={schedule.T}")
-
-
-class _ShiftedAnnounce(MixtureOracle):
-    """MixtureOracle whose passes are announced at x + 1.0 instead of the x
-    their calls then ask for, so every one of those calls must be served
-    with a fresh evaluation."""
-
-    def announce_pass(self, x_t, conds, t):
-        super().announce_pass(x_t + 1.0, conds, t)
-
-
-def _check_oracle_memo_exact():
-    """MixtureOracle evaluates the conditions each guided pass announces as
-    one stack, serves the pass's calls at the announced (t, x) from that
-    entry, and caches the cell log-weights of each condition tuple. A fusion
-    trajectory through it must match one through memo-free oracle calls bit
-    for bit, in its samples and in every eps; so must one whose passes are
-    announced at a shifted x, where no call may be served from the entry.
-    With m=2 each t sees three inputs at the same t (two fusion passes and
-    the refinement), and each input serves 2 or 3 conditions. Run on the
-    2x2 and 4x3 product worlds."""
-    schedule = build_schedule(T=40, beta_end=0.15)
-    cfg = FusionConfig(m=2, gamma=0.5)
-    n = 6
-    for world in (product_world(), product_world(4, 3)):
-        cond = ConditionSet(identity=identity_condition(world, 0, 2.0),
-                            text=style_condition(world, 1, 2.0))
-        runs = []
-        for predictor in (_MemoFreeOracle(world, schedule),
-                          MixtureOracle(world, schedule),
-                          _ShiftedAnnounce(world, schedule)):
-            calls = _FirstRows(predictor, n)
-            samples = sample_trajectory(cond, cfg, calls, schedule, n, seed=78)
-            runs.append((samples.tobytes(), calls.rows))
-        (fresh, fresh_calls), *memo_runs = runs
-        for how, (memo, memo_calls) in zip(("", " (passes announced at x + 1)"),
-                                           memo_runs):
-            differ = sum(a != b for a, b in zip(memo_calls, fresh_calls))
-            if memo != fresh or differ or len(memo_calls) != len(fresh_calls):
-                return False, (f"{world.n_identities}x{world.n_styles} world:"
-                               " memo samples"
-                               f" {'differ' if memo != fresh else 'equal'};"
-                               f" eps differs in {differ} of {len(fresh_calls)}"
-                               f" oracle calls{how}")
-    return True, ("samples and every eps bit-identical to memo-free calls: 2x2"
-                  f" and 4x3 worlds; fusion m={cfg.m} T={schedule.T} n={n};"
-                  " passes announced at x and at x + 1")
 
 
 def _check_mlp_gradient_fd():
@@ -398,8 +364,7 @@ _CHECKS = (
     ("boundary_sigma_collapse", _check_boundary_sigma_collapse),
     ("variance_bound", _check_variance_bound),
     ("fusion_m0_matches_independent", _check_m0_matches_independent),
-    ("batch_prefix_invariance", _check_batch_prefix_invariance),
-    ("oracle_memo_exact", _check_oracle_memo_exact),
+    ("oracle_rows_exact", _check_oracle_rows_exact),
     ("mlp_gradient_fd", _check_mlp_gradient_fd),
     ("encoder_chain_gradient_fd", _check_encoder_chain_gradient_fd),
     ("learned_batch_prefix_invariance", _check_learned_batch_prefix_invariance),

@@ -490,6 +490,54 @@ def test_run_refuses_a_huge_integer_for_a_float_key_before_any_output(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["sample", "sweep-lambda", "ablate"])
+def test_run_refuses_a_sigma_the_fusion_stage_cannot_run(tmp_path, monkeypatch,
+                                                         capsys, mode):
+    # sigma is 0 at every step under eta 0: the fusion stage's re-noising
+    # draw needs sigma_t > 0, so the run is refused before any mode work
+    monkeypatch.setitem(RUN_MODES, mode, lambda cfg: pytest.fail("mode ran"))
+    out = tmp_path / "untouched"
+    cfg = _config(tmp_path, {"sigma": {"kind": "ddim_eta", "eta": 0.0}}, mode=mode)
+    assert main(["run", "--config", cfg, "--mode", mode, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: sigma: 0 at t=2")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"seed": 1, "seed": 2}', "'seed'"),
+    ('{"fusion": {"m": 1, "gamma": 0.3, "m": 2}}', "'m'"),
+], ids=["top-level", "nested"])
+def test_run_refuses_a_config_that_repeats_a_key(tmp_path, monkeypatch, capsys,
+                                                 text, key):
+    # the last value would win silently, so a repeated key is refused
+    monkeypatch.setitem(RUN_MODES, "sample", lambda cfg: pytest.fail("mode ran"))
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "untouched"
+    assert main(["run", "--config", str(path), "--mode", "sample",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: config is not valid JSON: duplicate key {key}"]
+    assert not out.exists()
+
+
+def test_run_refuses_an_out_under_a_regular_file_before_the_mode(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(RUN_MODES, "sample", lambda cfg: pytest.fail("mode ran"))
+    target = tmp_path / "taken"
+    target.write_text("keep me")
+    for out in (target, target / "sub", target / "sub" / "deeper"):
+        assert main(["run", "--config", _config(tmp_path), "--mode", "sample",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: cannot write run directory {out}: {target} is not a directory"]
+        assert captured.out == ""
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "taken"]
+    assert target.read_text() == "keep me"
+
+
 def test_run_failure_leaves_no_partial_outputs(tmp_path, capsys):
     out = tmp_path / "untouched"
     cfg = _config(tmp_path, {"condition": {"identity": [1.0, 2.0, 3.0, 4.0]}})

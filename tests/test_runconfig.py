@@ -226,6 +226,34 @@ def test_readme_modes_table_lists_the_mode_keys():
         assert cell == expected, mode
 
 
+def test_a_zero_sigma_is_refused_only_where_the_fusion_stage_runs():
+    # the fusion stage re-noises with sigma_t, which must be > 0 at t >= 2;
+    # custom values that are 0 at t=4 alone; at t=1 sigma is 0 for every
+    # profile and the fusion stage does not run there
+    ab = validate_config({"schedule": {"T": 6}}).schedule.alpha_bar
+    values = [0.5 * (1.0 - a) ** 0.5 for a in ab[:-1]]
+    values[3] = 0.0
+    custom = {"schedule": {"T": 6}, "sigma": {"kind": "custom", "values": values}}
+    with pytest.raises(ConfigError, match="sigma: 0 at t=4"):
+        validate_config(custom, "sample")
+    ablate = {**custom, "world": {"preset": "product"},
+              "condition": FULL["condition"]}
+    with pytest.raises(ConfigError, match="sigma: 0 at t=4"):
+        validate_config(ablate, "ablate")
+    values[3] = values[2]  # now 0 at t=1 alone
+    validate_config(custom, "sample")
+    for mode, fusion in (("sample", {"m": 0}),
+                         ("sample", {"use_refinement": False}),
+                         ("sample", {"mode": "independent"}),
+                         ("sweep-lambda", {"mode": "vanilla_cfg"}),
+                         ("ablate", {"m": 0}),
+                         ("ablate", {"use_refinement": False})):
+        payload = {"sigma": {"kind": "ddim_eta", "eta": 0.0}, "fusion": fusion}
+        if mode == "ablate":
+            payload.update(world={"preset": "product"}, condition=FULL["condition"])
+        validate_config(payload, mode)
+
+
 def test_omega_list_is_an_unknown_key():
     # n-condition weights have no sampler behind them, so the key is refused
     with pytest.raises(ConfigError, match="unknown key.*weights.omega_list"):

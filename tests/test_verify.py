@@ -1,5 +1,7 @@
 """The self-check battery: clean pass, filtering, and failure capture."""
 
+from pathlib import Path
+
 import numpy as np
 
 import fusionsampler.mixture as mixture
@@ -31,7 +33,7 @@ def test_details_fit_one_csv_cell():
 
 def _result(name):
     """The result of the check called name; a filter also matches longer
-    names, such as learned_batch_prefix_invariance."""
+    names."""
     (result,) = [r for r in run_checks(name) if r.name == name]
     return result
 
@@ -62,18 +64,20 @@ def test_injected_batch_dependent_stream_is_caught(monkeypatch):
             return self._gen.standard_normal(shape)
 
     monkeypatch.setattr(sampler, "SampleStreams", SharedStream)
-    result = _result("batch_prefix_invariance")
+    result = _result("oracle_rows_exact")
     assert not result.passed
-    assert "rows differ" in result.detail
+    assert ("2x2 world: first 5 rows differ through memo-free calls at n=8"
+            in result.detail)
 
 
 def test_injected_pairwise_cell_sum_is_caught(monkeypatch):
     # numpy's own reduction sums 8 or more cells pairwise for a lone row but
     # in order across a batch, so row 0's bits would depend on the batch size
     monkeypatch.setattr(mixture, "_cell_sum", lambda a: np.add.reduce(a, axis=0))
-    result = _result("batch_prefix_invariance")
+    result = _result("oracle_rows_exact")
     assert not result.passed
-    assert "4x3 world: first 1 rows differ" in result.detail
+    assert ("4x3 world: first 1 rows differ through memo-free calls at n=4"
+            in result.detail)
 
 
 def test_injected_unpadded_forward_is_caught(monkeypatch):
@@ -87,12 +91,33 @@ def test_injected_unpadded_forward_is_caught(monkeypatch):
 
 
 def test_injected_memo_keyed_on_t_alone_is_caught(monkeypatch):
-    # a memo that ignores x hands the refinement pass the likelihoods of the
-    # last fusion pass at the same t
+    # a memo that ignores x serves a pass announced at a shifted x to the
+    # calls at the x the sampler holds
     monkeypatch.setattr(mixture, "_input_key", lambda t, x: t)
-    (result,) = run_checks("oracle_memo_exact")
+    result = _result("oracle_rows_exact")
     assert not result.passed
-    assert "2x2 world: memo samples differ" in result.detail
+    assert ("2x2 world: first 5 rows differ through MixtureOracle announced at"
+            " x + 1 at n=5: samples differ" in result.detail)
+
+
+def test_injected_eps_scale_is_caught_by_finite_differences(monkeypatch):
+    # a 0.1 percent error on the closed-form eps must show against the
+    # central differences of the log density
+    exact = verify.oracle_eps
+    monkeypatch.setattr(verify, "oracle_eps", lambda *args: 1.001 * exact(*args))
+    result = _result("oracle_score_fd")
+    assert not result.passed
+    assert result.detail.startswith("max rel err 9.99e-04")
+
+
+def test_readme_lists_the_check_names():
+    # the README's verify paragraph lists the checks in run order
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("`verify` runs these numerical self-checks", 1)[1]
+    items = block.split("\n\n", 2)[1]
+    shown = [line.split("`")[1] for line in items.splitlines()
+             if line.startswith("* `")]
+    assert shown == list(CHECK_NAMES)
 
 
 def test_raising_check_reported_as_failure(monkeypatch):
