@@ -36,6 +36,9 @@ _PRODUCT_SAMPLE = {
 # feasible on the T=20 default schedule: sigma_t^2 <= 1 - alpha_bar[t-1]
 _CUSTOM_SIGMA = [0.0, 0.005, 0.0, 0.05, 0.08, 0.0, 0.12, 0.14, 0.0, 0.18,
                  0.2, 0.0, 0.24, 0.26, 0.0, 0.3, 0.31, 0.0, 0.34, 0.36]
+# the same, but positive at every t >= 2, where the fusion stage re-noises
+_POSITIVE_SIGMA = [0.0, 0.005, 0.03, 0.05, 0.08, 0.1, 0.12, 0.14, 0.16, 0.18,
+                   0.2, 0.22, 0.24, 0.26, 0.28, 0.3, 0.31, 0.32, 0.34, 0.36]
 _TRAINING = {
     "seed": 0,
     "schedule": {"T": 20},
@@ -68,6 +71,9 @@ CASES = [
     ("sample-independent-custom", "sample",
      {**_PRODUCT_SAMPLE, "fusion": {"mode": "independent"},
       "sigma": {"kind": "custom", "values": _CUSTOM_SIGMA}}),
+    # fusion with m=2: re-noising under a custom sigma
+    ("sample-fusion-custom", "sample",
+     {**_PRODUCT_SAMPLE, "sigma": {"kind": "custom", "values": _POSITIVE_SIGMA}}),
     # list preset arguments set
     ("sample-single-mean", "sample",
      {"seed": 2, "world": {"preset": "single", "mean": [1.5, -0.5], "s": 0.8},

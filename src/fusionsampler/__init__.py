@@ -18,7 +18,6 @@ from fusionsampler.encoder import (
 from fusionsampler.evaluate import (
     ablation_suite,
     adherence_scores,
-    component_responsibility,
     degeneration_benchmark,
     regularization_sweep,
     spearman,
@@ -32,7 +31,6 @@ from fusionsampler.mixture import (
 )
 from fusionsampler.posterior import (
     check_variance_bound,
-    fused_update,
     predict_x0,
     renoise,
     sample_prev,

@@ -52,7 +52,12 @@ from fusionsampler.evaluate import (
     spearman,
 )
 from fusionsampler.mixture import MixtureOracle
-from fusionsampler.runconfig import ConfigError, RunConfig, validate_config
+from fusionsampler.runconfig import (
+    ConfigError,
+    RunConfig,
+    require_condition,
+    validate_config,
+)
 from fusionsampler.sampler import sample_trajectory
 from fusionsampler.verify import run_checks
 from fusionsampler.worlds import product_world
@@ -77,6 +82,7 @@ def _moment_metrics(samples: np.ndarray) -> dict:
 def _mode_sample(cfg: RunConfig) -> tuple[dict, dict]:
     world = cfg.world if cfg.world is not None else product_world()
     cond = cfg.condition if cfg.condition is not None else ConditionSet()
+    require_condition(world, cond)
     predictor = MixtureOracle(world, cfg.schedule)
     samples = sample_trajectory(cond, cfg.fusion, predictor, cfg.schedule,
                                 cfg.n_samples, seed=cfg.seed)

@@ -22,12 +22,16 @@ from fusionsampler.encoder import (
 )
 from fusionsampler.mixture import MixtureOracle, MixtureWorld, oracle_responsibilities
 from fusionsampler.nets import TrainingDiverged
-from fusionsampler.runconfig import ConfigError, RunConfig, validate_config
+from fusionsampler.runconfig import (
+    ConfigError,
+    RunConfig,
+    require_condition,
+    validate_config,
+)
 from fusionsampler.sampler import FusionConfig, sample_trajectory
 from fusionsampler.worlds import product_world
 
 __all__ = [
-    "component_responsibility",
     "adherence_scores",
     "spearman",
     "regularization_sweep",
@@ -51,28 +55,17 @@ TARGET_STYLE = 1
 ABLATION_TARGETS = (0, 1)
 
 
-def component_responsibility(world: MixtureWorld, x, index: int,
-                             axis: str = "identity"):
-    """Posterior probability of one identity (or style), other factor
-    marginalized out; scalar for a single point, array for a batch."""
-    _check_index(world, index, axis)
-    return _marginal(oracle_responsibilities(world, x, None, 1.0), index, axis)
-
-
 def _check_index(world: MixtureWorld, index: int, axis: str) -> None:
-    if axis not in ("identity", "style"):
-        raise ValueError(f"axis must be 'identity' or 'style', got {axis!r}")
     n = world.n_identities if axis == "identity" else world.n_styles
     if not 0 <= index < n:
         raise ValueError(f"{axis} index {index} out of range 0..{n - 1}")
 
 
-def _marginal(r: np.ndarray, index: int, axis: str):
+def _marginal(r: np.ndarray, index: int, axis: str) -> np.ndarray:
     """Cell posterior r summed over the other factor, at one index."""
     marg = r.sum(axis=-1) if axis == "identity" else r.sum(axis=-2)
     # summing cells can overshoot 1 by a few ulp
-    out = np.clip(marg[..., index], 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out
+    return np.clip(marg[..., index], 0.0, 1.0)
 
 
 def adherence_scores(samples, world: MixtureWorld, target_identity: int,
@@ -218,6 +211,7 @@ def ablation_suite(cfg: RunConfig) -> list[dict]:
     if cfg.world is None or cfg.condition is None:
         raise ValueError("ablation_suite needs a config with world and condition")
     _require_cells(cfg.world, *ABLATION_TARGETS, "ablation")
+    require_condition(cfg.world, cfg.condition)
     predictor = MixtureOracle(cfg.world, cfg.schedule)
     target_identity, target_style = ABLATION_TARGETS
     rows = []

@@ -200,10 +200,9 @@ def _slot_grid(world: MixtureWorld, values: np.ndarray, slot: str) -> np.ndarray
         return values[:, None]
     if slot == "text" and values.shape == (n_c,):
         return values[None, :]
-    raise ValueError(
-        f"{slot} log-weights must have shape ({n_i},)"
-        f" / ({n_c},) / ({n_i}, {n_c}) as appropriate, got {values.shape}"
-    )
+    own = n_i if slot == "identity" else n_c
+    raise ValueError(f"{slot} log-weights must have shape ({own},) or"
+                     f" ({n_i}, {n_c}), got {values.shape}")
 
 
 def cell_log_weights(world: MixtureWorld, cond: ConditionSet | None) -> np.ndarray:
@@ -219,7 +218,7 @@ def cell_log_weights(world: MixtureWorld, cond: ConditionSet | None) -> np.ndarr
         if cond.text is not None:
             w = w + _slot_grid(world, cond.text, "text")
     if not (w > -np.inf).any():
-        raise ValueError("condition selects an empty subset of mixture cells")
+        raise ValueError("prior and condition select an empty subset of mixture cells")
     return w - _logsumexp(w.reshape(-1))
 
 

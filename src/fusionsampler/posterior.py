@@ -5,8 +5,8 @@ and applied as scalars. Conventions: alpha_bar_t is the signal coefficient at
 the current step t, alpha_bar_prev at t-1, and sigma_t the per-step noise
 scale with sigma_t^2 <= 1 - alpha_bar_prev (the reverse posterior's domain,
 checked by schedule.check_sigma). The reverse draws sample_prev and
-ddim_step end in one draw, which takes no noise at sigma_t = 0; renoise
-draws x_t again.
+ddim_step share one mean and end in one draw, which takes no noise at
+sigma_t = 0; renoise draws x_t again around renoise_moments.
 """
 
 from __future__ import annotations
@@ -23,43 +23,16 @@ from fusionsampler.schedule import (
 )
 
 __all__ = [
-    "PosteriorCoefficients",
     "VarianceBoundReport",
     "predict_x0",
     "sample_prev",
     "sample_prev_mean",
     "ddim_step",
     "renoise",
-    "renoise_coefficients",
-    "fused_update",
+    "renoise_moments",
     "fused_update_coefficients",
     "check_variance_bound",
 ]
-
-
-@dataclass(frozen=True)
-class PosteriorCoefficients:
-    """Scalars of the re-noising conditional q(x_t | x_{t-1}, x_0).
-
-    The conditional is Normal(Sigma * (A * L * (x_prev - b) + B * mu),
-    Sigma * I) with Sigma = (1-ab_t) * sigma^2 / (1-ab_prev),
-    A = sqrt(1-ab_prev-sigma^2)/sqrt(1-ab_t), L = 1/sigma^2, B = 1/(1-ab_t),
-    mu = sqrt(ab_t) * x0 and b the affine offset below. All matrices in the
-    underlying derivation are multiples of I, so scalars suffice.
-    """
-
-    Sigma_scale: float
-    mu: np.ndarray
-    b: np.ndarray
-    A_scale: float
-    L_scale: float
-    B_scale: float
-
-    def mean(self, x_prev) -> np.ndarray:
-        """Sigma * (A * L * (x_prev - b) + B * mu)."""
-        x_prev = np.asarray(x_prev, dtype=float)
-        return self.Sigma_scale * (self.A_scale * self.L_scale * (x_prev - self.b)
-                                   + self.B_scale * self.mu)
 
 
 @dataclass(frozen=True)
@@ -94,10 +67,14 @@ def sample_prev_mean(x_t, x0_hat, alpha_bar_t: float, alpha_bar_prev: float,
     x_t = np.asarray(x_t, dtype=float)
     x0_hat = np.asarray(x0_hat, dtype=float)
     direction = (x_t - np.sqrt(alpha_bar_t) * x0_hat) / np.sqrt(1.0 - alpha_bar_t)
-    return (
-        np.sqrt(alpha_bar_prev) * x0_hat
-        + np.sqrt(1.0 - alpha_bar_prev - sigma_t * sigma_t) * direction
-    )
+    return _reverse_mean(x0_hat, direction, alpha_bar_prev, sigma_t)
+
+
+def _reverse_mean(x0_hat, direction, alpha_bar_prev: float,
+                  sigma_t: float) -> np.ndarray:
+    """sqrt(ab_prev) * x0_hat + sqrt(1 - ab_prev - sigma^2) * direction."""
+    return (np.sqrt(alpha_bar_prev) * x0_hat
+            + np.sqrt(1.0 - alpha_bar_prev - sigma_t * sigma_t) * direction)
 
 
 def sample_prev(x_t, x0_hat, t: int, schedule: DiffusionSchedule, sigma_t: float,
@@ -113,19 +90,15 @@ def sample_prev(x_t, x0_hat, t: int, schedule: DiffusionSchedule, sigma_t: float
 
 def ddim_step(x_t, t: int, eps_tilde, schedule: DiffusionSchedule, sigma_t: float,
               rng) -> np.ndarray:
-    """One reverse step around a guided eps prediction.
-
-    x_{t-1} = sqrt(ab_prev) * x0_hat + sqrt(1 - ab_prev - sigma^2) * eps + sigma * z,
-    with x0_hat from predict_x0: sample_prev with eps_tilde itself as the
+    """One reverse step around a guided eps prediction: sample_prev's draw
+    around x0_hat = predict_x0(x_t, eps_tilde), with eps_tilde itself as the
     direction. sigma=0 consumes no randomness.
     """
     ab_t, ab_prev = schedule.alpha_bars(t)
     check_sigma(sigma_t, ab_prev)
     eps_tilde = np.asarray(eps_tilde, dtype=float)
     x0_hat = predict_x0(x_t, eps_tilde, ab_t)
-    mean = (np.sqrt(ab_prev) * x0_hat
-            + np.sqrt(1.0 - ab_prev - sigma_t * sigma_t) * eps_tilde)
-    return _draw(mean, sigma_t, rng)
+    return _draw(_reverse_mean(x0_hat, eps_tilde, ab_prev, sigma_t), sigma_t, rng)
 
 
 def _draw(mean: np.ndarray, sigma_t: float, rng) -> np.ndarray:
@@ -135,35 +108,43 @@ def _draw(mean: np.ndarray, sigma_t: float, rng) -> np.ndarray:
     return mean + sigma_t * rng.standard_normal(mean.shape)
 
 
-def renoise_coefficients(x0_hat, alpha_bar_t: float, alpha_bar_prev: float,
-                         sigma_t: float) -> PosteriorCoefficients:
-    """Coefficients of q(x_t | x_{t-1}, x_0) for a given clean sample."""
+def renoise_moments(x_prev, x0_hat, alpha_bar_t: float, alpha_bar_prev: float,
+                    sigma_t: float) -> tuple[np.ndarray, float, float]:
+    """(mean, gain, var) of the re-noising conditional q(x_t | x_{t-1}, x_0).
+
+    The conditional is Normal(Sigma * (A * L * (x_prev - b) + B * mu),
+    Sigma * I) with Sigma = (1-ab_t) * sigma^2 / (1-ab_prev),
+    A = sqrt(1-ab_prev-sigma^2)/sqrt(1-ab_t), L = 1/sigma^2, B = 1/(1-ab_t),
+    mu = sqrt(ab_t) * x0 and b the affine offset below. All matrices in the
+    underlying derivation are multiples of I, so scalars suffice. gain =
+    Sigma * A * L is the mean's slope in x_prev and var = Sigma its variance.
+    """
     check_sigma(sigma_t, alpha_bar_prev)
     if sigma_t == 0.0:
         raise ValueError(
             "sigma_t = 0 leaves the re-noising conditional undefined (precision"
             " L = 1/sigma^2); re-noising requires a stochastic step"
         )
+    x_prev = np.asarray(x_prev, dtype=float)
     x0_hat = np.asarray(x0_hat, dtype=float)
     root_gap = np.sqrt(1.0 - alpha_bar_prev - sigma_t * sigma_t)
-    return PosteriorCoefficients(
-        Sigma_scale=(1.0 - alpha_bar_t) * sigma_t * sigma_t / (1.0 - alpha_bar_prev),
-        mu=np.sqrt(alpha_bar_t) * x0_hat,
-        b=(np.sqrt(alpha_bar_prev)
-           - np.sqrt(alpha_bar_t) * root_gap / np.sqrt(1.0 - alpha_bar_t)) * x0_hat,
-        A_scale=float(root_gap / np.sqrt(1.0 - alpha_bar_t)),
-        L_scale=float(1.0 / (sigma_t * sigma_t)),
-        B_scale=float(1.0 / (1.0 - alpha_bar_t)),
-    )
+    var = (1.0 - alpha_bar_t) * sigma_t * sigma_t / (1.0 - alpha_bar_prev)
+    mu = np.sqrt(alpha_bar_t) * x0_hat
+    b = (np.sqrt(alpha_bar_prev)
+         - np.sqrt(alpha_bar_t) * root_gap / np.sqrt(1.0 - alpha_bar_t)) * x0_hat
+    a_scale = float(root_gap / np.sqrt(1.0 - alpha_bar_t))
+    l_scale = float(1.0 / (sigma_t * sigma_t))
+    b_scale = float(1.0 / (1.0 - alpha_bar_t))
+    mean = var * (a_scale * l_scale * (x_prev - b) + b_scale * mu)
+    return mean, var * a_scale * l_scale, var
 
 
 def renoise(x_prev, x0_hat, t: int, schedule: DiffusionSchedule, sigma_t: float,
             rng: np.random.Generator) -> np.ndarray:
     """Draw x_t ~ q(x_t | x_{t-1}, x_0): move forward again around the prediction."""
     ab_t, ab_prev = schedule.alpha_bars(t)
-    c = renoise_coefficients(x0_hat, ab_t, ab_prev, sigma_t)
-    mean = c.mean(x_prev)
-    return mean + np.sqrt(c.Sigma_scale) * rng.standard_normal(mean.shape)
+    mean, _, var = renoise_moments(x_prev, x0_hat, ab_t, ab_prev, sigma_t)
+    return mean + np.sqrt(var) * rng.standard_normal(mean.shape)
 
 
 def fused_update_coefficients(alpha_bar_t: float, alpha_bar_prev: float,
@@ -187,7 +168,6 @@ def fused_update_coefficients(alpha_bar_t: float, alpha_bar_prev: float,
         # t = 1 corner: the only feasible sigma is 0 and the ratio is 0/0.
         # The limit along sigma^2 = gap is reported, which keeps the boundary
         # reduction (both coefficients sqrt(1 - ab_t)) valid at every t.
-        # fused_update itself still treats sigma = 0 as the identity step.
         w = float(np.sqrt(1.0 - alpha_bar_t))
         return w, w
     eps_coeff = sigma_t * sigma_t * np.sqrt(1.0 - alpha_bar_t) / gap
@@ -197,25 +177,6 @@ def fused_update_coefficients(alpha_bar_t: float, alpha_bar_prev: float,
         * sigma_t
     )
     return float(eps_coeff), float(noise_coeff)
-
-
-def fused_update(x_t, eps_tilde, t: int, schedule: DiffusionSchedule, sigma_t: float,
-                 rng: np.random.Generator) -> np.ndarray:
-    """One fused noise-injection step: x_t minus a guided drift plus fresh noise.
-
-    Distributionally equal to sample_prev followed by renoise when eps_tilde
-    and the clean-sample prediction are consistent. sigma_t = 0 returns x_t
-    unchanged and consumes no randomness.
-    """
-    ab_t, ab_prev = schedule.alpha_bars(t)
-    x_t = np.asarray(x_t, dtype=float)
-    eps_tilde = np.asarray(eps_tilde, dtype=float)
-    if x_t.shape != eps_tilde.shape:
-        raise ValueError(f"shape mismatch: x_t {x_t.shape} vs eps {eps_tilde.shape}")
-    eps_coeff, noise_coeff = fused_update_coefficients(ab_t, ab_prev, sigma_t)
-    if sigma_t == 0.0:
-        return x_t.copy()
-    return x_t - eps_coeff * eps_tilde + noise_coeff * rng.standard_normal(x_t.shape)
 
 
 def check_variance_bound(schedule: DiffusionSchedule,

@@ -7,8 +7,10 @@ a section that feeds one constructor takes its keys and defaults from it
 JSON type (_read_values). Violations raise ConfigError with the dotted path
 of the offending key, and unknown keys are rejected rather than ignored so a
 typo cannot silently fall back to a default. Validated for a run mode, a key that
-mode does not read (MODE_KEYS) is refused the same way, and so is a sigma
-profile that the mode's fusion stage cannot run. validate_config also
+mode does not read (MODE_KEYS) is refused the same way; a sigma profile that
+the fusion stage cannot run is refused wherever that stage would run, with
+or without a mode. require_condition refuses, once a mode knows its world, a
+condition that does not fit it. validate_config also
 materializes the resolved payload of the keys the run reads, which run
 records embed so a run can be reproduced from its output alone. The config
 is the one source of a run's inputs; where a run writes is the CLI's --out,
@@ -19,14 +21,14 @@ from __future__ import annotations
 
 import inspect
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from fusionsampler.conditions import ConditionSet
 from fusionsampler.encoder import TrainingConfig
 from fusionsampler.guidance import GuidanceWeights
-from fusionsampler.mixture import MixtureWorld
+from fusionsampler.mixture import MixtureWorld, cell_log_weights
 from fusionsampler.sampler import FusionConfig
 from fusionsampler.schedule import (
     DiffusionSchedule,
@@ -37,7 +39,8 @@ from fusionsampler.schedule import (
 )
 from fusionsampler.worlds import WORLD_PRESETS
 
-__all__ = ["ConfigError", "MODE_KEYS", "RunConfig", "validate_config"]
+__all__ = ["ConfigError", "MODE_KEYS", "RunConfig", "require_condition",
+           "validate_config"]
 
 
 class ConfigError(ValueError):
@@ -270,6 +273,17 @@ def _build_condition(obj, path: str) -> ConditionSet:
     return _construct(ConditionSet.from_jsonable, path, payload)  # raises on a ragged slot
 
 
+def require_condition(world: MixtureWorld, condition: ConditionSet) -> None:
+    """Refuse, before any work, a condition whose slots do not fit world's
+    (identity, style) grid or together exclude every cell. It is checked at
+    gamma 1, where the identity slot counts: the fusion stage sets its own
+    gamma."""
+    try:
+        cell_log_weights(world, replace(condition, gamma=1.0))
+    except ValueError as err:
+        raise ConfigError(f"condition: {err}") from None
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated, fully constructed run inputs.
@@ -385,9 +399,10 @@ def validate_config(payload, mode: str | None = None) -> RunConfig:
             row = MODE_KEYS["builtin"]
             reader = "the built-in benchmark (ablate with neither world nor condition)"
     _refuse_unread(payload, row, reader)
-    # ablate runs the fusion variant whatever fusion.mode says
-    if mode == "ablate" or (mode in ("sample", "sweep-lambda")
-                            and fusion.mode == "fusion"):
+    # ablate runs the fusion variant whatever fusion.mode says; every mode
+    # but train-encoder, and a config validated without a mode, runs the
+    # sampler that fusion.mode names
+    if mode == "ablate" or (mode != "train-encoder" and fusion.mode == "fusion"):
         _check_fusion_sigma(fusion, schedule)
     resolved = {
         "seed": seed,

@@ -33,7 +33,7 @@ from fusionsampler.posterior import (
     check_variance_bound,
     fused_update_coefficients,
     predict_x0,
-    renoise_coefficients,
+    renoise_moments,
     sample_prev_mean,
 )
 from fusionsampler.predictors import announce_pass
@@ -95,10 +95,8 @@ def _check_posterior_two_path():
         eps_tilde = rng.standard_normal(3)
         x0 = predict_x0(x_t, eps_tilde, ab_t)
         m1 = sample_prev_mean(x_t, x0, ab_t, ab_prev, sigma)
-        c = renoise_coefficients(x0, ab_t, ab_prev, sigma)
-        mean_two = c.mean(m1)
-        var_two = (c.Sigma_scale * c.A_scale * c.L_scale) ** 2 * sigma ** 2 \
-            + c.Sigma_scale
+        mean_two, gain, var = renoise_moments(m1, x0, ab_t, ab_prev, sigma)
+        var_two = gain ** 2 * sigma ** 2 + var
         eps_coeff, noise_coeff = fused_update_coefficients(ab_t, ab_prev, sigma)
         mean_fused = x_t - eps_coeff * eps_tilde
         worst_mean = max(worst_mean, _rel(np.max(np.abs(mean_two - mean_fused)),

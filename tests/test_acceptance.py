@@ -18,11 +18,10 @@ from fusionsampler.guidance import GuidanceWeights
 from fusionsampler.mixture import MixtureOracle, oracle_eps, oracle_log_density
 from fusionsampler.posterior import (
     check_variance_bound,
-    fused_update,
     fused_update_coefficients,
     predict_x0,
     renoise,
-    renoise_coefficients,
+    renoise_moments,
     sample_prev,
     sample_prev_mean,
 )
@@ -61,10 +60,8 @@ def test_fused_step_equals_two_stage_composition():
         eps = rng.standard_normal(4)
         x0 = predict_x0(x_t, eps, ab_t)
         m1 = sample_prev_mean(x_t, x0, ab_t, ab_prev, sigma)
-        c = renoise_coefficients(x0, ab_t, ab_prev, sigma)
-        mean_two = c.mean(m1)
-        var_two = (c.Sigma_scale * c.A_scale * c.L_scale) ** 2 * sigma ** 2 \
-            + c.Sigma_scale
+        mean_two, gain, var = renoise_moments(m1, x0, ab_t, ab_prev, sigma)
+        var_two = gain ** 2 * sigma ** 2 + var
         eps_c, noise_c = fused_update_coefficients(ab_t, ab_prev, sigma)
         mean_fused = x_t - eps_c * eps
         scale = max(np.max(np.abs(mean_fused)), 1e-12)
@@ -82,16 +79,13 @@ def test_fused_step_equals_two_stage_composition():
     rng_mc = _rng(12)
     back = renoise(sample_prev(x_t, x0, 2, sched, sigma, rng_mc),
                    x0, 2, sched, sigma, rng_mc)
-    fused = fused_update(x_t, eps, 2, sched, sigma, rng_mc)
     eps_c, noise_c = fused_update_coefficients(ab_t, ab_prev, sigma)
     want_mean = float(x_t[0, 0] - eps_c * eps[0, 0])
     want_var = noise_c ** 2
     se_mean = np.sqrt(want_var / n)
     se_var = want_var * np.sqrt(2.0 / (n - 1))
     mc_gap = max(abs(back.mean() - want_mean) / se_mean,
-                 abs(fused.mean() - want_mean) / se_mean,
-                 abs(back.var() - want_var) / se_var,
-                 abs(fused.var() - want_var) / se_var)
+                 abs(back.var() - want_var) / se_var)
     elapsed = time.perf_counter() - started
     ok = worst < 1e-8 and mc_gap < 4.0 and elapsed < 30.0
     _report("fused step equals two-stage composition", ok,

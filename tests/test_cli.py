@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+import fusionsampler.cli as cli
 import fusionsampler.evaluate as evaluate
 import fusionsampler.verify as verify
 from fusionsampler.artifacts import load_json
@@ -538,12 +539,41 @@ def test_run_refuses_an_out_under_a_regular_file_before_the_mode(
     assert target.read_text() == "keep me"
 
 
-def test_run_failure_leaves_no_partial_outputs(tmp_path, capsys):
+def test_run_failure_leaves_no_partial_outputs(tmp_path, monkeypatch, capsys):
+    def diverged(*args, **kwargs):
+        raise RuntimeError("sampling produced non-finite state at t=8")
+
+    monkeypatch.setattr(cli, "sample_trajectory", diverged)
     out = tmp_path / "untouched"
-    cfg = _config(tmp_path, {"condition": {"identity": [1.0, 2.0, 3.0, 4.0]}})
-    assert main(["run", "--config", cfg, "--mode", "sample",
+    assert main(["run", "--config", _config(tmp_path), "--mode", "sample",
                  "--out", str(out)]) == 1
-    assert "run failed" in capsys.readouterr().err
+    assert "run failed: RuntimeError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["sample", "ablate"])
+@pytest.mark.parametrize("condition, message", [
+    ({"identity": [3.0, 0.0, 1.0]},
+     "error: condition: identity log-weights must have shape (2,) or (2, 2),"
+     " got (3,)"),
+    ({"text": ["-inf", "-inf"]},
+     "error: condition: prior and condition select an empty subset of mixture"
+     " cells"),
+], ids=["misfit", "empty"])
+def test_run_refuses_a_condition_the_world_cannot_take(tmp_path, monkeypatch,
+                                                       capsys, mode, condition,
+                                                       message):
+    # a condition that does not fit the 2x2 product world, or that excludes
+    # every cell, is refused before any trajectory starts
+    def never(*args, **kwargs):
+        raise AssertionError("sampling started before the condition was checked")
+
+    monkeypatch.setattr(cli, "sample_trajectory", never)
+    monkeypatch.setattr(evaluate, "sample_trajectory", never)
+    out = tmp_path / "untouched"
+    cfg = _config(tmp_path, {"condition": condition}, mode=mode)
+    assert main(["run", "--config", cfg, "--mode", mode, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
     assert not out.exists()
 
 

@@ -13,11 +13,11 @@ from fusionsampler.evaluate import (
     SWEEP_COLUMNS,
     ablation_suite,
     adherence_scores,
-    component_responsibility,
     degeneration_benchmark,
     regularization_sweep,
     spearman,
 )
+from fusionsampler.mixture import oracle_responsibilities
 from fusionsampler.nets import TrainingDiverged
 from fusionsampler.runconfig import ConfigError, validate_config
 from fusionsampler.worlds import (
@@ -37,39 +37,41 @@ def _rng(seed):
 
 def test_responsibility_saturates_at_a_separated_mean():
     m = WORLD.cell_means()[1, 0]
-    assert component_responsibility(WORLD, m, 1, "identity") > 1.0 - 1e-6
-    assert component_responsibility(WORLD, m, 0, "style") > 1.0 - 1e-6
+    ident, style = adherence_scores(m, WORLD, 1, 0)
+    assert ident > 1.0 - 1e-6
+    assert style > 1.0 - 1e-6
 
 
 def test_responsibility_is_half_on_the_symmetry_axis():
     # identities sit at axis0 = -2 and +2; axis0 = 0 is equidistant
     for x in ([0.0, 1.3], [0.0, -7.0], [0.0, 0.0]):
-        r = component_responsibility(WORLD, np.array(x), 0, "identity")
-        assert abs(r - 0.5) <= 1e-12
+        ident, _ = adherence_scores(np.array(x), WORLD, 0, 0)
+        assert abs(ident - 0.5) <= 1e-12
 
 
 def test_responsibilities_sum_to_one():
-    pts = _rng(5).normal(size=(40, 2)) * 3.0
-    for axis, n in (("identity", WORLD.n_identities), ("style", WORLD.n_styles)):
-        total = sum(component_responsibility(WORLD, pts, i, axis)
-                    for i in range(n))
-        assert np.all(np.abs(total - 1.0) <= 1e-12)
+    for p in _rng(5).normal(size=(40, 2)) * 3.0:
+        ident = sum(adherence_scores(p, WORLD, i, 0)[0]
+                    for i in range(WORLD.n_identities))
+        style = sum(adherence_scores(p, WORLD, 0, c)[1]
+                    for c in range(WORLD.n_styles))
+        assert abs(ident - 1.0) <= 1e-12 and abs(style - 1.0) <= 1e-12
 
 
 def test_responsibility_batch_matches_single():
     pts = _rng(6).normal(size=(7, 2))
-    batch = component_responsibility(WORLD, pts, 1, "style")
-    singles = [component_responsibility(WORLD, p, 1, "style") for p in pts]
-    assert np.allclose(batch, singles, rtol=0, atol=0)
+    batch = oracle_responsibilities(WORLD, pts, None, 1.0)
+    singles = [oracle_responsibilities(WORLD, p, None, 1.0) for p in pts]
+    assert np.array_equal(batch, singles)
 
 
 def test_responsibility_validation():
-    with pytest.raises(ValueError, match="axis"):
-        component_responsibility(WORLD, np.zeros(2), 0, "flavor")
-    with pytest.raises(ValueError, match="out of range"):
-        component_responsibility(WORLD, np.zeros(2), 2, "identity")
+    with pytest.raises(ValueError, match="identity index 2 out of range"):
+        adherence_scores(np.zeros(2), WORLD, 2, 0)
+    with pytest.raises(ValueError, match="style index 2 out of range"):
+        adherence_scores(np.zeros(2), WORLD, 0, 2)
     with pytest.raises(ValueError, match="trailing dimension"):
-        component_responsibility(WORLD, np.zeros(3), 0, "identity")
+        adherence_scores(np.zeros(3), WORLD, 0, 0)
 
 
 def test_adherence_on_target_component_draws():
@@ -89,19 +91,21 @@ def test_adherence_right_identity_wrong_style():
 def test_adherence_single_sample_equals_its_row():
     x, _ = WORLD.sample(1, _rng(2), identity=0, style=1)
     ident, style = adherence_scores(x, WORLD, 0, 1)
-    assert ident == component_responsibility(WORLD, x[0], 0, "identity")
-    assert style == component_responsibility(WORLD, x[0], 1, "style")
+    assert (ident, style) == adherence_scores(x[0], WORLD, 0, 1)
+    r = oracle_responsibilities(WORLD, x[0], None, 1.0)
+    assert ident == pytest.approx(r[0, :].sum(), rel=0, abs=1e-15)
+    assert style == pytest.approx(r[:, 1].sum(), rel=0, abs=1e-15)
 
 
 def test_adherence_scores_one_posterior_both_ways(monkeypatch):
     x, _ = WORLD.sample(50, _rng(4))
-    want = (component_responsibility(WORLD, x, 1, "identity").mean(),
-            component_responsibility(WORLD, x, 0, "style").mean())
+    r = oracle_responsibilities(WORLD, x, None, 1.0)
+    want = (r[:, 1, :].sum(axis=-1).mean(), r[:, :, 0].sum(axis=-1).mean())
     calls = []
     real = evaluate.oracle_responsibilities
     monkeypatch.setattr(evaluate, "oracle_responsibilities",
                         lambda *args: calls.append(args) or real(*args))
-    assert adherence_scores(x, WORLD, 1, 0) == want
+    assert adherence_scores(x, WORLD, 1, 0) == pytest.approx(want, rel=0, abs=1e-15)
     assert len(calls) == 1
 
 
@@ -125,9 +129,9 @@ def test_adherence_scores_stay_in_unit_interval(pts):
     ident, style = adherence_scores(x, WORLD, 0, 0)
     assert 0.0 <= ident <= 1.0
     assert 0.0 <= style <= 1.0
-    for axis in ("identity", "style"):
-        per_point = component_responsibility(WORLD, x, 0, axis)
-        assert np.all(per_point >= 0.0) and np.all(per_point <= 1.0)
+    for p in x:
+        per_point = adherence_scores(p, WORLD, 0, 0)
+        assert all(0.0 <= score <= 1.0 for score in per_point)
 
 
 def test_spearman_known_values():

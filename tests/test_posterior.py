@@ -6,11 +6,10 @@ from numpy.testing import assert_allclose
 
 from fusionsampler.posterior import (
     check_variance_bound,
-    fused_update,
     fused_update_coefficients,
     predict_x0,
     renoise,
-    renoise_coefficients,
+    renoise_moments,
     sample_prev,
     sample_prev_mean,
 )
@@ -99,8 +98,7 @@ def test_renoise_matches_joint_conditioning_oracle():
     x0 = np.array([0.7, -0.2])
     for x_prev in (np.array([-0.3, 0.9]), np.array([1.5, 0.0]), np.array([0.0, 0.0])):
         want_mean, want_var = conditioned_renoise_oracle(x_prev, x0, ab_t, ab_prev, sigma)
-        c = renoise_coefficients(x0, ab_t, ab_prev, sigma)
-        got_mean, got_var = c.mean(x_prev), c.Sigma_scale
+        got_mean, _, got_var = renoise_moments(x_prev, x0, ab_t, ab_prev, sigma)
         assert_allclose(got_mean, want_mean, rtol=1e-8)
         assert_allclose(got_var, want_var, rtol=1e-8)
 
@@ -109,18 +107,19 @@ def test_renoise_boundary_drops_x_prev_dependence():
     # dyadic probe: the vanishing coefficient is exactly zero only when the
     # radicand 1 - ab_prev - sigma^2 is float-exact; 0.75 and 0.5 are
     x0 = np.array([0.4])
-    c = renoise_coefficients(x0, 0.5, 0.75, 0.5)
-    assert_allclose(c.mean(np.array([10.0])), c.mean(np.array([-10.0])), rtol=0, atol=0)
-    assert c.A_scale == 0.0
+    mean_hi, gain, _ = renoise_moments(np.array([10.0]), x0, 0.5, 0.75, 0.5)
+    mean_lo, _, _ = renoise_moments(np.array([-10.0]), x0, 0.5, 0.75, 0.5)
+    assert_allclose(mean_hi, mean_lo, rtol=0, atol=0)
+    assert gain == 0.0
     # non-dyadic boundaries land within sqrt(ulp) of zero instead
     sig = np.sqrt(1.0 - 0.8)
-    c = renoise_coefficients(x0, 0.5, 0.8, sig)
-    assert abs(c.A_scale) < 1e-7
+    _, gain, _ = renoise_moments(np.zeros(1), x0, 0.5, 0.8, sig)
+    assert abs(gain) < 1e-7
 
 
 def test_renoise_zero_inputs_zero_mean():
-    c = renoise_coefficients(np.zeros(3), 0.5, 0.8, 0.1)
-    assert_allclose(c.mean(np.zeros(3)), np.zeros(3), atol=1e-15)
+    mean, _, _ = renoise_moments(np.zeros(3), np.zeros(3), 0.5, 0.8, 0.1)
+    assert_allclose(mean, np.zeros(3), atol=1e-15)
 
 
 def test_renoise_requires_stochastic_sigma():
@@ -159,14 +158,6 @@ def test_fused_boundary_reduction_every_t():
         assert_allclose(noise_c, want, rtol=1e-14)
 
 
-def test_fused_zero_sigma_is_identity_and_consumes_no_noise():
-    rng = np.random.default_rng(3)
-    x = np.array([1.0, -2.0])
-    out = fused_update(x, np.array([9.0, 9.0]), 2, SCHED_58, 0.0, rng)
-    assert_allclose(out, x)
-    assert rng.standard_normal() == np.random.default_rng(3).standard_normal()
-
-
 def test_fused_accepts_wider_sigma_domain():
     gap = 1.0 - 0.8
     mid = np.sqrt(1.5 * gap)  # feasible for fused, not for the reverse posterior
@@ -185,21 +176,13 @@ def test_fused_final_step_limit():
     assert fused_update_coefficients(0.5, 1.0, 0.0) == (w, w)
     with pytest.raises(ValueError, match="infeasible sigma"):
         fused_update_coefficients(0.5, 1.0, 0.1)
-    # the update itself stays the deterministic identity there
-    rng = np.random.default_rng(1)
-    x = np.array([0.2, 0.9])
-    s1 = build_schedule(T=1, beta_start=0.5, beta_end=0.5)
-    assert_allclose(fused_update(x, np.ones(2), 1, s1, 0.0, rng), x)
 
 
 def two_path_moments(x_t, x0, ab_t, ab_prev, sigma):
     """Analytic mean/variance of renoise(sample_prev(x_t))."""
     m1 = sample_prev_mean(x_t, x0, ab_t, ab_prev, sigma)
-    c = renoise_coefficients(x0, ab_t, ab_prev, sigma)
-    gain = c.Sigma_scale * c.A_scale * c.L_scale
-    mean = c.mean(m1)
-    var = gain**2 * sigma**2 + c.Sigma_scale
-    return mean, var
+    mean, gain, var = renoise_moments(m1, x0, ab_t, ab_prev, sigma)
+    return mean, gain**2 * sigma**2 + var
 
 
 def test_two_path_equivalence_reference_point():
@@ -242,16 +225,16 @@ def test_two_path_equivalence_monte_carlo():
     ab_t, ab_prev, sigma = 0.5, 0.8, 0.1
     x_t = np.full((n, 1), 0.45)
     x0 = np.full((n, 1), -0.2)
-    eps = (x_t - np.sqrt(ab_t) * x0) / np.sqrt(1.0 - ab_t)
+    eps = (x_t[0] - np.sqrt(ab_t) * x0[0]) / np.sqrt(1.0 - ab_t)
     prev = sample_prev(x_t, x0, 2, SCHED_58, sigma, rng)
     back = renoise(prev, x0, 2, SCHED_58, sigma, rng)
-    fused = fused_update(x_t, eps, 2, SCHED_58, sigma, rng)
-    want_mean, want_var = two_path_moments(x_t[0], x0[0], ab_t, ab_prev, sigma)
+    # the two-stage draw has the fused step's closed-form moments
+    eps_c, noise_c = fused_update_coefficients(ab_t, ab_prev, sigma)
+    want_mean, want_var = x_t[0, 0] - eps_c * eps[0], noise_c**2
     se_mean = np.sqrt(want_var / n)
     se_var = want_var * np.sqrt(2.0 / (n - 1))
-    for draws in (back, fused):
-        assert abs(draws.mean() - want_mean[0]) < 4 * se_mean
-        assert abs(draws.var() - want_var) < 4 * se_var
+    assert abs(back.mean() - want_mean) < 4 * se_mean
+    assert abs(back.var() - want_var) < 4 * se_var
 
 
 def langevin_update(x_t, eps_tilde, alpha_bar_t, lam, rng):

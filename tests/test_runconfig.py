@@ -175,7 +175,7 @@ def test_violations_show_the_value_shortened(payload, start):
 _LIST_KEYS = [
     ("sweep.lambdas", [0.0, 1.0], lambda v: {"sweep": {"lambdas": v}}),
     ("sweep.seeds", [0, 1], lambda v: {"sweep": {"seeds": v}}),
-    ("sigma.values", [0.0, 0.005, 0.0],
+    ("sigma.values", [0.0, 0.005, 0.01],
      lambda v: {"schedule": {"T": 3}, "sigma": {"kind": "custom", "values": v}}),
     ("world.prior", [0.45, 0.05, 0.35, 0.15],
      lambda v: {"world": {"preset": "conflict", "prior": v}}),
@@ -252,6 +252,18 @@ def test_a_zero_sigma_is_refused_only_where_the_fusion_stage_runs():
         if mode == "ablate":
             payload.update(world={"preset": "product"}, condition=FULL["condition"])
         validate_config(payload, mode)
+
+
+def test_a_zero_sigma_is_refused_without_a_mode_where_the_fusion_stage_runs():
+    # validated without a mode every key is read, so the sampler that
+    # fusion.mode names runs: regularization_sweep would otherwise train its
+    # nets and then fail in the fusion stage at t=T
+    eta0 = {"schedule": {"T": 10}, "sigma": {"kind": "ddim_eta", "eta": 0.0}}
+    with pytest.raises(ConfigError, match="sigma: 0 at t=2"):
+        validate_config(eta0)
+    for fusion in ({"m": 0}, {"use_refinement": False}, {"mode": "independent"},
+                   {"mode": "vanilla_cfg"}):
+        validate_config({**eta0, "fusion": fusion})
 
 
 def test_omega_list_is_an_unknown_key():

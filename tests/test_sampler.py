@@ -240,33 +240,71 @@ def test_deterministic_flow_matches_affine_recursion():
     assert_allclose(samples, A * x_T + C * mu, rtol=1e-9, atol=1e-12)
 
 
-def test_boundary_sigma_moments_match_recursion():
-    """Full-noise reverse runs on an exact single-Gaussian predictor follow a
-    scalar mean/variance recursion; check the samples at MC tolerances."""
-    mu = np.array([2.0, 0.5])
-    world = single_gaussian_world(mean=mu, s=0.6)
-    sched = build_schedule(T=30, beta_start=0.01, beta_end=0.25)
-    oracle = MixtureOracle(world, sched)
-    prof = SigmaProfile("boundary")
-    cfg = FusionConfig(mode="vanilla_cfg", sigma=prof)
-    n = 4000
-    samples = sample_trajectory(ConditionSet(), cfg, oracle, sched, n, seed=5150)
-    s2 = 0.6 * 0.6
+def reverse_moments(sched, prof, s2):
+    """(m, V) of x_0 = m * mu + noise of variance V per dim, for reverse runs
+    from x_T ~ Normal(0, I) under any sigma profile, with the exact eps of a
+    single Gaussian Normal(mu, s2 * I), sqrt(1 - ab) (x - sqrt(ab) mu) / v:
+    each step x' = sqrt(abp) x0_hat + r eps + sigma z is affine in x."""
     m, V = 0.0, 1.0
     for t in range(sched.T, 0, -1):
         ab = sched.alpha_bar[t]
         abp = sched.alpha_bar[t - 1]
         v = ab * s2 + 1.0 - ab
-        a = np.sqrt(abp) * np.sqrt(ab) * s2 / v
-        c = np.sqrt(abp) * (1.0 - ab) / v
         sig = sigma_at(sched, prof, t)
+        r = np.sqrt(1.0 - abp - sig * sig)
+        a = (np.sqrt(abp * ab) * s2 + r * np.sqrt(1.0 - ab)) / v
+        c = (np.sqrt(abp) * (1.0 - ab) - r * np.sqrt(ab * (1.0 - ab))) / v
         m = a * m + c
         V = a * a * V + sig * sig
+    return m, V
+
+
+def _assert_moments_match_recursion(prof):
+    """Reverse runs on an exact single-Gaussian predictor follow the scalar
+    mean/variance recursion; check the samples at MC tolerances."""
+    mu = np.array([2.0, 0.5])
+    world = single_gaussian_world(mean=mu, s=0.6)
+    sched = build_schedule(T=30, beta_start=0.01, beta_end=0.25)
+    oracle = MixtureOracle(world, sched)
+    cfg = FusionConfig(mode="vanilla_cfg", sigma=prof)
+    n = 4000
+    samples = sample_trajectory(ConditionSet(), cfg, oracle, sched, n, seed=5150)
+    m, V = reverse_moments(sched, prof, 0.6 * 0.6)
     want_mean = m * mu
     got_mean = samples.mean(axis=0)
     assert np.all(np.abs(got_mean - want_mean) < 4.0 * np.sqrt(V / n))
     got_var = samples.var(axis=0, ddof=1)
     assert np.all(np.abs(got_var - V) < 4.0 * V * np.sqrt(2.0 / (n - 1)))
+
+
+def test_boundary_sigma_moments_match_recursion():
+    _assert_moments_match_recursion(SigmaProfile("boundary"))
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+def test_ddim_eta_moments_match_recursion(eta):
+    _assert_moments_match_recursion(SigmaProfile("ddim_eta", eta=eta))
+
+
+@pytest.mark.parametrize("s2", [0.1225, 1.0, 4.0])
+def test_recursion_variance_against_the_data_variance(s2):
+    """The variance V_0 that reverse runs reach on a single Gaussian of
+    variance s2 (default beta endpoints, null condition), against s2 itself.
+    ddim_eta at eta 0 and 1 close the gap as T grows; boundary drops
+    ab_prev * Cov(x_0 | x_t) at every step and keeps under half of s2 at
+    any T (V_0 / s2 is 0.459-0.493 at T = 100 and 1000)."""
+    ratio = {}
+    for T in (100, 1000):
+        sched = build_schedule(T=T)
+        for name, prof in (("eta0", SigmaProfile("ddim_eta", eta=0.0)),
+                           ("eta1", SigmaProfile("ddim_eta", eta=1.0)),
+                           ("boundary", SigmaProfile("boundary"))):
+            ratio[name, T] = reverse_moments(sched, prof, s2)[1] / s2
+    for name in ("eta0", "eta1"):
+        assert abs(ratio[name, 1000] - 1.0) < abs(ratio[name, 100] - 1.0)
+        assert ratio[name, 1000] > 0.95
+    for T in (100, 1000):
+        assert 0.45 < ratio["boundary", T] < 0.5
 
 
 @pytest.mark.parametrize("m", [1, 3])
