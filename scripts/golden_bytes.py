@@ -61,15 +61,15 @@ CASES = [
     ("sample-fusion", "sample", _PRODUCT_SAMPLE),
     ("sample-vanilla_cfg", "sample",
      {**_PRODUCT_SAMPLE, "fusion": {"mode": "vanilla_cfg"}}),
-    ("sample-independent", "sample",
-     {**_PRODUCT_SAMPLE, "fusion": {"mode": "independent"}}),
+    # independent guidance: fusion with m=0
+    ("sample-independent", "sample", {**_PRODUCT_SAMPLE, "fusion": {"m": 0}}),
     ("sample-no-refinement", "sample",
      {**_PRODUCT_SAMPLE, "fusion": {"use_refinement": False}}),
     ("sample-ddim_eta", "sample",
      {**_PRODUCT_SAMPLE, "sigma": {"kind": "ddim_eta", "eta": 0.5}}),
     # the zeros take ddim_step's deterministic branch
     ("sample-independent-custom", "sample",
-     {**_PRODUCT_SAMPLE, "fusion": {"mode": "independent"},
+     {**_PRODUCT_SAMPLE, "fusion": {"m": 0},
       "sigma": {"kind": "custom", "values": _CUSTOM_SIGMA}}),
     # fusion with m=2: re-noising under a custom sigma
     ("sample-fusion-custom", "sample",

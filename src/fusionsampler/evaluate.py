@@ -188,10 +188,13 @@ def regularization_sweep(cfg: RunConfig) -> list[dict]:
 def ablation_variants(base: FusionConfig) -> list[tuple[str, FusionConfig]]:
     return [
         ("vanilla_cfg", replace(base, mode="vanilla_cfg")),
-        ("independent", replace(base, mode="independent")),
+        # fusion with m=0 is independent-conditions guidance
+        ("independent", replace(base, mode="fusion", m=0, use_refinement=True)),
         # without refinement a step is one fusion pass, whatever base.m is
         ("fusion_no_refinement", replace(base, mode="fusion", m=1,
                                          use_refinement=False)),
+        # the same sampler as independent, kept while the benchmark's row
+        # check and predictor-call count name it
         ("fusion_no_fusion_stage", replace(base, mode="fusion", m=0,
                                            use_refinement=True)),
         ("fusion", replace(base, mode="fusion")),
@@ -204,9 +207,9 @@ def ablation_suite(cfg: RunConfig) -> list[dict]:
     must be set.
 
     Samples are drawn with per-seed noise shared across variants, so rows
-    compare the samplers and nothing else; with m=0 the two-stage sampler is
-    the independent-guidance sampler by construction, and their rows match
-    bit for bit.
+    compare the samplers and nothing else. The independent variant is the
+    two-stage sampler with m=0, so fusion_no_fusion_stage is the same
+    sampler and its rows repeat independent's.
     """
     if cfg.world is None or cfg.condition is None:
         raise ValueError("ablation_suite needs a config with world and condition")

@@ -8,11 +8,12 @@ JSON type (_read_values). Violations raise ConfigError with the dotted path
 of the offending key, and unknown keys are rejected rather than ignored so a
 typo cannot silently fall back to a default. Validated for a run mode, a key that
 mode does not read (MODE_KEYS) is refused the same way; a sigma profile that
-the fusion stage cannot run is refused wherever that stage would run, with
-or without a mode. require_condition refuses, once a mode knows its world, a
-condition that does not fit it. validate_config also
-materializes the resolved payload of the keys the run reads, which run
-records embed so a run can be reproduced from its output alone. The config
+the fusion stage cannot run (sampler.check_fusion_sigma) is refused
+wherever that stage would run, with or without a mode. require_condition
+refuses, once a mode knows its world, a condition that does not fit it.
+validate_config also materializes the resolved payload of the keys the run
+reads, which run records embed so a run can be reproduced from its output
+alone. The config
 is the one source of a run's inputs; where a run writes is the CLI's --out,
 not a config key.
 """
@@ -29,13 +30,12 @@ from fusionsampler.conditions import ConditionSet
 from fusionsampler.encoder import TrainingConfig
 from fusionsampler.guidance import GuidanceWeights
 from fusionsampler.mixture import MixtureWorld, cell_log_weights
-from fusionsampler.sampler import FusionConfig
+from fusionsampler.sampler import FusionConfig, check_fusion_sigma
 from fusionsampler.schedule import (
     DiffusionSchedule,
     SigmaProfile,
     build_schedule,
     check_sigma,
-    sigma_at,
 )
 from fusionsampler.worlds import WORLD_PRESETS
 
@@ -224,15 +224,20 @@ def _build_world(obj, path: str) -> MixtureWorld:
     return _read_section(kwargs, path, WORLD_PRESETS[name])[0]
 
 
+# the sigma keys that only one kind reads, and that kind
+_KIND_KEYS = {"eta": "ddim_eta", "values": "custom"}
+
+
 def _build_sigma(obj, path: str,
                  schedule: DiffusionSchedule) -> tuple[SigmaProfile, dict]:
     # values has no default: (0.0,) only gives its entries' type
     given = _read_values(obj, path, {"kind": "boundary", "eta": 0.0, "values": (0.0,)})
     resolved = {key: given[key] for key in ("kind", *obj)}  # kind and the given keys
     kind = resolved["kind"]
-    if "eta" in obj and kind != "ddim_eta":
-        raise ConfigError(f"{path}.eta: only valid for kind 'ddim_eta',"
-                          f" not {_SHORT.repr(kind)}")
+    for key, owner in _KIND_KEYS.items():
+        if key in obj and kind != owner:
+            raise ConfigError(f"{path}.{key}: only valid for kind {owner!r},"
+                              f" not {_SHORT.repr(kind)}")
     if "values" in obj and len(resolved["values"]) != schedule.T:
         raise ConfigError(f"{path}.values: need one value per timestep"
                           f" ({schedule.T}), got {len(resolved['values'])}")
@@ -311,31 +316,17 @@ class RunConfig:
 
 def _sampler_keys(fusion: FusionConfig) -> tuple[str, ...]:
     """The fusion and weights keys that the sampler reads under fusion.mode:
-    vanilla_cfg is one joint-guided step, independent one refinement step;
-    fusion reads gamma and omega only with m >= 1, and omega1 and omega2
-    only with the refinement step."""
+    vanilla_cfg is one joint-guided step; fusion reads gamma and omega only
+    with m >= 1, and omega1 and omega2 only with the refinement step, so
+    m=0, independent-conditions guidance, reads omega1 and omega2 alone."""
     if fusion.mode == "vanilla_cfg":
         return ("fusion.mode", "weights.omega")
-    if fusion.mode == "independent":
-        return ("fusion.mode", "weights.omega1", "weights.omega2")
     keys = ("fusion.m", "fusion.use_refinement", "fusion.mode")
     if fusion.m >= 1:
         keys += ("fusion.gamma", "weights.omega")
     if fusion.use_refinement:
         keys += ("weights.omega1", "weights.omega2")
     return keys
-
-
-def _check_fusion_sigma(fusion: FusionConfig, schedule: DiffusionSchedule) -> None:
-    """The fusion stage re-noises with sigma_t, so with m >= 1 and the
-    refinement step it needs sigma_t > 0 at every t >= 2 (it does not run at
-    t = 1); refused here rather than midway through a trajectory."""
-    if fusion.m >= 1 and fusion.use_refinement:
-        for t in range(2, schedule.T + 1):
-            if sigma_at(schedule, fusion.sigma, t) == 0.0:
-                raise ConfigError(
-                    f"sigma: 0 at t={t}, but fusion.m >= 1 with refinement"
-                    " needs sigma_t > 0 at every t >= 2")
 
 
 def _subkeys(row, section: str) -> list[str]:
@@ -399,11 +390,12 @@ def validate_config(payload, mode: str | None = None) -> RunConfig:
             row = MODE_KEYS["builtin"]
             reader = "the built-in benchmark (ablate with neither world nor condition)"
     _refuse_unread(payload, row, reader)
-    # ablate runs the fusion variant whatever fusion.mode says; every mode
-    # but train-encoder, and a config validated without a mode, runs the
-    # sampler that fusion.mode names
-    if mode == "ablate" or (mode != "train-encoder" and fusion.mode == "fusion"):
-        _check_fusion_sigma(fusion, schedule)
+    # ablate runs its fusion variant whatever fusion.mode says; every other
+    # mode but train-encoder, and a config validated without a mode, runs
+    # the sampler that fusion.mode names
+    if mode != "train-encoder":
+        sampler = replace(fusion, mode="fusion") if mode == "ablate" else fusion
+        _construct(check_fusion_sigma, "sigma", sampler, schedule)
     resolved = {
         "seed": seed,
         "world": payload.get("world"),

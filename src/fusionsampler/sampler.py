@@ -1,14 +1,13 @@
-"""Sampling loops: vanilla classifier-free, independent-conditions, and the
-two-stage fusion scheme.
+"""Sampling loops: vanilla classifier-free and the two-stage fusion scheme.
 
 Per-step structure of fusion mode: m fusion iterations, each computing a
 joint-condition guided prediction on the gamma-scaled identity, predicting
 the clean sample, stepping back to t-1, and re-noising to t again; then a
 refinement step computing the independent-conditions guided prediction on the
 unscaled conditions and performing one classifier-free reverse step. m=0
-skips straight to the refinement step, which is exactly independent mode:
-fusion_step, the one per-step operator of all three modes, runs independent
-mode as fusion with m=0, so bit-identity holds structurally. Without the
+skips straight to the refinement step: that is the independent-conditions
+sampler of Composable Diffusion (Liu et al. 2022), which has no mode of its
+own. Without the
 refinement step a fusion step is its first joint pass alone, so that setting
 takes m=1.
 
@@ -34,19 +33,20 @@ from fusionsampler.schedule import DiffusionSchedule, SigmaProfile, sigma_at
 __all__ = [
     "FusionConfig",
     "SampleStreams",
+    "check_fusion_sigma",
     "fusion_step",
     "sample_trajectory",
 ]
 
-_MODES = ("vanilla_cfg", "independent", "fusion")
+_MODES = ("vanilla_cfg", "fusion")
 
 
 @dataclass(frozen=True)
 class FusionConfig:
     """Sampler knobs.
 
-    gamma scales the identity slot during the fusion stage only; vanilla,
-    independent, and the refinement step consume the conditions as given.
+    gamma scales the identity slot during the fusion stage only; vanilla and
+    the refinement step consume the conditions as given.
     Without refinement a step is one fusion pass and ends there, so
     use_refinement=False requires m=1: any other m would either do nothing
     (m=0) or be silently cut to one pass.
@@ -251,35 +251,44 @@ def _split_guided_eps(predictor: NoisePredictor, x, cond: ConditionSet, t: int,
     return cfg_independent(eps_uncond, eps_s, eps_c, w)
 
 
+def check_fusion_sigma(cfg: FusionConfig, schedule: DiffusionSchedule) -> None:
+    """Refuse a sigma profile that cfg's fusion stage cannot run.
+
+    The stage re-noises with sigma_t, so fusion with m >= 1 and the
+    refinement step needs sigma_t > 0 at every t >= 2; it does not run at
+    t = 1. Raises ValueError naming the first t where sigma_t is 0.
+    """
+    if cfg.mode == "fusion" and cfg.m >= 1 and cfg.use_refinement:
+        for t in range(2, schedule.T + 1):
+            if sigma_at(schedule, cfg.sigma, t) == 0.0:
+                raise ValueError(
+                    f"0 at t={t}, but fusion.m >= 1 with refinement"
+                    " needs sigma_t > 0 at every t >= 2")
+
+
 def fusion_step(x_t, t: int, cond: ConditionSet, cfg: FusionConfig,
                 predictor: NoisePredictor, schedule: DiffusionSchedule,
                 rng) -> np.ndarray:
     """One timestep of the sampler cfg.mode names; returns x_{t-1}.
 
     vanilla_cfg is one joint-guided reverse step on the conditions as given.
-    fusion runs cfg.m fusion passes, then the refinement step; independent
-    is fusion with m=0, the refinement step alone.
+    fusion runs cfg.m fusion passes, then the refinement step; with m=0 the
+    refinement step alone, independent-conditions guidance.
 
-    The fusion stage needs sigma_t > 0 for its re-noising draw; a zero sigma
-    with m >= 1 and refinement on raises, except at t=1 where sigma is forced
-    to 0 by the schedule and the fusion stage degenerates to the identity (the
-    zero-sigma limit of the fused update), so only refinement runs there.
+    The fusion stage's re-noising draw needs sigma_t > 0 (check_fusion_sigma;
+    renoise refuses a zero sigma too), except at t=1 where sigma is forced
+    to 0 by the schedule and the fusion stage degenerates to the identity
+    (the zero-sigma limit of the fused update), so only refinement runs there.
     """
     sigma_t = sigma_at(schedule, cfg.sigma, t)
     x = np.asarray(x_t, dtype=float)
     if cfg.mode == "vanilla_cfg":
         eps = _joint_guided_eps(predictor, x, cond, t, cfg.weights.omega)
         return ddim_step(x, t, eps, schedule, sigma_t, rng)
-    m = cfg.m if cfg.mode == "fusion" else 0
-    if m >= 1 and not (t == 1 and cfg.use_refinement):
-        if sigma_t == 0.0 and cfg.use_refinement:
-            raise ValueError(
-                f"fusion stage at t={t} needs sigma_t > 0 for re-noising;"
-                " use m=0 for deterministic steps"
-            )
+    if cfg.m >= 1 and not (t == 1 and cfg.use_refinement):
         fusion_cond = cond.with_gamma(cfg.gamma)
         ab_t, _ = schedule.alpha_bars(t)
-        for _ in range(m):
+        for _ in range(cfg.m):
             eps = _joint_guided_eps(predictor, x, fusion_cond, t, cfg.weights.omega)
             x0_hat = predict_x0(x, eps, ab_t)
             x_prev = sample_prev(x, x0_hat, t, schedule, sigma_t, rng)
@@ -294,9 +303,12 @@ def sample_trajectory(cond: ConditionSet, cfg: FusionConfig,
                       predictor: NoisePredictor, schedule: DiffusionSchedule,
                       n_samples: int, seed: int) -> np.ndarray:
     """Run fusion_step, the per-step operator of cfg.mode, from
-    x_T ~ Normal(0, I) down to x_0; returns the (n_samples, d) samples."""
+    x_T ~ Normal(0, I) down to x_0; returns the (n_samples, d) samples.
+    A sigma profile the fusion stage cannot run is refused before the first
+    step (check_fusion_sigma)."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
+    check_fusion_sigma(cfg, schedule)
     streams = SampleStreams(seed, n_samples)
     x = streams.standard_normal((n_samples, predictor.d))
     for t in range(schedule.T, 0, -1):

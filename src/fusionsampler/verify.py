@@ -22,7 +22,6 @@ from fusionsampler.encoder import (
     promptnet_loss_and_grads,
 )
 from fusionsampler.denoiser import N_TIME_FEATURES, ToyDenoiser
-from fusionsampler.guidance import GuidanceWeights
 from fusionsampler.mixture import (
     MixtureOracle,
     oracle_eps,
@@ -191,30 +190,6 @@ def _rows_mismatch(cond, schedule, seed: int, runs) -> str | None:
     return None
 
 
-def _check_m0_matches_independent():
-    """mode='fusion' with m=0 must reproduce mode='independent' bit for bit."""
-    world = product_world()
-    schedule = build_schedule(T=12, beta_end=0.15)
-    predictor = MixtureOracle(world, schedule)
-    cond = ConditionSet(identity=identity_condition(world, 0, 2.0),
-                        text=style_condition(world, 1, 2.0))
-    trials = [
-        (GuidanceWeights(), SigmaProfile("boundary")),
-        (GuidanceWeights(omega=1.5, omega1=3.0, omega2=0.5),
-         SigmaProfile("ddim_eta", eta=0.7)),
-        (GuidanceWeights(omega=4.0, omega1=0.5, omega2=2.0),
-         SigmaProfile("ddim_eta", eta=0.0)),
-    ]
-    for i, (weights, sigma) in enumerate(trials):
-        runs = [(mode, predictor, FusionConfig(m=0, weights=weights, sigma=sigma,
-                                               mode=mode), 6)
-                for mode in ("fusion", "independent")]
-        detail = _rows_mismatch(cond, schedule, 40 + i, runs)
-        if detail:
-            return False, f"trial {i}: {detail}"
-    return True, f"{len(trials)} configurations bit-identical at n=6 T={schedule.T}"
-
-
 class _MemoFreeOracle:
     """The mixture oracle without MixtureOracle's caches: every call is a
     fresh oracle_eps."""
@@ -361,7 +336,6 @@ _CHECKS = (
     ("posterior_two_path", _check_posterior_two_path),
     ("boundary_sigma_collapse", _check_boundary_sigma_collapse),
     ("variance_bound", _check_variance_bound),
-    ("fusion_m0_matches_independent", _check_m0_matches_independent),
     ("oracle_rows_exact", _check_oracle_rows_exact),
     ("mlp_gradient_fd", _check_mlp_gradient_fd),
     ("encoder_chain_gradient_fd", _check_encoder_chain_gradient_fd),

@@ -174,7 +174,7 @@ def test_oracle_agrees_with_finite_differences_and_ddim_moments():
             f" cov err {cov_err:.3f} (tol {cov_tol:.3f})")
 
 
-def test_zero_fusion_iterations_reduce_to_independent_sampling():
+def test_zero_fusion_iterations_reduce_to_independent_sampling(independent_trajectory):
     world = product_world()
     sched = build_schedule(T=14, beta_end=0.2)
     predictor = MixtureOracle(world, sched)
@@ -203,10 +203,7 @@ def test_zero_fusion_iterations_reduce_to_independent_sampling():
                                                  weights=w, sigma=profile,
                                                  mode="fusion"),
                               predictor, sched, 5, seed=700 + i)
-        b = sample_trajectory(cond, FusionConfig(m=0, use_refinement=True,
-                                                 weights=w, sigma=profile,
-                                                 mode="independent"),
-                              predictor, sched, 5, seed=700 + i)
+        b = independent_trajectory(cond, w, profile, predictor, sched, 5, 700 + i)
         mismatches += int(a.tobytes() != b.tobytes())
     ok = mismatches == 0
     _report("zero fusion iterations reduce to independent sampling", ok,

@@ -390,7 +390,7 @@ def test_run_replays_from_its_record(tmp_path, mode):
                 "weights": {"omega": 7.0, "omega1": 7.0, "omega2": 0.1}},
      "fusion.gamma, fusion.m, fusion.use_refinement, weights.omega1,"
      " weights.omega2"),
-    ("sample", {"fusion": {"mode": "independent", "gamma": 0.9},
+    ("sample", {"fusion": {"m": 0, "gamma": 0.9},
                 "weights": {"omega": 7.0, "omega1": 7.0}},
      "fusion.gamma, weights.omega"),
     ("sample", {"fusion": {"m": 0, "gamma": 0.3}}, "fusion.gamma"),
@@ -502,6 +502,19 @@ def test_run_refuses_a_sigma_the_fusion_stage_cannot_run(tmp_path, monkeypatch,
     assert main(["run", "--config", cfg, "--mode", mode, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: sigma: 0 at t=2")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["sample", "sweep-lambda", "ablate"])
+def test_run_refuses_independent_as_a_mode_name(tmp_path, monkeypatch, capsys,
+                                                mode):
+    # independent guidance is fusion with m=0; "independent" names no sampler
+    monkeypatch.setitem(RUN_MODES, mode, lambda cfg: pytest.fail("mode ran"))
+    out = tmp_path / "untouched"
+    cfg = _config(tmp_path, {"fusion": {"mode": "independent"}}, mode=mode)
+    assert main(["run", "--config", cfg, "--mode", mode, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: fusion: mode must be one of")
     assert not out.exists()
 
 

@@ -1,7 +1,9 @@
 """Config schema: defaults, construction, and key-path error reporting."""
 
+import importlib.util
 import json
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -139,6 +141,12 @@ def test_custom_sigma_values_accepted():
     # an integer beyond the float range is refused, not an OverflowError
     ({"fusion": {"gamma": 10**400}}, "fusion.gamma: must be finite"),
     ({"sweep": {"lambdas": [0.0, -10**400]}}, "sweep.lambdas[1]: must be finite"),
+    # values belongs to custom alone, whatever its length
+    ({"sigma": {"kind": "boundary", "values": [0.1]}},
+     "sigma.values: only valid for kind 'custom', not 'boundary'"),
+    # independent guidance is fusion with m=0, not a mode of its own
+    ({"fusion": {"mode": "independent"}},
+     "fusion: mode must be one of ('vanilla_cfg', 'fusion'), got 'independent'"),
 ])
 def test_violations_name_the_offending_path(payload, fragment):
     with pytest.raises(ConfigError) as err:
@@ -244,7 +252,6 @@ def test_a_zero_sigma_is_refused_only_where_the_fusion_stage_runs():
     validate_config(custom, "sample")
     for mode, fusion in (("sample", {"m": 0}),
                          ("sample", {"use_refinement": False}),
-                         ("sample", {"mode": "independent"}),
                          ("sweep-lambda", {"mode": "vanilla_cfg"}),
                          ("ablate", {"m": 0}),
                          ("ablate", {"use_refinement": False})):
@@ -261,8 +268,7 @@ def test_a_zero_sigma_is_refused_without_a_mode_where_the_fusion_stage_runs():
     eta0 = {"schedule": {"T": 10}, "sigma": {"kind": "ddim_eta", "eta": 0.0}}
     with pytest.raises(ConfigError, match="sigma: 0 at t=2"):
         validate_config(eta0)
-    for fusion in ({"m": 0}, {"use_refinement": False}, {"mode": "independent"},
-                   {"mode": "vanilla_cfg"}):
+    for fusion in ({"m": 0}, {"use_refinement": False}, {"mode": "vanilla_cfg"}):
         validate_config({**eta0, "fusion": fusion})
 
 
@@ -344,3 +350,18 @@ def test_ablate_refuses_half_set_and_builtin_extras():
             validate_config({half: FULL[half]}, "ablate")
     with pytest.raises(ConfigError, match="built-in benchmark.*: fusion$"):
         validate_config({"fusion": {"m": 3}}, "ablate")
+
+
+def test_benchmark_configs_pass_validation(monkeypatch):
+    # the benchmark runs each workload's config through the CLI, so a key
+    # that validation starts to refuse would first fail inside a benchmark
+    # run; this reads perfbench/workloads.py and changes nothing there
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    assert workloads.WORKLOADS
+    for workload in workloads.WORKLOADS.values():
+        for seed in (0, 3, 2**40):
+            validate_config(workload.config(seed), workload.mode)

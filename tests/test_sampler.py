@@ -10,6 +10,7 @@ recursion at Monte Carlo tolerances.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -208,15 +209,15 @@ def _custom_profile():
         ("custom", GuidanceWeights(omega1=1.0, omega2=1.0)),
     ],
 )
-def test_m0_fusion_is_bitwise_independent(sigma, weights):
-    """m=0 must not merely approximate independent-conditions sampling, it
-    must be the same code path, so the outputs agree bit for bit."""
+def test_m0_fusion_is_bitwise_independent(sigma, weights, independent_trajectory):
+    """m=0 must not merely approximate independent-conditions sampling: it
+    must equal that sampler written out step by step, bit for bit."""
     if sigma == "custom":
         sigma = _custom_profile()
     fusion = FusionConfig(m=0, weights=weights, sigma=sigma, mode="fusion")
-    indep = FusionConfig(m=0, weights=weights, sigma=sigma, mode="independent")
     a = sample_trajectory(conditioned(), fusion, ORACLE_8, SCHED_8, 6, seed=77)
-    b = sample_trajectory(conditioned(), indep, ORACLE_8, SCHED_8, 6, seed=77)
+    b = independent_trajectory(conditioned(), weights, sigma, ORACLE_8, SCHED_8,
+                               6, 77)
     assert a.tobytes() == b.tobytes()
 
 
@@ -370,11 +371,32 @@ def test_m1_no_refinement_matches_vanilla():
     assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
 
+class _CountingPredictor:
+    """ORACLE_8's predictions, with the t of every call kept in calls."""
+
+    d = 2
+
+    def __init__(self):
+        self.calls = []
+
+    def predict_eps(self, x_t, cond, t):
+        self.calls.append(t)
+        return ORACLE_8.predict_eps(x_t, cond, t)
+
+
 def test_zero_sigma_rejected_by_fusion_stage():
-    cfg = FusionConfig(m=1, sigma=SigmaProfile("ddim_eta", eta=0.0))
-    with pytest.raises(ValueError, match="sigma_t > 0"):
-        fusion_step(np.zeros((2, 2)), SCHED_8.T, conditioned(), cfg, ORACLE_8,
-                    SCHED_8, SampleStreams(0, 2))
+    # a custom sigma that is 0 at t=5 of 8 alone: the fusion stage cannot
+    # re-noise there, so the trajectory is refused before any predictor call
+    values = 0.5 * np.sqrt(1.0 - SCHED_8.alpha_bar[:-1])
+    values[4] = 0.0
+    cfg = FusionConfig(m=1, sigma=SigmaProfile("custom", values=values))
+    predictor = _CountingPredictor()
+    with pytest.raises(ValueError, match="0 at t=5, but fusion.m >= 1"):
+        sample_trajectory(conditioned(), cfg, predictor, SCHED_8, 2, seed=0)
+    assert predictor.calls == []
+    # m=0 and vanilla_cfg have no fusion stage: the same sigma runs
+    for cfg in (replace(cfg, m=0), replace(cfg, mode="vanilla_cfg")):
+        sample_trajectory(conditioned(), cfg, predictor, SCHED_8, 2, seed=0)
     # without refinement the step never re-noises, so sigma = 0 is legal
     cfg = FusionConfig(m=1, use_refinement=False,
                        sigma=SigmaProfile("ddim_eta", eta=0.0))
@@ -383,22 +405,21 @@ def test_zero_sigma_rejected_by_fusion_stage():
     assert np.all(np.isfinite(out))
 
 
-def test_final_step_runs_refinement_only():
+def test_final_step_runs_refinement_only(independent_trajectory):
     # at t=1 the schedule forces sigma=0, the fusion stage degenerates, and
-    # the full scheme must agree with the plain independent step bitwise
-    streams1 = SampleStreams(9, 3)
-    streams2 = SampleStreams(9, 3)
-    x = np.array([[0.4, -1.0], [2.0, 0.1], [-0.3, 0.6]])
+    # the full scheme must agree with the plain independent step bitwise: on
+    # a one-step schedule the whole trajectory is that step
+    sched = build_schedule(T=1)
+    oracle = MixtureOracle(WORLD, sched)
     full = FusionConfig(m=2, gamma=0.3, mode="fusion")
-    indep = FusionConfig(m=0, mode="independent")
-    a = fusion_step(x, 1, conditioned(), full, ORACLE_8, SCHED_8, streams1)
-    b = fusion_step(x, 1, conditioned(), indep, ORACLE_8, SCHED_8, streams2)
+    a = sample_trajectory(conditioned(), full, oracle, sched, 3, seed=9)
+    b = independent_trajectory(conditioned(), full.weights, full.sigma, oracle,
+                               sched, 3, 9)
     assert a.tobytes() == b.tobytes()
 
 
 def test_fusion_step_runs_the_configured_mode():
-    # vanilla_cfg is one joint-guided reverse step and independent is the
-    # fusion step with m=0, whatever m and gamma say
+    # vanilla_cfg is one joint-guided reverse step, whatever m and gamma say
     x = np.array([[0.4, -1.0], [2.0, 0.1], [-0.3, 0.6]])
     t = 5
     weights = GuidanceWeights(omega=3.0, omega1=1.5, omega2=0.5)
@@ -409,11 +430,6 @@ def test_fusion_step_runs_the_configured_mode():
     want = ddim_step(x, t, eps, SCHED_8, sigma_at(SCHED_8, vanilla.sigma, t),
                      SampleStreams(9, 3))
     assert got.tobytes() == want.tobytes()
-    indep = FusionConfig(m=2, gamma=0.3, weights=weights, mode="independent")
-    m0 = FusionConfig(m=0, weights=weights, mode="fusion")
-    a, b = (fusion_step(x, t, conditioned(), cfg, ORACLE_8, SCHED_8,
-                        SampleStreams(9, 3)) for cfg in (indep, m0))
-    assert a.tobytes() == b.tobytes()
 
 
 def test_gamma_reaches_the_predictor():
@@ -437,11 +453,12 @@ def test_non_finite_state_is_reported():
         sample_trajectory(ConditionSet(), cfg, _NanPredictor(), SCHED_8, 2, seed=0)
 
 
-@pytest.mark.parametrize("mode", ["vanilla_cfg", "independent", "fusion"])
-def test_non_finite_prediction_names_t_in_every_mode(mode):
+@pytest.mark.parametrize("mode, m", [("vanilla_cfg", 2), ("fusion", 0), ("fusion", 2)],
+                         ids=["vanilla_cfg", "independent", "fusion"])
+def test_non_finite_prediction_names_t_in_every_mode(mode, m):
     # fusion mode renoises before its refinement pass, so a check placed only
     # after the step would let the nan reach the next predictor call first
-    cfg = FusionConfig(mode=mode, m=2)
+    cfg = FusionConfig(mode=mode, m=m)
     with pytest.raises(RuntimeError, match=f"non-finite state at t={SCHED_8.T}$"):
         sample_trajectory(conditioned(), cfg, _NanPredictor(), SCHED_8, 2, seed=0)
 
@@ -465,7 +482,7 @@ def test_random_configs_stay_finite():
         SigmaProfile("ddim_eta", eta=1.0),
     ]
     for trial in range(200):
-        mode = ("vanilla_cfg", "independent", "fusion")[int(rng.integers(3))]
+        mode = ("vanilla_cfg", "fusion")[int(rng.integers(2))]
         m = int(rng.integers(0, 4))
         refine = bool(rng.integers(2))
         if mode != "fusion":
