@@ -28,7 +28,7 @@ from fusionsampler.runconfig import (
     require_condition,
     validate_config,
 )
-from fusionsampler.sampler import FusionConfig, sample_trajectory
+from fusionsampler.sampler import SampleStreams, ablation_variants, sample_trajectory
 from fusionsampler.worlds import product_world
 
 __all__ = [
@@ -185,31 +185,19 @@ def regularization_sweep(cfg: RunConfig) -> list[dict]:
     return rows
 
 
-def ablation_variants(base: FusionConfig) -> list[tuple[str, FusionConfig]]:
-    return [
-        ("vanilla_cfg", replace(base, mode="vanilla_cfg")),
-        # fusion with m=0 is independent-conditions guidance
-        ("independent", replace(base, mode="fusion", m=0, use_refinement=True)),
-        # without refinement a step is one fusion pass, whatever base.m is
-        ("fusion_no_refinement", replace(base, mode="fusion", m=1,
-                                         use_refinement=False)),
-        # the same sampler as independent, kept while the benchmark's row
-        # check and predictor-call count name it
-        ("fusion_no_fusion_stage", replace(base, mode="fusion", m=0,
-                                           use_refinement=True)),
-        ("fusion", replace(base, mode="fusion")),
-    ]
-
-
 def ablation_suite(cfg: RunConfig) -> list[dict]:
     """Adherence to ABLATION_TARGETS per sampler variant of cfg.fusion and
     per seed of cfg.sweep_seeds, on cfg.world under cfg.condition; both
     must be set.
 
-    Samples are drawn with per-seed noise shared across variants, so rows
-    compare the samplers and nothing else. The independent variant is the
-    two-stage sampler with m=0, so fusion_no_fusion_stage is the same
-    sampler and its rows repeat independent's.
+    Each seed's noise is drawn once and replayed to every variant, so rows
+    compare the samplers and nothing else: the seed's SampleStreams record
+    it during the first variant, the next three replay it, and fusion, last
+    and the longest draw, replays it and then draws on. Each row equals a
+    run on fresh SampleStreams(seed, n) bit for bit. Rows come variant-major.
+    The independent variant is the two-stage sampler with m=0, so
+    fusion_no_fusion_stage is the same sampler and its rows repeat
+    independent's.
     """
     if cfg.world is None or cfg.condition is None:
         raise ValueError("ablation_suite needs a config with world and condition")
@@ -217,13 +205,23 @@ def ablation_suite(cfg: RunConfig) -> list[dict]:
     require_condition(cfg.world, cfg.condition)
     predictor = MixtureOracle(cfg.world, cfg.schedule)
     target_identity, target_style = ABLATION_TARGETS
-    rows = []
-    for name, fusion in ablation_variants(cfg.fusion):
-        for seed in cfg.sweep_seeds:
+    variants = ablation_variants(cfg.fusion)
+    scores = {}
+    for seed in cfg.sweep_seeds:
+        streams = SampleStreams(seed, cfg.n_samples, replay=True)
+        for k, (name, fusion) in enumerate(variants):
+            if k:
+                streams.rewind()
             samples = sample_trajectory(cfg.condition, fusion, predictor,
-                                        cfg.schedule, cfg.n_samples, seed=seed)
-            ident, style = adherence_scores(samples, cfg.world, target_identity,
-                                            target_style)
+                                        cfg.schedule, cfg.n_samples, seed=seed,
+                                        streams=streams)
+            scores[name, seed] = adherence_scores(samples, cfg.world,
+                                                  target_identity, target_style)
+        del streams  # freed before the next seed's streams are built
+    rows = []
+    for name, _ in variants:
+        for seed in cfg.sweep_seeds:
+            ident, style = scores[name, seed]
             rows.append({"variant": name, "seed": int(seed),
                          "identity_score": ident, "style_score": style})
     return rows

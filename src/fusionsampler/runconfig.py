@@ -30,7 +30,7 @@ from fusionsampler.conditions import ConditionSet
 from fusionsampler.encoder import TrainingConfig
 from fusionsampler.guidance import GuidanceWeights
 from fusionsampler.mixture import MixtureWorld, cell_log_weights
-from fusionsampler.sampler import FusionConfig, check_fusion_sigma
+from fusionsampler.sampler import FusionConfig, ablation_variants, check_fusion_sigma
 from fusionsampler.schedule import (
     DiffusionSchedule,
     SigmaProfile,
@@ -390,12 +390,14 @@ def validate_config(payload, mode: str | None = None) -> RunConfig:
             row = MODE_KEYS["builtin"]
             reader = "the built-in benchmark (ablate with neither world nor condition)"
     _refuse_unread(payload, row, reader)
-    # ablate runs its fusion variant whatever fusion.mode says; every other
-    # mode but train-encoder, and a config validated without a mode, runs
-    # the sampler that fusion.mode names
+    # ablate runs the ablation_variants of fusion, whatever fusion.mode and
+    # fusion.use_refinement say; every other mode but train-encoder, and a
+    # config validated without a mode, runs the sampler that fusion.mode names
     if mode != "train-encoder":
-        sampler = replace(fusion, mode="fusion") if mode == "ablate" else fusion
-        _construct(check_fusion_sigma, "sigma", sampler, schedule)
+        samplers = ([variant for _, variant in ablation_variants(fusion)]
+                    if mode == "ablate" else [fusion])
+        for sampler in samplers:
+            _construct(check_fusion_sigma, "sigma", sampler, schedule)
     resolved = {
         "seed": seed,
         "world": payload.get("world"),

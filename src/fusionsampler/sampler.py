@@ -11,16 +11,17 @@ own. Without the
 refinement step a fusion step is its first joint pass alone, so that setting
 takes m=1.
 
-This module composes the guided predictions and owns the per-sample noise
-streams; the reverse and re-noising draws themselves (ddim_step,
-sample_prev, renoise) live in posterior.
+This module composes the guided predictions, owns the per-sample noise
+streams and lists the ablation's samplers (ablation_variants); the reverse
+and re-noising draws themselves (ddim_step, sample_prev, renoise) live in
+posterior.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from fusionsampler.schedule import DiffusionSchedule, SigmaProfile, sigma_at
 __all__ = [
     "FusionConfig",
     "SampleStreams",
+    "ablation_variants",
     "check_fusion_sigma",
     "fusion_step",
     "sample_trajectory",
@@ -187,6 +189,17 @@ class SampleStreams:
     on demand. The buffer widens only when a single draw needs more than its
     width. Every draw returns a fresh array: writing to it cannot change
     later draws, and an array held across later draws keeps its values.
+
+    A stream made with replay=True lets several trajectories share its
+    values, each drawn once. Until its first rewind() it keeps every value
+    its generators produce, its tape, in blocks: each new block is as wide
+    as the tape so far (at least one buffer width, and at least the draw),
+    so no value is ever copied within the tape. rewind() serves the tape
+    again from its first value, as often as asked. A draw past the tape's
+    end takes fresh values from the generators, which sit exactly at the
+    tape's end, so every replay serves the values of a fresh
+    SampleStreams(seed, n). That draw frees the tape: its last block, the
+    widest, becomes the refill buffer, and a later rewind() raises.
     """
 
     _CHUNK = 64  # values drawn per stream at each refill
@@ -194,7 +207,7 @@ class SampleStreams:
     # that the generators take
     _BUFFER_VALUES = 2**18
 
-    def __init__(self, seed: int, n: int):
+    def __init__(self, seed: int, n: int, *, replay: bool = False):
         if n < 1:
             raise ValueError(f"need at least one sample, got n={n}")
         self.seed = int(seed)
@@ -204,9 +217,15 @@ class SampleStreams:
             np.random.Generator(np.random.PCG64(state_words(words)))
             for words in _stream_state_words(seed, self.n)
         ]
-        width = min(self._CHUNK, self._BUFFER_VALUES // self.n)
-        self._buf = np.empty((self.n, width))
-        self._pos = width  # next unserved column; the buffer starts empty
+        self._width = min(self._CHUNK, self._BUFFER_VALUES // self.n)
+        # _buf holds generated values, served from column _pos on; on a
+        # replay stream it is block _block of the tape, a list of blocks
+        # that is None once the stream keeps no tape
+        self._buf = np.empty((self.n, 0 if replay else self._width))
+        self._pos = self._buf.shape[1]  # the buffer starts empty
+        self._tape = [] if replay else None
+        self._block = -1
+        self._recording = replay
 
     def standard_normal(self, shape) -> np.ndarray:
         if isinstance(shape, int) or len(shape) == 0 or shape[0] != self.n:
@@ -216,10 +235,17 @@ class SampleStreams:
             raise ValueError(f"negative dimensions are not allowed, got {shape!r}")
         k = math.prod(shape[1:])
         if self._pos + k > self._buf.shape[1]:
+            if self._tape is not None:
+                return self._tape_draw(k).reshape(shape)
             self._refill(k)
         out = self._buf[:, self._pos:self._pos + k].reshape(shape).copy()
         self._pos += k
         return out
+
+    def _fill(self, out: np.ndarray) -> None:
+        """Draw row i of out from stream i, one generator call per stream."""
+        for gen, row in zip(self._gens, out):
+            gen.standard_normal(out=row)
 
     def _refill(self, k: int) -> None:
         """Move the unserved values to the front, then draw each stream's
@@ -229,9 +255,50 @@ class SampleStreams:
         if k > self._buf.shape[1]:
             self._buf = np.empty((self.n, k))
         self._buf[:, :kept] = left
-        for gen, row in zip(self._gens, self._buf[:, kept:]):
-            gen.standard_normal(out=row)
+        self._fill(self._buf[:, kept:])
         self._pos = 0
+
+    def _tape_draw(self, k: int) -> np.ndarray:
+        """The next k values, as an (n, k) array, when they run past the
+        current tape block: from the blocks after it, from new blocks while
+        recording, and from the generators past the tape's end."""
+        parts = [self._buf[:, self._pos:]]
+        k -= parts[0].shape[1]
+        while k > 0:
+            self._block += 1
+            if self._block == len(self._tape):
+                if not self._recording:
+                    return self._go_live(parts, k)
+                recorded = sum(block.shape[1] for block in self._tape)
+                block = np.empty((self.n, max(recorded, k, self._width)))
+                self._fill(block)
+                self._tape.append(block)
+            self._buf = self._tape[self._block]
+            self._pos = min(k, self._buf.shape[1])
+            parts.append(self._buf[:, :self._pos])
+            k -= self._pos
+        return np.concatenate(parts, axis=1)
+
+    def _go_live(self, parts: list[np.ndarray], k: int) -> np.ndarray:
+        """Serve parts, the tape's last values, then k fresh ones; the
+        tape's last block becomes the refill buffer."""
+        head = np.concatenate(parts, axis=1)  # copied out before the reuse
+        self._buf = self._tape[-1] if self._tape else np.empty((self.n, self._width))
+        self._tape = None
+        self._pos = self._buf.shape[1]  # nothing left to keep
+        self._refill(k)
+        self._pos = k
+        return np.concatenate([head, self._buf[:, :k]], axis=1)
+
+    def rewind(self) -> None:
+        """Serve the tape again from its first value (see the class
+        docstring); raises RuntimeError once there is no tape."""
+        if self._tape is None:
+            raise RuntimeError(
+                "rewind needs a tape: only a stream made with replay=True keeps"
+                " one, until a draw past its end")
+        self._recording = False
+        self._block, self._buf, self._pos = -1, np.empty((self.n, 0)), 0
 
 
 def _joint_guided_eps(predictor: NoisePredictor, x, cond: ConditionSet, t: int,
@@ -264,6 +331,29 @@ def check_fusion_sigma(cfg: FusionConfig, schedule: DiffusionSchedule) -> None:
                 raise ValueError(
                     f"0 at t={t}, but fusion.m >= 1 with refinement"
                     " needs sigma_t > 0 at every t >= 2")
+
+
+def ablation_variants(base: FusionConfig) -> list[tuple[str, FusionConfig]]:
+    """The samplers the ablation compares, as (name, config) built from base.
+
+    fusion is the paper's sampler at base's m, gamma, weights and sigma, with
+    the refinement step whatever base.mode and base.use_refinement say; it
+    comes last. Every other variant draws the same amount of noise, no more
+    than fusion does.
+    """
+    return [
+        ("vanilla_cfg", replace(base, mode="vanilla_cfg")),
+        # fusion with m=0 is independent-conditions guidance
+        ("independent", replace(base, mode="fusion", m=0, use_refinement=True)),
+        # without refinement a step is one fusion pass, whatever base.m is
+        ("fusion_no_refinement", replace(base, mode="fusion", m=1,
+                                         use_refinement=False)),
+        # the same sampler as independent, kept while the benchmark's row
+        # check and predictor-call count name it
+        ("fusion_no_fusion_stage", replace(base, mode="fusion", m=0,
+                                           use_refinement=True)),
+        ("fusion", replace(base, mode="fusion", use_refinement=True)),
+    ]
 
 
 def fusion_step(x_t, t: int, cond: ConditionSet, cfg: FusionConfig,
@@ -301,15 +391,26 @@ def fusion_step(x_t, t: int, cond: ConditionSet, cfg: FusionConfig,
 
 def sample_trajectory(cond: ConditionSet, cfg: FusionConfig,
                       predictor: NoisePredictor, schedule: DiffusionSchedule,
-                      n_samples: int, seed: int) -> np.ndarray:
+                      n_samples: int, seed: int, *,
+                      streams: SampleStreams | None = None) -> np.ndarray:
     """Run fusion_step, the per-step operator of cfg.mode, from
     x_T ~ Normal(0, I) down to x_0; returns the (n_samples, d) samples.
     A sigma profile the fusion stage cannot run is refused before the first
-    step (check_fusion_sigma)."""
+    step (check_fusion_sigma).
+
+    The noise comes from SampleStreams(seed, n_samples), or from streams when
+    given: a stream of that seed and size, such as a rewound replay stream,
+    whose next values the trajectory draws.
+    """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
     check_fusion_sigma(cfg, schedule)
-    streams = SampleStreams(seed, n_samples)
+    if streams is None:
+        streams = SampleStreams(seed, n_samples)
+    elif (streams.seed, streams.n) != (seed, n_samples):
+        raise ValueError(
+            f"streams are for seed={streams.seed}, n={streams.n}, but the"
+            f" trajectory has seed={seed!r}, n_samples={n_samples!r}")
     x = streams.standard_normal((n_samples, predictor.d))
     for t in range(schedule.T, 0, -1):
         x = fusion_step(x, t, cond, cfg, predictor, schedule, streams)

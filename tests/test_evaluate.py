@@ -1,5 +1,7 @@
 """Adherence metric examples, the sweep drivers, and the ablation table."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,10 @@ from fusionsampler.evaluate import (
     regularization_sweep,
     spearman,
 )
-from fusionsampler.mixture import oracle_responsibilities
+from fusionsampler.mixture import MixtureOracle, oracle_responsibilities
 from fusionsampler.nets import TrainingDiverged
 from fusionsampler.runconfig import ConfigError, validate_config
+from fusionsampler.sampler import FusionConfig, ablation_variants, sample_trajectory
 from fusionsampler.worlds import (
     conflict_world,
     identity_condition,
@@ -182,6 +185,55 @@ def test_ablation_m0_rows_equal_independent_rows():
     for seed in (0, 1):
         assert m0[seed]["identity_score"] == ind[seed]["identity_score"]
         assert m0[seed]["style_score"] == ind[seed]["style_score"]
+
+
+def test_ablation_rows_equal_fresh_trajectories_per_variant_and_seed(monkeypatch):
+    # at T=20 each short variant draws 40 values per row, so the tape ends
+    # mid-chunk; fusion (m=2) draws 192, replaying the tape and then running
+    # on live. The scores saturate at this size, so the samples they are
+    # read from are compared too.
+    cfg = validate_config({
+        "world": {"preset": "product"},
+        "condition": {"identity": identity_condition(WORLD, 0, 3.0).tolist(),
+                      "text": style_condition(WORLD, 1, 3.0).tolist()},
+        "schedule": {"T": 20},
+        "fusion": {"m": 2, "gamma": 0.3},
+        "sampling": {"n_samples": 9},
+        "sweep": {"seeds": [2**32 + 3, 5]},
+    })
+    oracle = MixtureOracle(cfg.world, cfg.schedule)
+    want, want_samples = [], []
+    for name, fusion in ablation_variants(cfg.fusion):
+        for seed in cfg.sweep_seeds:
+            samples = sample_trajectory(cfg.condition, fusion, oracle, cfg.schedule,
+                                        cfg.n_samples, seed=seed)
+            want_samples.append(samples.tobytes())
+            ident, style = adherence_scores(samples, cfg.world, *ABLATION_TARGETS)
+            want.append({"variant": name, "seed": seed,
+                         "identity_score": ident, "style_score": style})
+    scored = []
+
+    def recording(samples, *args):
+        scored.append(samples.tobytes())
+        return adherence_scores(samples, *args)
+
+    monkeypatch.setattr(evaluate, "adherence_scores", recording)
+    assert ablation_suite(cfg) == want
+    # the suite scores seed-major, so compare the sample sets
+    assert sorted(scored) == sorted(want_samples)
+
+
+def test_ablation_fusion_row_refines_whatever_use_refinement_says():
+    def by_variant(fusion):
+        rows = ablation_suite(replace(_fast_ablation_config(),
+                                      fusion=FusionConfig(**fusion)))
+        return {name: [(r["identity_score"], r["style_score"]) for r in rows
+                       if r["variant"] == name]
+                for name in ("fusion", "fusion_no_refinement")}
+
+    without = by_variant({"m": 1, "use_refinement": False})
+    assert without["fusion"] != without["fusion_no_refinement"]
+    assert without == by_variant({"m": 1})
 
 
 def test_ablation_deterministic():

@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose, assert_array_equal, assert_array_less
 
 import fusionsampler.mixture as mixture
 from fusionsampler.conditions import ConditionSet
-from fusionsampler.evaluate import ablation_variants
 from fusionsampler.mixture import (
     MixtureOracle,
     MixtureWorld,
@@ -21,7 +20,7 @@ from fusionsampler.mixture import (
 )
 from fusionsampler.predictors import predict_eps
 from fusionsampler.runconfig import validate_config
-from fusionsampler.sampler import FusionConfig, sample_trajectory
+from fusionsampler.sampler import FusionConfig, ablation_variants, sample_trajectory
 from fusionsampler.schedule import build_schedule
 from fusionsampler.worlds import (
     conflict_world,

@@ -11,6 +11,7 @@ import pytest
 
 from fusionsampler.artifacts import render_json
 from fusionsampler.cli import RUN_MODES
+from fusionsampler.evaluate import degeneration_benchmark
 from fusionsampler.runconfig import MODE_KEYS, ConfigError, validate_config
 
 FULL = {
@@ -253,12 +254,16 @@ def test_a_zero_sigma_is_refused_only_where_the_fusion_stage_runs():
     for mode, fusion in (("sample", {"m": 0}),
                          ("sample", {"use_refinement": False}),
                          ("sweep-lambda", {"mode": "vanilla_cfg"}),
-                         ("ablate", {"m": 0}),
-                         ("ablate", {"use_refinement": False})):
+                         ("ablate", {"m": 0})):
         payload = {"sigma": {"kind": "ddim_eta", "eta": 0.0}, "fusion": fusion}
         if mode == "ablate":
             payload.update(world={"preset": "product"}, condition=FULL["condition"])
         validate_config(payload, mode)
+    # ablate's fusion variant runs the refinement step whatever
+    # fusion.use_refinement says, so m=1 needs sigma > 0 there too
+    payload.update(fusion={"use_refinement": False})
+    with pytest.raises(ConfigError, match="sigma: 0 at t=2"):
+        validate_config(payload, "ablate")
 
 
 def test_a_zero_sigma_is_refused_without_a_mode_where_the_fusion_stage_runs():
@@ -352,16 +357,29 @@ def test_ablate_refuses_half_set_and_builtin_extras():
         validate_config({"fusion": {"m": 3}}, "ablate")
 
 
-def test_benchmark_configs_pass_validation(monkeypatch):
-    # the benchmark runs each workload's config through the CLI, so a key
-    # that validation starts to refuse would first fail inside a benchmark
-    # run; this reads perfbench/workloads.py and changes nothing there
+@pytest.fixture
+def workloads(monkeypatch):
+    """perfbench/workloads.py, read as a module; nothing there changes."""
     path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
-    spec.loader.exec_module(workloads)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclass
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_configs_pass_validation(workloads):
+    # the benchmark runs each workload's config through the CLI, so a key
+    # that validation starts to refuse would first fail inside a benchmark
+    # run
     assert workloads.WORKLOADS
     for workload in workloads.WORKLOADS.values():
         for seed in (0, 3, 2**40):
             validate_config(workload.config(seed), workload.mode)
+
+
+def test_ablate_benchmark_config_is_the_builtin_benchmark(workloads):
+    # at seed 0 the ablate-oracle workload runs the built-in {} ablation,
+    # spelled out as an explicit config
+    config = workloads.WORKLOADS["ablate-oracle"].config(0)
+    assert validate_config(config, "ablate").payload == degeneration_benchmark().payload

@@ -172,6 +172,75 @@ def test_stream_draws_are_fresh_arrays():
     assert held.tobytes() == kept.tobytes()
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    cls=st.sampled_from([SampleStreams, NarrowStreams]),
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**96)),
+    n=st.integers(1, 5),
+    tails=st.lists(st.sampled_from(TAILS), max_size=20),
+)
+def test_plain_streams_keep_their_buffer_and_refuse_rewind(cls, seed, n, tails):
+    streams = cls(seed, n)
+    for tail in tails:
+        streams.standard_normal((n, *tail))
+    # the buffer widens only for a draw wider than it
+    widest = max((math.prod(tail) for tail in tails), default=0)
+    width = min(cls._CHUNK, cls._BUFFER_VALUES // n)
+    assert streams._buf.shape == (n, max(width, widest))
+    with pytest.raises(RuntimeError, match="rewind needs a tape"):
+        streams.rewind()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**96)),
+    n=st.integers(1, 40),
+    passes=st.lists(st.lists(st.sampled_from(TAILS), max_size=20),
+                    min_size=2, max_size=4),
+)
+@example(seed=2**32, n=2, passes=[[(2,)] * 20, [(2,)] * 20])
+@example(seed=7, n=3, passes=[[], [(3,)]])
+def test_replayed_streams_equal_fresh_streams(seed, n, passes):
+    # the first pass records the tape; each later one is rewound and
+    # replays at most what the first drew; the last then draws on past the
+    # tape's end, which frees it
+    def total(tails):
+        return sum(math.prod(tail) for tail in tails)
+
+    recorded = total(passes[0])
+    # the tape at most doubles what was drawn when it last grew
+    tape_bound = max(2 * recorded, CHUNK)
+    streams = SampleStreams(seed, n, replay=True)
+    for k, tails in enumerate(passes):
+        if k:
+            streams.rewind()
+            while total(tails) > recorded:
+                tails = tails[:-1]
+        if k == len(passes) - 1:
+            tails = [*tails, (tape_bound + 1,), (3,), (2, 3)]
+        fresh = SampleStreams(seed, n)
+        for tail in tails:
+            got = streams.standard_normal((n, *tail))
+            assert got.tobytes() == fresh.standard_normal((n, *tail)).tobytes()
+    with pytest.raises(RuntimeError, match="rewind needs a tape"):
+        streams.rewind()
+    # the stream runs on live, as the fresh one does
+    assert streams.standard_normal((n, 5)).tobytes() == \
+        fresh.standard_normal((n, 5)).tobytes()
+
+
+def test_trajectory_draws_from_given_streams_of_its_seed_and_size():
+    cfg = FusionConfig(m=2, gamma=0.5)
+    want = sample_trajectory(conditioned(), cfg, ORACLE_8, SCHED_8, 3, seed=5)
+    got = sample_trajectory(conditioned(), cfg, ORACLE_8, SCHED_8, 3, seed=5,
+                            streams=SampleStreams(5, 3))
+    assert got.tobytes() == want.tobytes()
+    for streams in (SampleStreams(4, 3), SampleStreams(5, 2)):
+        with pytest.raises(ValueError, match="streams are for"):
+            sample_trajectory(conditioned(), cfg, ORACLE_8, SCHED_8, 3, seed=5,
+                              streams=streams)
+
+
 def test_same_seed_reproduces_bitwise():
     cfg = FusionConfig(m=2, gamma=0.5)
     a = sample_trajectory(conditioned(), cfg, ORACLE_8, SCHED_8, 5, seed=11)
