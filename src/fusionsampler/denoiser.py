@@ -97,29 +97,21 @@ class ToyDenoiser:
         return slice(self._d, self._d + self.k_identity)
 
     def condition_channels(self, cond: ConditionSet | None, n: int) -> np.ndarray:
-        """Build the (n, k_identity + k_text) condition block for a batch.
-
-        The identity slot holds one channel vector of shape (k_identity,)
-        shared by the batch, or one per row, shape (n, k_identity).
-        """
+        """Build the (n, k_identity + k_text) condition block for a batch:
+        each slot's one channel vector, shared by the batch."""
         block = np.zeros((n, self.k_identity + self.k_text))
         if cond is None:
             return block
         if cond.identity is not None:
-            ident = np.asarray(cond.identity, dtype=float)
-            if ident.shape not in ((self.k_identity,), (n, self.k_identity)):
-                raise ValueError(
-                    f"identity channel must have shape ({self.k_identity},) or"
-                    f" ({n}, {self.k_identity}), got {ident.shape}"
-                )
-            block[:, :self.k_identity] = cond.gamma * ident
+            if cond.identity.shape != (self.k_identity,):
+                raise ValueError(f"identity channel must have shape ({self.k_identity},),"
+                                 f" got {cond.identity.shape}")
+            block[:, :self.k_identity] = cond.gamma * cond.identity
         if cond.text is not None:
-            text = np.asarray(cond.text, dtype=float)
-            if text.shape != (self.k_text,):
-                raise ValueError(
-                    f"style channel must have shape ({self.k_text},), got {text.shape}"
-                )
-            block[:, self.k_identity:] = text
+            if cond.text.shape != (self.k_text,):
+                raise ValueError(f"style channel must have shape ({self.k_text},),"
+                                 f" got {cond.text.shape}")
+            block[:, self.k_identity:] = cond.text
         return block
 
     def inputs(self, x2: np.ndarray, channels: np.ndarray, t) -> np.ndarray:
@@ -128,15 +120,19 @@ class ToyDenoiser:
         return np.concatenate([x2, channels, feats], axis=1)
 
     def predict_eps(self, x_t, cond: ConditionSet | None, t: int) -> np.ndarray:
+        n = len(np.atleast_2d(x_t))
+        return self.channel_eps(x_t, self.condition_channels(cond, n), t)
+
+    def channel_eps(self, x_t, channels: np.ndarray, t: int) -> np.ndarray:
+        """eps of each row of x_t, (n, d) or one point (d,), under its row of
+        the (n, k_identity + k_text) condition block channels."""
         x = np.asarray(x_t, dtype=float)
         self.schedule.alpha_bars(t)  # refuses a t outside 1..T
-        squeeze = x.ndim == 1
         x2 = np.atleast_2d(x)
         if x2.shape[1] != self._d:
             raise ValueError(f"x_t trailing dimension must be {self._d}, got {x2.shape[1]}")
-        channels = self.condition_channels(cond, x2.shape[0])
         y, _ = self.net.forward(self.inputs(x2, channels, t))
-        return y[0] if squeeze else y
+        return y[0] if x.ndim == 1 else y
 
     def to_jsonable(self) -> dict:
         return {

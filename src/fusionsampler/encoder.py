@@ -8,7 +8,7 @@ lam * |S|^2 on the emitted embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,9 +56,8 @@ class ToyPromptNet:
         n = x2.shape[0]
         ref = np.asarray(x_ref, dtype=float)
         if ref.shape not in ((self.d,), (n, self.d)):
-            raise ValueError(
-                f"x_ref must have shape ({self.d},) or ({n}, {self.d}), got {ref.shape}"
-            )
+            raise ValueError(f"the reference point x_ref must have shape ({self.d},)"
+                             f" or ({n}, {self.d}), got {ref.shape}")
         ref = np.broadcast_to(ref, (n, self.d))
         feats = np.broadcast_to(time_features(t, self.T), (n, N_TIME_FEATURES))
         return np.concatenate([ref, x2, feats], axis=1)
@@ -194,9 +193,9 @@ class EncoderConditionedDenoiser:
     """Noise predictor whose identity slot holds a reference point.
 
     predict_eps encodes cond.identity (interpreted as x_ref) at the current
-    (x_t, t) and hands the per-row embeddings to the wrapped denoiser as its
-    identity channel, which the denoiser scales by cond.gamma; the text slot
-    passes through.
+    (x_t, t) and writes the per-row embeddings, scaled by cond.gamma, into
+    the identity columns of the wrapped denoiser's condition block; the text
+    slot passes through. Like its input, the embeddings are not judged.
     """
 
     def __init__(self, encoder: ToyPromptNet, denoiser: ToyDenoiser):
@@ -213,12 +212,10 @@ class EncoderConditionedDenoiser:
         return self.denoiser.d
 
     def predict_eps(self, x_t, cond: ConditionSet | None, t: int) -> np.ndarray:
-        if cond is not None and cond.identity is not None:
-            ref = cond.identity
-            if ref.shape != (self.d,):
-                raise ValueError(
-                    f"identity slot must hold a reference point of shape ({self.d},),"
-                    f" got {ref.shape}"
-                )
-            cond = replace(cond, identity=self.encoder.encode(ref, x_t, t))
-        return self.denoiser.predict_eps(x_t, cond, t)
+        if cond is None or cond.identity is None:
+            return self.denoiser.predict_eps(x_t, cond, t)
+        n = len(np.atleast_2d(x_t))
+        channels = self.denoiser.condition_channels(cond.text_only(), n)
+        embedding = self.encoder.encode(cond.identity, x_t, t)
+        channels[:, :self.encoder.k] = cond.gamma * embedding
+        return self.denoiser.channel_eps(x_t, channels, t)

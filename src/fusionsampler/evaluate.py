@@ -9,6 +9,7 @@ in the emitted rows. The protocol values below are fixed, not configured.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +33,7 @@ from fusionsampler.sampler import SampleStreams, ablation_variants, sample_traje
 from fusionsampler.worlds import product_world
 
 __all__ = [
+    "ScoringFailed",
     "adherence_scores",
     "spearman",
     "regularization_sweep",
@@ -68,18 +70,26 @@ def _marginal(r: np.ndarray, index: int, axis: str) -> np.ndarray:
     return np.clip(marg[..., index], 0.0, 1.0)
 
 
+class ScoringFailed(RuntimeError):
+    """The oracle gives no finite adherence score for a finite sample set."""
+
+
 def adherence_scores(samples, world: MixtureWorld, target_identity: int,
                      target_style: int) -> tuple[float, float]:
-    """(identity_score, style_score): the mean target responsibilities."""
+    """(identity_score, style_score): the mean target responsibilities.
+    Raises ScoringFailed when a sample lies too far from every cell to have
+    any."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise ValueError("adherence_scores needs a nonempty sample set")
     _check_index(world, target_identity, "identity")
     _check_index(world, target_style, "style")
     r = oracle_responsibilities(world, samples, None, 1.0)
-    ident = _marginal(r, target_identity, "identity")
-    style = _marginal(r, target_style, "style")
-    return float(ident.mean()), float(style.mean())
+    scores = (float(_marginal(r, target_identity, "identity").mean()),
+              float(_marginal(r, target_style, "style").mean()))
+    if not all(map(math.isfinite, scores)):
+        raise ScoringFailed("a sample lies too far from every cell to weigh")
+    return scores
 
 
 def _require_cells(world: MixtureWorld, identity: int, style: int,
@@ -134,9 +144,10 @@ def regularization_sweep(cfg: RunConfig) -> list[dict]:
 
     A failed cell is recorded in its row's status and the sweep moves on:
     "backbone failed at step N" (denoiser training diverged; every lambda of
-    that seed), "failed at step N" (encoder training diverged) or "sampling
-    failed: <error>" (any other RuntimeError, such as a non-finite sampling
-    state; the row keeps its reconstruction columns). The reference point
+    that seed), "failed at step N" (encoder training diverged), "scoring
+    failed: <error>" (ScoringFailed) or "sampling failed: <error>" (any
+    other RuntimeError, such as a non-finite sampling state); the last two
+    keep the reconstruction columns. The reference point
     and sampling noise are shared across lambdas within a seed, so rows
     differ only through the trained encoder.
     """
@@ -179,6 +190,8 @@ def regularization_sweep(cfg: RunConfig) -> list[dict]:
                     samples, world, REF_IDENTITY, TARGET_STYLE)
             except TrainingDiverged as err:
                 row["status"] = f"failed at step {err.step}"
+            except ScoringFailed as err:
+                row["status"] = f"scoring failed: {err}"
             except RuntimeError as err:
                 row["status"] = f"sampling failed: {err}"
             rows.append(row)

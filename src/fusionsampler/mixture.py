@@ -24,7 +24,7 @@ with 8 or more cells or dims the last bits can differ from those formulas,
 but never with the batch size.
 
 An oracle evaluation has three parts, all in _eps_rows. The x-half,
-_diffused_stats, validates x, copies it to (d, n) and builds the (K, n)
+_diffused_stats, checks x's width, copies it to (d, n) and builds the (K, n)
 log-likelihoods; it depends on x and t only. The condition half,
 _cell_logits, takes the flat cell log-weights of C conditions stacked as
 (K, C), adds them to the likelihoods as (K, C, n) and takes the log-sum
@@ -32,6 +32,9 @@ over cells; the eps tail gives (C, d, n). The stack keeps cells leading,
 and every step is elementwise or a sum over cells in index order, so each
 condition's slice has the bits of that condition evaluated alone (C = 1, as
 oracle_eps does).
+
+MixtureOracle, like every predictor, judges no values of x; oracle_eps,
+oracle_log_density and oracle_responsibilities refuse a non-finite x.
 
 A guided sampler pass asks for 2 or 3 conditions at the same (x, t). The
 sampler first announces them (MixtureOracle.announce_pass), then makes one
@@ -44,7 +47,7 @@ predict_eps call per condition. MixtureOracle keeps:
   fresh evaluation and leaves the entry alone. The dict is keyed by the
   condition objects, which compare and hash by identity, so it holds them
   and no id can be reused. An announcement replaces the entry, and only once
-  x has passed validation. The eps arrays are handed out, not shared, so a
+  x has passed its width check. The eps arrays are handed out, not shared, so a
   caller that changes one in place cannot reach a later call, and a caller
   that changes x in place changes the key. The key compares bits, not
   values: == takes -0.0 for 0.0, and the sign of a zero can reach eps
@@ -237,19 +240,16 @@ def _cell_sum(a: np.ndarray) -> np.ndarray:
 
 
 def _diffused_stats(world: MixtureWorld, x, alpha_bar_t: float):
-    """The x-half of the oracle: validate x; return (squeeze, v, xT, loglik)
-    with x transposed to (d, n) and the per-cell log-likelihoods of the
-    diffused cells as (K, n). Nothing here depends on the condition.
+    """The x-half of the oracle, for a float array x: check its width; return
+    (squeeze, v, xT, loglik) with x transposed to (d, n) and the per-cell
+    log-likelihoods of the diffused cells as (K, n); no condition enters.
     alpha_bar_t = 1 is the clean data: v = s^2, and eps comes out 0."""
     if not 0.0 < alpha_bar_t <= 1.0:
         raise ValueError(f"alpha_bar_t must lie in (0, 1], got {alpha_bar_t!r}")
-    x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
     x2 = np.atleast_2d(x)
     if x2.ndim != 2 or x2.shape[1] != world.d:
         raise ValueError(f"x must have trailing dimension {world.d}, got shape {x.shape}")
-    if not np.all(np.isfinite(x2)):
-        raise ValueError("x must be finite")
     v = alpha_bar_t * world.s**2 + 1.0 - alpha_bar_t
     xT = x2.T.copy()  # contiguous (d, n), so every later op runs along n
     diff = xT[None, :, :] - np.sqrt(alpha_bar_t) * world._flat_means[:, :, None]
@@ -273,10 +273,18 @@ def _cell_logits(logw: np.ndarray, loglik: np.ndarray):
     return logits, lse
 
 
+def _entry(world: MixtureWorld, x, cond: ConditionSet | None):
+    """A direct call's x, refused unless finite, and cond's (K, 1) log-weights."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
+    return x, cell_log_weights(world, cond).reshape(-1, 1)
+
+
 def _cell_posterior(world: MixtureWorld, x, cond: ConditionSet | None,
                     alpha_bar_t: float):
     """Both halves for one call: (squeeze, logits (K, n), lse (n,))."""
-    logw = cell_log_weights(world, cond).reshape(-1, 1)
+    x, logw = _entry(world, x, cond)
     squeeze, _, _, loglik = _diffused_stats(world, x, alpha_bar_t)
     logits, lse = _cell_logits(logw, loglik)
     return squeeze, logits[:, 0], lse[0]
@@ -321,7 +329,7 @@ def oracle_responsibilities(world: MixtureWorld, x, cond: ConditionSet | None,
 def oracle_eps(world: MixtureWorld, x, cond: ConditionSet | None,
                alpha_bar_t: float) -> np.ndarray:
     """Exact eps = -sqrt(1 - alpha_bar) * grad log p_t(x | cond)."""
-    logw = cell_log_weights(world, cond).reshape(-1, 1)
+    x, logw = _entry(world, x, cond)
     return _eps_rows(world, logw, x, alpha_bar_t)[0]
 
 
@@ -332,15 +340,8 @@ def _input_key(t, x: np.ndarray):
 
 
 class MixtureOracle:
-    """NoisePredictor realization backed by the closed-form mixture score.
-
-    Its only per-input state is one pass entry: announce_pass evaluates a
-    guided pass's conditions at (x, t) as one stack and keeps each one's
-    eps, and a predict_eps call at the same (x, t) takes its condition's
-    eps from there; any other call is a fresh evaluation. It also caches the
-    stacked cell log-weights of each condition tuple (see the module
-    docstring).
-    """
+    """NoisePredictor realization backed by the closed-form mixture score,
+    with the pass entry and the log-weight cache of the module docstring."""
 
     # a trajectory announces 2 tuples at most
     _MAX_CONDITION_SETS = 8

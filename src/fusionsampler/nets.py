@@ -41,7 +41,10 @@ class TrainingDiverged(RuntimeError):
 # the bits of a row depend on the batch size. 16 rows are assumed to cover
 # the dgemm M-unroll of every CPU this runs on (4 on Haswell, 16 on
 # SkylakeX); verify's learned_batch_prefix_invariance check fails on a box
-# where they do not.
+# where they do not. The backward chain is not padded, and it is not
+# row-exact: for MLP((9, 64, 64, 2)) under OpenBLAS 0.3.31 on 1 thread, the
+# first 16 rows of input_gradient at n=16 differ from those at every n from
+# 32 to 1024 (forward's match), and delta @ W[1].T alone differs from n=32.
 _ROW_TILE = 16
 
 

@@ -12,24 +12,16 @@ __all__ = ["NoisePredictor", "announce_pass", "predict_eps"]
 
 
 class NoisePredictor(Protocol):
-    """Anything producing eps_hat(x_t, conditions, t) with data dimension d.
-
-    A predictor may also define announce_pass(x_t, conds, t); see the
+    """Anything mapping each row of x_t to eps_hat(x_t, conditions, t), with
+    data dimension d. It checks x_t's width and judges no values: a
+    non-finite row gives a non-finite eps row, which sample_trajectory's
+    per-step state check reports. A predictor may also define announce_pass(x_t, conds, t); see the
     module-level announce_pass."""
 
     @property
     def d(self) -> int: ...
 
     def predict_eps(self, x_t, cond: ConditionSet | None, t: int) -> np.ndarray: ...
-
-
-def _checked_input(predictor: NoisePredictor, x_t) -> np.ndarray:
-    x = np.asarray(x_t, dtype=float)
-    if x.shape[-1] != predictor.d:
-        raise ValueError(
-            f"x_t trailing dimension {x.shape[-1]} does not match predictor d={predictor.d}"
-        )
-    return x
 
 
 def announce_pass(predictor: NoisePredictor, x_t, conds, t: int) -> None:
@@ -39,18 +31,14 @@ def announce_pass(predictor: NoisePredictor, x_t, conds, t: int) -> None:
     follow either way; a predictor without the method is not called."""
     announce = getattr(predictor, "announce_pass", None)
     if announce is not None:
-        announce(_checked_input(predictor, x_t), conds, t)
+        announce(x_t, conds, t)
 
 
 def predict_eps(predictor: NoisePredictor, x_t, cond: ConditionSet | None,
                 t: int) -> np.ndarray:
-    """Validated dispatch to a predictor: matching dimensions in, a finite
-    prediction of the same shape out. This is the one finiteness check per
-    predictor call; a non-finite input is left to the predictor itself."""
-    x = _checked_input(predictor, x_t)
-    out = np.asarray(predictor.predict_eps(x, cond, t), dtype=float)
-    if out.shape != x.shape:
-        raise ValueError(f"predictor returned shape {out.shape}, expected {x.shape}")
-    if not np.all(np.isfinite(out)):
-        raise RuntimeError(f"sampling produced non-finite state at t={t}")
+    """One predictor call: x_t goes in as given, and the prediction must
+    come back with x_t's shape."""
+    out = np.asarray(predictor.predict_eps(x_t, cond, t), dtype=float)
+    if out.shape != np.shape(x_t):
+        raise ValueError(f"predictor returned shape {out.shape}, expected {np.shape(x_t)}")
     return out

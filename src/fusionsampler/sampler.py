@@ -7,9 +7,8 @@ refinement step computing the independent-conditions guided prediction on the
 unscaled conditions and performing one classifier-free reverse step. m=0
 skips straight to the refinement step: that is the independent-conditions
 sampler of Composable Diffusion (Liu et al. 2022), which has no mode of its
-own. Without the
-refinement step a fusion step is its first joint pass alone, so that setting
-takes m=1.
+own. Without the refinement step a fusion step is its first joint pass
+alone, so that setting takes m=1.
 
 This module composes the guided predictions, owns the per-sample noise
 streams and lists the ablation's samplers (ablation_variants); the reverse
@@ -396,7 +395,9 @@ def sample_trajectory(cond: ConditionSet, cfg: FusionConfig,
     """Run fusion_step, the per-step operator of cfg.mode, from
     x_T ~ Normal(0, I) down to x_0; returns the (n_samples, d) samples.
     A sigma profile the fusion stage cannot run is refused before the first
-    step (check_fusion_sigma).
+    step (check_fusion_sigma). The state check after each step is the one
+    finiteness check on the sampling path: a non-finite value anywhere in
+    step t raises RuntimeError naming t once the step ends.
 
     The noise comes from SampleStreams(seed, n_samples), or from streams when
     given: a stream of that seed and size, such as a rewound replay stream,
@@ -414,6 +415,6 @@ def sample_trajectory(cond: ConditionSet, cfg: FusionConfig,
     x = streams.standard_normal((n_samples, predictor.d))
     for t in range(schedule.T, 0, -1):
         x = fusion_step(x, t, cond, cfg, predictor, schedule, streams)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise RuntimeError(f"sampling produced non-finite state at t={t}")
     return x

@@ -280,6 +280,55 @@ def test_sweep_table_reads_back_as_the_sweep_rows(tmp_path, monkeypatch):
     assert repr(_read_table(out / "metrics.csv")) == repr(rows)
 
 
+# a real sweep whose guidance is strong enough to wreck the learned path:
+# T=10, 8 samples, 50 denoiser and 5 encoder steps, seed 0
+_BLOWUP = {"schedule": {"T": 10}, "sampling": {"n_samples": 8},
+           "denoiser": {"steps": 50}, "training": {"steps": 5}}
+
+
+def _run_blowup_sweep(tmp_path, overrides) -> tuple[list[dict], dict]:
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({**_BLOWUP, **overrides}))
+    out = tmp_path / "sw"
+    assert main(["run", "--config", str(path), "--mode", "sweep-lambda",
+                 "--out", str(out)]) == 0
+    record = json.loads((out / "run_record.json").read_text())
+    return _read_table(out / "metrics.csv"), record["metrics"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_fails_a_cell_whose_samples_cannot_be_scored(tmp_path):
+    # at omega = 1e300 the state stays finite, but so far out that every
+    # cell's squared distance overflows: the oracle has no responsibilities
+    # there, and the cell is a failed row, not an ok row with nan scores
+    rows, metrics = _run_blowup_sweep(tmp_path, {
+        "sweep": {"lambdas": [0.0, 1.0], "seeds": [0]},
+        "weights": {"omega": 1e300, "omega1": 1e300, "omega2": 1e300}})
+    assert [row["status"] for row in rows] == [
+        "scoring failed: a sample lies too far from every cell to weigh"] * 2
+    for row in rows:
+        assert row["identity_score"] is None and row["style_score"] is None
+        assert row["recon_error"] is not None and row["embed_norm"] is not None
+    assert metrics["n_failed"] == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_fails_a_cell_whose_embedding_is_not_finite(tmp_path):
+    # omega = 1e307 overflows the fusion stage's state, and the encoder embeds
+    # it as non-finite channels mid-step; the step ends, its state check
+    # reports t, and the sweep records the cell rather than aborting
+    rows, metrics = _run_blowup_sweep(tmp_path, {
+        "sweep": {"lambdas": [0.0], "seeds": [0]},
+        "fusion": {"m": 3, "gamma": 0.5},
+        "weights": {"omega": 1e307, "omega1": 1.0, "omega2": 1.0}})
+    assert len(rows) == 1
+    assert re.fullmatch(
+        r"sampling failed: sampling produced non-finite state at t=\d+",
+        rows[0]["status"])
+    assert rows[0]["identity_score"] is None and rows[0]["style_score"] is None
+    assert metrics["n_failed"] == 1
+
+
 def test_run_ablate_needs_world_and_condition_together(tmp_path, capsys):
     out = tmp_path / "halfway"
     cfg = _config(tmp_path, {"condition": None}, mode="ablate")

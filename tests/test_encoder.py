@@ -135,7 +135,9 @@ def test_wrapper_gamma_zero_equals_null_identity():
 
 
 def test_wrapper_is_the_denoiser_fed_the_embedding():
-    # the wrapper adds nothing to the denoiser beyond encoding the reference
+    # the wrapper adds nothing to the denoiser beyond encoding the reference:
+    # its eps is the denoiser net's output on the rows that encoder training
+    # feeds it, [x_t | gamma * embedding | text | time features]
     tc = TrainingConfig(lam=0.1, steps=30, batch=16, seed=3)
     net = train_promptnet(WORLD, DEN, tc)
     wrap = EncoderConditionedDenoiser(net, DEN)
@@ -147,11 +149,13 @@ def test_wrapper_is_the_denoiser_fed_the_embedding():
             for x_t in (x, x[2]):
                 got = wrap.predict_eps(
                     x_t, ConditionSet(identity=ref, text=text, gamma=gamma), t)
-                want = DEN.predict_eps(
-                    x_t, ConditionSet(identity=net.encode(ref, x_t, t), text=text,
-                                      gamma=gamma), t)
+                x2 = np.atleast_2d(x_t)
+                channels = np.concatenate(
+                    [gamma * net.encode(ref, x2, t),
+                     np.broadcast_to(text, (len(x2), text.size))], axis=1)
+                want, _ = DEN.net.forward(DEN.inputs(x2, channels, t))
                 assert got.shape == np.shape(x_t)
-                assert got.tobytes() == want.tobytes()
+                assert got.tobytes() == want[0 if x_t.ndim == 1 else slice(None)].tobytes()
 
 
 def test_wrapper_validation_and_shapes():

@@ -13,6 +13,7 @@ from fusionsampler.evaluate import (
     ABLATION_COLUMNS,
     ABLATION_TARGETS,
     SWEEP_COLUMNS,
+    ScoringFailed,
     ablation_suite,
     adherence_scores,
     degeneration_benchmark,
@@ -75,6 +76,11 @@ def test_responsibility_validation():
         adherence_scores(np.zeros(2), WORLD, 0, 2)
     with pytest.raises(ValueError, match="trailing dimension"):
         adherence_scores(np.zeros(3), WORLD, 0, 0)
+    # finite, but so far out that every cell's squared distance overflows:
+    # no responsibilities, so no score, never a nan one
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        with pytest.raises(ScoringFailed, match="too far from every cell"):
+            adherence_scores(np.array([[0.0, 0.0], [1e200, 0.0]]), WORLD, 0, 0)
 
 
 def test_adherence_on_target_component_draws():

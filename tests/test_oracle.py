@@ -229,13 +229,24 @@ def test_oracle_predictor_wraps_schedule():
         oracle.predict_eps(x, None, 11)
 
 
+class _WrongShape:
+    d = 2
+
+    def predict_eps(self, x_t, cond, t):
+        return np.zeros(3)
+
+
 def test_predict_eps_dispatch_validation():
     w = product_world()
     oracle = MixtureOracle(w, build_schedule(T=5, beta_start=0.1, beta_end=0.3))
-    with pytest.raises(ValueError, match="finite"):
-        predict_eps(oracle, np.array([np.nan, 0.0]), None, 1)
+    # the dispatch and the predictor judge no values: a nan row maps to a
+    # nan eps row, which the sampler's per-step check reports
+    out = predict_eps(oracle, np.array([np.nan, 0.0]), None, 1)
+    assert out.shape == (2,) and np.isnan(out).all()
     with pytest.raises(ValueError, match="trailing dimension"):
         predict_eps(oracle, np.zeros(3), None, 1)
+    with pytest.raises(ValueError, match="predictor returned shape"):
+        predict_eps(_WrongShape(), np.zeros(2), None, 1)
 
 
 def test_world_validation_and_serialization():
@@ -633,17 +644,23 @@ def test_oracle_memo_tells_signed_zeros_apart():
 
 
 def test_oracle_memo_does_not_hide_a_non_finite_input():
+    # the oracle maps rows and judges none: an x changed in place to hold a
+    # nan never gets the entry announced for its finite bits, but a fresh
+    # evaluation, whose nan row leaves the other row's bits alone
     world = product_world()
     oracle = MixtureOracle(world, _MEMO_SCHEDULE)
+    ab = oracle.schedule.alpha_bars(6)[0]
     x = np.array([[0.5, -0.5], [1.0, 2.0]])
-    _assert_fresh(oracle, x, None, 6)
-    bad = x.copy()
-    bad[1, 0] = np.nan
-    with pytest.raises(ValueError, match="x must be finite"):
-        oracle.predict_eps(bad, None, 6)
+    finite_row = oracle_eps(world, x[:1], None, ab)
+    oracle.announce_pass(x, (None,), 6)
     x[1, 0] = np.nan  # the same array, changed in place
-    with pytest.raises(ValueError, match="x must be finite"):
-        oracle.predict_eps(x, None, 6)
+    got = oracle.predict_eps(x, None, 6)
+    assert np.isnan(got[1]).all()
+    assert got[:1].tobytes() == finite_row.tobytes()
+    # the functions called directly refuse a non-finite x at their entry
+    for fn in (oracle_eps, oracle_log_density, oracle_responsibilities):
+        with pytest.raises(ValueError, match="x must be finite"):
+            fn(world, x, None, ab)
 
 
 def test_one_likelihood_pass_per_announcement(monkeypatch):
