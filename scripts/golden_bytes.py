@@ -67,6 +67,10 @@ CASES = [
      {**_PRODUCT_SAMPLE, "fusion": {"use_refinement": False}}),
     ("sample-ddim_eta", "sample",
      {**_PRODUCT_SAMPLE, "sigma": {"kind": "ddim_eta", "eta": 0.5}}),
+    # eta=1, the ancestral scale, with fusion m=2: pins the largest
+    # ddim_eta sigma_t, and the re-noising draws that use it, bit for bit
+    ("sample-ddim_eta1", "sample",
+     {**_PRODUCT_SAMPLE, "sigma": {"kind": "ddim_eta", "eta": 1.0}}),
     # the zeros take ddim_step's deterministic branch
     ("sample-independent-custom", "sample",
      {**_PRODUCT_SAMPLE, "fusion": {"m": 0},

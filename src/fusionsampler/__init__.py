@@ -38,14 +38,12 @@ from fusionsampler.posterior import (
 from fusionsampler.runconfig import ConfigError, RunConfig, validate_config
 from fusionsampler.sampler import (
     FusionConfig,
-    fusion_step,
     sample_trajectory,
 )
 from fusionsampler.schedule import (
     DiffusionSchedule,
     SigmaProfile,
     build_schedule,
-    sigma_at,
     sigma_values,
 )
 from fusionsampler.verify import run_checks

@@ -34,14 +34,11 @@ class ConditionSet:
     class-channel vectors. gamma scales the identity slot only; gamma=0 makes
     it exactly unconditional, gamma=1 exactly conditional.
 
-    Each derived set (with_gamma, nulled, identity_only, text_only) is built
-    once and the same object is returned on every later call, so a sampler
-    that derives its 2-3 step conditions at every step reuses 5 objects, and
-    a predictor may cache per-condition work by object identity. The cache
-    is an attribute, not a field: repr and to_jsonable ignore it.
-
-    Equality and hashing are by identity (eq=False), the key that such a
-    per-condition cache uses; compare to_jsonable() forms for value equality.
+    Equality and hashing are by identity (eq=False), so a predictor may
+    cache per-condition work by the object: sample_trajectory derives its
+    pass conditions (with_gamma, nulled, identity_only, text_only) once and
+    hands every step the same objects. Compare to_jsonable() forms for value
+    equality.
     """
 
     identity: np.ndarray | None = None
@@ -53,27 +50,18 @@ class ConditionSet:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma!r}")
         object.__setattr__(self, "identity", _frozen_array(self.identity))
         object.__setattr__(self, "text", _frozen_array(self.text))
-        object.__setattr__(self, "_derived", {})
-
-    def _derive(self, key, **changes) -> "ConditionSet":
-        out = self._derived.get(key)
-        if out is None:
-            out = self._derived[key] = replace(self, **changes)
-        return out
 
     def with_gamma(self, gamma: float) -> "ConditionSet":
-        # keyed by type and repr: 1 and 1.0, or 0.0 and -0.0, compare equal
-        # but differ in repr or in the JSON form
-        return self._derive((type(gamma), repr(gamma)), gamma=gamma)
+        return replace(self, gamma=gamma)
 
     def nulled(self) -> "ConditionSet":
-        return self._derive("nulled", identity=None, text=None)
+        return replace(self, identity=None, text=None)
 
     def identity_only(self) -> "ConditionSet":
-        return self._derive("identity_only", text=None)
+        return replace(self, text=None)
 
     def text_only(self) -> "ConditionSet":
-        return self._derive("text_only", identity=None)
+        return replace(self, identity=None)
 
     def to_jsonable(self) -> dict:
         # nested lists keep grid shapes; -inf survives as the string "-inf"

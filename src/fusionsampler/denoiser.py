@@ -96,22 +96,22 @@ class ToyDenoiser:
         """Input columns holding the identity channel."""
         return slice(self._d, self._d + self.k_identity)
 
-    def condition_channels(self, cond: ConditionSet | None, n: int) -> np.ndarray:
+    def condition_channels(self, identity, text, n: int) -> np.ndarray:
         """Build the (n, k_identity + k_text) condition block for a batch:
-        each slot's one channel vector, shared by the batch."""
+        the identity channel vector, already scaled by gamma, and the style
+        channel vector, each shared by the batch; a slot given as None stays
+        zero."""
         block = np.zeros((n, self.k_identity + self.k_text))
-        if cond is None:
-            return block
-        if cond.identity is not None:
-            if cond.identity.shape != (self.k_identity,):
+        if identity is not None:
+            if identity.shape != (self.k_identity,):
                 raise ValueError(f"identity channel must have shape ({self.k_identity},),"
-                                 f" got {cond.identity.shape}")
-            block[:, :self.k_identity] = cond.gamma * cond.identity
-        if cond.text is not None:
-            if cond.text.shape != (self.k_text,):
+                                 f" got {identity.shape}")
+            block[:, :self.k_identity] = identity
+        if text is not None:
+            if text.shape != (self.k_text,):
                 raise ValueError(f"style channel must have shape ({self.k_text},),"
-                                 f" got {cond.text.shape}")
-            block[:, self.k_identity:] = cond.text
+                                 f" got {text.shape}")
+            block[:, self.k_identity:] = text
         return block
 
     def inputs(self, x2: np.ndarray, channels: np.ndarray, t) -> np.ndarray:
@@ -120,8 +120,11 @@ class ToyDenoiser:
         return np.concatenate([x2, channels, feats], axis=1)
 
     def predict_eps(self, x_t, cond: ConditionSet | None, t: int) -> np.ndarray:
-        n = len(np.atleast_2d(x_t))
-        return self.channel_eps(x_t, self.condition_channels(cond, n), t)
+        text = None if cond is None else cond.text
+        identity = (None if cond is None or cond.identity is None
+                    else cond.gamma * cond.identity)
+        channels = self.condition_channels(identity, text, len(np.atleast_2d(x_t)))
+        return self.channel_eps(x_t, channels, t)
 
     def channel_eps(self, x_t, channels: np.ndarray, t: int) -> np.ndarray:
         """eps of each row of x_t, (n, d) or one point (d,), under its row of

@@ -215,7 +215,7 @@ class EncoderConditionedDenoiser:
         if cond is None or cond.identity is None:
             return self.denoiser.predict_eps(x_t, cond, t)
         n = len(np.atleast_2d(x_t))
-        channels = self.denoiser.condition_channels(cond.text_only(), n)
+        channels = self.denoiser.condition_channels(None, cond.text, n)
         embedding = self.encoder.encode(cond.identity, x_t, t)
         channels[:, :self.encoder.k] = cond.gamma * embedding
         return self.denoiser.channel_eps(x_t, channels, t)

@@ -184,10 +184,12 @@ def regularization_sweep(cfg: RunConfig) -> list[dict]:
                     np.full(N_RECON, REF_STYLE), np.random.default_rng((seed, 12)))
                 wrapper = EncoderConditionedDenoiser(net, den)
                 cond = ConditionSet(identity=x_ref, text=text)
-                samples = sample_trajectory(cond, cfg.fusion, wrapper, cfg.schedule,
-                                            cfg.n_samples, seed=seed)
-                row["identity_score"], row["style_score"] = adherence_scores(
-                    samples, world, REF_IDENTITY, TARGET_STYLE)
+                # a cell that blows up is reported once, by its row's status
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    samples = sample_trajectory(cond, cfg.fusion, wrapper,
+                                                cfg.schedule, cfg.n_samples, seed=seed)
+                    row["identity_score"], row["style_score"] = adherence_scores(
+                        samples, world, REF_IDENTITY, TARGET_STYLE)
             except TrainingDiverged as err:
                 row["status"] = f"failed at step {err.step}"
             except ScoringFailed as err:

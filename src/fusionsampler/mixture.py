@@ -54,9 +54,9 @@ predict_eps call per condition. MixtureOracle keeps:
   through xT - sqrt(alpha_bar) * post_mean;
 - the stacked flat cell log-weights of each condition tuple seen, keyed by
   the tuple itself. This is safe because a ConditionSet is frozen and its
-  arrays are read-only; ConditionSet returns the same derived objects on
-  repeated calls, so a trajectory announces at most 2 tuples, and the cache
-  is cleared above 8.
+  arrays are read-only; sample_trajectory builds each pass's tuple once and
+  announces it at every step, so a trajectory announces at most 2 tuples,
+  and the cache is cleared above 8.
 
 Every result is bit-identical to a fresh oracle_eps call at alpha_bar_t.
 """
@@ -380,8 +380,8 @@ class MixtureOracle:
         self._pass_key, self._pass_eps = _input_key(t, x), dict(zip(conds, rows))
 
     def predict_eps(self, x_t, cond: ConditionSet | None, t: int) -> np.ndarray:
-        alpha_bar_t, _ = self.schedule.alpha_bars(t)
         x = np.asarray(x_t, dtype=float)
         if cond in self._pass_eps and _input_key(t, x) == self._pass_key:
             return self._pass_eps.pop(cond)
+        alpha_bar_t, _ = self.schedule.alpha_bars(t)
         return self._evaluate((cond,), x, alpha_bar_t)[0]

@@ -28,14 +28,13 @@ from fusionsampler.conditions import ConditionSet
 from fusionsampler.guidance import GuidanceWeights, cfg_independent, cfg_single
 from fusionsampler.posterior import ddim_step, predict_x0, renoise, sample_prev
 from fusionsampler.predictors import NoisePredictor, announce_pass, predict_eps
-from fusionsampler.schedule import DiffusionSchedule, SigmaProfile, sigma_at
+from fusionsampler.schedule import DiffusionSchedule, SigmaProfile, sigma_values
 
 __all__ = [
     "FusionConfig",
     "SampleStreams",
     "ablation_variants",
     "check_fusion_sigma",
-    "fusion_step",
     "sample_trajectory",
 ]
 
@@ -207,6 +206,8 @@ class SampleStreams:
     _BUFFER_VALUES = 2**18
 
     def __init__(self, seed: int, n: int, *, replay: bool = False):
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+            raise TypeError(f"n must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"need at least one sample, got n={n}")
         self.seed = int(seed)
@@ -300,36 +301,39 @@ class SampleStreams:
         self._block, self._buf, self._pos = -1, np.empty((self.n, 0)), 0
 
 
-def _joint_guided_eps(predictor: NoisePredictor, x, cond: ConditionSet, t: int,
-             omega: float) -> np.ndarray:
-    nulled = cond.nulled()
-    announce_pass(predictor, x, (cond, nulled), t)
-    eps_joint = predict_eps(predictor, x, cond, t)
-    eps_uncond = predict_eps(predictor, x, nulled, t)
+def _joint_guided_eps(predictor: NoisePredictor, x, conds: tuple, t: int,
+                      omega: float) -> np.ndarray:
+    """Joint guidance on the pass conds = (cond, cond.nulled())."""
+    announce_pass(predictor, x, conds, t)
+    eps_joint, eps_uncond = (predict_eps(predictor, x, c, t) for c in conds)
     return cfg_single(eps_joint, eps_uncond, omega)
 
 
-def _split_guided_eps(predictor: NoisePredictor, x, cond: ConditionSet, t: int,
-             w: GuidanceWeights) -> np.ndarray:
-    conds = (cond.nulled(), cond.identity_only(), cond.text_only())
+def _split_guided_eps(predictor: NoisePredictor, x, conds: tuple, t: int,
+                      w: GuidanceWeights) -> np.ndarray:
+    """Independent-conditions guidance on the pass conds = (cond.nulled(),
+    cond.identity_only(), cond.text_only())."""
     announce_pass(predictor, x, conds, t)
     eps_uncond, eps_s, eps_c = (predict_eps(predictor, x, c, t) for c in conds)
     return cfg_independent(eps_uncond, eps_s, eps_c, w)
 
 
-def check_fusion_sigma(cfg: FusionConfig, schedule: DiffusionSchedule) -> None:
-    """Refuse a sigma profile that cfg's fusion stage cannot run.
+def check_fusion_sigma(cfg: FusionConfig, schedule: DiffusionSchedule) -> np.ndarray:
+    """Resolve cfg.sigma on schedule and refuse a profile that cfg's fusion
+    stage cannot run; returns the sigma_t array (sigma_values).
 
     The stage re-noises with sigma_t, so fusion with m >= 1 and the
     refinement step needs sigma_t > 0 at every t >= 2; it does not run at
     t = 1. Raises ValueError naming the first t where sigma_t is 0.
     """
+    sigmas = sigma_values(schedule, cfg.sigma)
     if cfg.mode == "fusion" and cfg.m >= 1 and cfg.use_refinement:
-        for t in range(2, schedule.T + 1):
-            if sigma_at(schedule, cfg.sigma, t) == 0.0:
-                raise ValueError(
-                    f"0 at t={t}, but fusion.m >= 1 with refinement"
-                    " needs sigma_t > 0 at every t >= 2")
+        zeros = np.flatnonzero(sigmas[1:] == 0.0)
+        if zeros.size:
+            raise ValueError(
+                f"0 at t={zeros[0] + 2}, but fusion.m >= 1 with refinement"
+                " needs sigma_t > 0 at every t >= 2")
+    return sigmas
 
 
 def ablation_variants(base: FusionConfig) -> list[tuple[str, FusionConfig]]:
@@ -355,36 +359,34 @@ def ablation_variants(base: FusionConfig) -> list[tuple[str, FusionConfig]]:
     ]
 
 
-def fusion_step(x_t, t: int, cond: ConditionSet, cfg: FusionConfig,
-                predictor: NoisePredictor, schedule: DiffusionSchedule,
-                rng) -> np.ndarray:
+def _step(x, t: int, sigma_t: float, joint: tuple, split: tuple,
+          cfg: FusionConfig, predictor: NoisePredictor,
+          schedule: DiffusionSchedule, rng) -> np.ndarray:
     """One timestep of the sampler cfg.mode names; returns x_{t-1}.
 
-    vanilla_cfg is one joint-guided reverse step on the conditions as given.
-    fusion runs cfg.m fusion passes, then the refinement step; with m=0 the
-    refinement step alone, independent-conditions guidance.
+    vanilla_cfg is one joint-guided reverse step on the pass joint, the
+    conditions as given. fusion runs cfg.m fusion passes on joint, the
+    gamma-scaled conditions, then the refinement step on the pass split;
+    with m=0 the refinement step alone, independent-conditions guidance.
 
     The fusion stage's re-noising draw needs sigma_t > 0 (check_fusion_sigma;
     renoise refuses a zero sigma too), except at t=1 where sigma is forced
     to 0 by the schedule and the fusion stage degenerates to the identity
     (the zero-sigma limit of the fused update), so only refinement runs there.
     """
-    sigma_t = sigma_at(schedule, cfg.sigma, t)
-    x = np.asarray(x_t, dtype=float)
     if cfg.mode == "vanilla_cfg":
-        eps = _joint_guided_eps(predictor, x, cond, t, cfg.weights.omega)
+        eps = _joint_guided_eps(predictor, x, joint, t, cfg.weights.omega)
         return ddim_step(x, t, eps, schedule, sigma_t, rng)
     if cfg.m >= 1 and not (t == 1 and cfg.use_refinement):
-        fusion_cond = cond.with_gamma(cfg.gamma)
         ab_t, _ = schedule.alpha_bars(t)
         for _ in range(cfg.m):
-            eps = _joint_guided_eps(predictor, x, fusion_cond, t, cfg.weights.omega)
+            eps = _joint_guided_eps(predictor, x, joint, t, cfg.weights.omega)
             x0_hat = predict_x0(x, eps, ab_t)
             x_prev = sample_prev(x, x0_hat, t, schedule, sigma_t, rng)
             if not cfg.use_refinement:
                 return x_prev
             x = renoise(x_prev, x0_hat, t, schedule, sigma_t, rng)
-    eps = _split_guided_eps(predictor, x, cond, t, cfg.weights)
+    eps = _split_guided_eps(predictor, x, split, t, cfg.weights)
     return ddim_step(x, t, eps, schedule, sigma_t, rng)
 
 
@@ -392,12 +394,18 @@ def sample_trajectory(cond: ConditionSet, cfg: FusionConfig,
                       predictor: NoisePredictor, schedule: DiffusionSchedule,
                       n_samples: int, seed: int, *,
                       streams: SampleStreams | None = None) -> np.ndarray:
-    """Run fusion_step, the per-step operator of cfg.mode, from
-    x_T ~ Normal(0, I) down to x_0; returns the (n_samples, d) samples.
-    A sigma profile the fusion stage cannot run is refused before the first
-    step (check_fusion_sigma). The state check after each step is the one
-    finiteness check on the sampling path: a non-finite value anywhere in
-    step t raises RuntimeError naming t once the step ends.
+    """Run the sampler cfg.mode names from x_T ~ Normal(0, I) down to x_0;
+    returns the (n_samples, d) samples.
+
+    What stays fixed along the trajectory is resolved once, before the first
+    step: the sigma_t array (check_fusion_sigma, which refuses a profile the
+    fusion stage cannot run), and the condition tuples of the two guided
+    passes, which every step hands to the predictor as the same objects, so
+    that a predictor may cache per-pass work by them.
+
+    The state check after each step is the one finiteness check on the
+    sampling path: a non-finite value anywhere in step t raises RuntimeError
+    naming t once the step ends.
 
     The noise comes from SampleStreams(seed, n_samples), or from streams when
     given: a stream of that seed and size, such as a rewound replay stream,
@@ -405,7 +413,10 @@ def sample_trajectory(cond: ConditionSet, cfg: FusionConfig,
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
-    check_fusion_sigma(cfg, schedule)
+    sigmas = check_fusion_sigma(cfg, schedule).tolist()
+    fused = cond if cfg.mode == "vanilla_cfg" else cond.with_gamma(cfg.gamma)
+    joint = (fused, fused.nulled())
+    split = (cond.nulled(), cond.identity_only(), cond.text_only())
     if streams is None:
         streams = SampleStreams(seed, n_samples)
     elif (streams.seed, streams.n) != (seed, n_samples):
@@ -414,7 +425,8 @@ def sample_trajectory(cond: ConditionSet, cfg: FusionConfig,
             f" trajectory has seed={seed!r}, n_samples={n_samples!r}")
     x = streams.standard_normal((n_samples, predictor.d))
     for t in range(schedule.T, 0, -1):
-        x = fusion_step(x, t, cond, cfg, predictor, schedule, streams)
+        x = _step(x, t, sigmas[t - 1], joint, split, cfg, predictor, schedule,
+                  streams)
         if not np.isfinite(x).all():
             raise RuntimeError(f"sampling produced non-finite state at t={t}")
     return x

@@ -2,8 +2,8 @@
 
 Each timestep rule has one home here: DiffusionSchedule derives alpha_bar
 from beta, DiffusionSchedule.alpha_bars(t) is the one t -> (alpha_bar_t,
-alpha_bar_{t-1}) lookup, and check_sigma the one bound sigma_t^2 <= 1 -
-alpha_bar_{t-1}.
+alpha_bar_{t-1}) lookup, check_sigma the one bound sigma_t^2 <= 1 -
+alpha_bar_{t-1}, and sigma_values the one resolver of a sigma profile.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "SigmaProfile",
     "build_schedule",
     "check_sigma",
-    "sigma_at",
     "sigma_values",
 ]
 
@@ -138,34 +137,28 @@ def build_schedule(
     return DiffusionSchedule(np.linspace(beta_start, beta_end, T))
 
 
-def sigma_at(schedule: DiffusionSchedule, profile: SigmaProfile, t: int) -> float:
-    """Noise scale sigma_t for one timestep; feasibility sigma_t^2 <= 1 - alpha_bar[t-1]."""
-    ab_t, ab_prev = schedule.alpha_bars(t)
+def sigma_values(schedule: DiffusionSchedule, profile: SigmaProfile) -> np.ndarray:
+    """Every sigma_t of profile on schedule, as an array of length T (index i
+    holds t = i+1): the one resolver of a sigma profile, run once per
+    trajectory. A custom value is bounded by check_sigma; the other kinds
+    are feasible by construction."""
+    ab_t, ab_prev = schedule.alpha_bar[1:], schedule.alpha_bar[:-1]
+    gap = 1.0 - ab_prev
     if profile.kind == "boundary":
-        gap = 1.0 - ab_prev
         sig = np.sqrt(gap)
-        # fl(sqrt(g))^2 can land one ulp above g; step down so the returned
-        # value is the largest float whose square stays feasible
-        while sig * sig > gap:
-            sig = np.nextafter(sig, 0.0)
-        return float(sig)
+        # fl(sqrt(g))^2 can land one ulp above g; step such a value down so
+        # it is the largest float whose square stays feasible
+        while (over := sig * sig > gap).any():
+            sig[over] = np.nextafter(sig[over], 0.0)
+        return sig
     if profile.kind == "ddim_eta":
         # eta=1 recovers the ancestral posterior scale, eta=0 is deterministic DDIM
-        return float(
-            profile.eta
-            * np.sqrt((1.0 - ab_prev) / (1.0 - ab_t))
-            * np.sqrt(1.0 - ab_t / ab_prev)
-        )
-    vals = profile.values
-    if vals.shape != (schedule.T,):
+        return profile.eta * np.sqrt(gap / (1.0 - ab_t)) * np.sqrt(1.0 - ab_t / ab_prev)
+    sig = profile.values
+    if sig.shape != (schedule.T,):
         raise ValueError(
-            f"custom sigma values must have length T={schedule.T}, got {vals.shape[0]}"
+            f"custom sigma values must have length T={schedule.T}, got {sig.shape[0]}"
         )
-    sig = float(vals[t - 1])
-    check_sigma(sig, ab_prev)
+    for sig_t, ab in zip(sig, ab_prev):
+        check_sigma(sig_t, ab)
     return sig
-
-
-def sigma_values(schedule: DiffusionSchedule, profile: SigmaProfile) -> np.ndarray:
-    """All sigma_t for t = 1..T as an array of length T (index i holds t = i+1)."""
-    return np.array([sigma_at(schedule, profile, t) for t in range(1, schedule.T + 1)])

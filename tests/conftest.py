@@ -7,7 +7,7 @@ from fusionsampler.guidance import cfg_independent
 from fusionsampler.posterior import ddim_step
 from fusionsampler.runconfig import validate_config
 from fusionsampler.sampler import SampleStreams
-from fusionsampler.schedule import sigma_at
+from fusionsampler.schedule import sigma_values
 
 
 @pytest.fixture(scope="session")
@@ -34,10 +34,11 @@ def independent_trajectory():
         streams = SampleStreams(seed, n)
         x = streams.standard_normal((n, predictor.d))
         conds = (cond.nulled(), cond.identity_only(), cond.text_only())
+        sigmas = sigma_values(schedule, sigma)
         for t in range(schedule.T, 0, -1):
             eps = cfg_independent(*(predictor.predict_eps(x, c, t) for c in conds),
                                   weights)
-            x = ddim_step(x, t, eps, schedule, sigma_at(schedule, sigma, t), streams)
+            x = ddim_step(x, t, eps, schedule, sigmas[t - 1], streams)
         return x
 
     return run

@@ -296,7 +296,7 @@ def _run_blowup_sweep(tmp_path, overrides) -> tuple[list[dict], dict]:
     return _read_table(out / "metrics.csv"), record["metrics"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_fails_a_cell_whose_samples_cannot_be_scored(tmp_path):
     # at omega = 1e300 the state stays finite, but so far out that every
     # cell's squared distance overflows: the oracle has no responsibilities
@@ -312,7 +312,7 @@ def test_sweep_fails_a_cell_whose_samples_cannot_be_scored(tmp_path):
     assert metrics["n_failed"] == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_fails_a_cell_whose_embedding_is_not_finite(tmp_path):
     # omega = 1e307 overflows the fusion stage's state, and the encoder embeds
     # it as non-finite channels mid-step; the step ends, its state check

@@ -1,6 +1,5 @@
 import json
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -296,23 +295,6 @@ def test_condition_set_helpers():
         ConditionSet(gamma=1.5)
     with pytest.raises(ValueError, match="-inf"):
         ConditionSet(identity=np.array([np.inf]))
-
-
-def test_condition_set_derives_each_set_once():
-    cond = ConditionSet(identity=np.ones(2), text=np.zeros(3), gamma=0.5)
-    for derive in (ConditionSet.nulled, ConditionSet.identity_only,
-                   ConditionSet.text_only, lambda c: c.with_gamma(0.25)):
-        assert derive(cond) is derive(cond)
-    assert cond.with_gamma(0.25) is not cond.with_gamma(0.75)
-    # equal gammas that serialize differently stay different sets
-    assert repr(cond.with_gamma(1)) == repr(replace(cond, gamma=1))
-    assert repr(cond.with_gamma(1.0)) == repr(replace(cond, gamma=1.0))
-    assert cond.with_gamma(-0.0).to_jsonable()["gamma"] == -0.0
-    assert str(cond.with_gamma(-0.0).to_jsonable()["gamma"]) == "-0.0"
-    assert str(cond.with_gamma(0.0).to_jsonable()["gamma"]) == "0.0"
-    # the cache is not a field: repr and the JSON form are unchanged
-    assert repr(cond) == repr(replace(cond))
-    assert cond.to_jsonable() == replace(cond).to_jsonable()
 
 
 def test_condition_set_and_world_compare_and_hash_by_identity():
@@ -666,9 +648,10 @@ def test_oracle_memo_does_not_hide_a_non_finite_input():
 def test_one_likelihood_pass_per_announcement(monkeypatch):
     # the five ablation variants through one oracle: every predict_eps call
     # is served from its pass's announcement, so the x-half runs once per
-    # pass, and the log-weights run once per condition of each distinct
-    # tuple: (cond, nulled), (fused, fused nulled) and (nulled,
-    # identity_only, text_only)
+    # pass, and the log-weights run once per condition of the tuples each
+    # trajectory builds: (cond, nulled) for vanilla, (fused, fused nulled)
+    # for a fusion stage and (nulled, identity_only, text_only) for the
+    # refinement step
     counts = {"_diffused_stats": 0, "cell_log_weights": 0, "announce": 0}
 
     def counted(name, fn):
@@ -693,5 +676,7 @@ def test_one_likelihood_pass_per_announcement(monkeypatch):
     # vanilla, independent, no refinement and m=0: one pass per step; fusion:
     # m + 1 per step, but one at t=1
     passes = len(seeds) * (4 * T + (T - 1) * (m + 1) + 1)
-    assert counts == {"_diffused_stats": passes, "cell_log_weights": 7,
+    # vanilla, independent, no refinement, m=0 and fusion
+    weights = len(seeds) * (2 + 3 + 2 + 3 + (2 + 3))
+    assert counts == {"_diffused_stats": passes, "cell_log_weights": weights,
                       "announce": passes}

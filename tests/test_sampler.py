@@ -19,19 +19,17 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from fusionsampler.conditions import ConditionSet
-from fusionsampler.guidance import GuidanceWeights
+from fusionsampler.guidance import GuidanceWeights, cfg_single
 from fusionsampler.mixture import MixtureOracle
 from fusionsampler.runconfig import validate_config
 from fusionsampler.sampler import (
     FusionConfig,
     SampleStreams,
-    _joint_guided_eps,
     _stream_state_words,
     ddim_step,
-    fusion_step,
     sample_trajectory,
 )
-from fusionsampler.schedule import SigmaProfile, build_schedule, sigma_at
+from fusionsampler.schedule import SigmaProfile, build_schedule, sigma_values
 from fusionsampler.worlds import (
     identity_condition,
     product_world,
@@ -155,6 +153,15 @@ def test_streams_refuse_seeds_that_seed_sequence_refuses():
         SampleStreams(-1, 3)
     with pytest.raises(TypeError):
         SampleStreams(1.5, 3)
+
+
+def test_streams_refuse_a_non_integer_n():
+    # 2.5 built 2 streams, and the trajectory then failed at its first draw
+    for n in (2.5, 2.0, True, "2"):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            SampleStreams(3, n)
+    with pytest.raises(TypeError, match="n must be an integer, got 2.5"):
+        sample_trajectory(conditioned(), FusionConfig(), ORACLE_8, SCHED_8, 2.5, seed=3)
 
 
 def test_stream_draws_are_fresh_arrays():
@@ -316,11 +323,12 @@ def reverse_moments(sched, prof, s2):
     single Gaussian Normal(mu, s2 * I), sqrt(1 - ab) (x - sqrt(ab) mu) / v:
     each step x' = sqrt(abp) x0_hat + r eps + sigma z is affine in x."""
     m, V = 0.0, 1.0
+    sigmas = sigma_values(sched, prof)
     for t in range(sched.T, 0, -1):
         ab = sched.alpha_bar[t]
         abp = sched.alpha_bar[t - 1]
         v = ab * s2 + 1.0 - ab
-        sig = sigma_at(sched, prof, t)
+        sig = sigmas[t - 1]
         r = np.sqrt(1.0 - abp - sig * sig)
         a = (np.sqrt(abp * ab) * s2 + r * np.sqrt(1.0 - ab)) / v
         c = (np.sqrt(abp) * (1.0 - ab) - r * np.sqrt(ab * (1.0 - ab))) / v
@@ -397,11 +405,12 @@ def test_fusion_stage_moments_match_recursion(m, prof):
     samples = sample_trajectory(ConditionSet(), cfg, oracle, sched, n, seed=6160)
     s2 = 0.6 * 0.6
     mean, V = 0.0, 1.0  # x = mean * mu + noise of variance V per dim
+    sigmas = sigma_values(sched, prof)
     for t in range(sched.T, 0, -1):
         ab = sched.alpha_bar[t]
         abp = sched.alpha_bar[t - 1]
         v = ab * s2 + 1.0 - ab
-        sig = sigma_at(sched, prof, t)
+        sig = sigmas[t - 1]
         # exact clean-sample prediction x0_hat = p * x + q * mu
         p, q = np.sqrt(ab) * s2 / v, (1.0 - ab) / v
         if t > 1:
@@ -469,8 +478,7 @@ def test_zero_sigma_rejected_by_fusion_stage():
     # without refinement the step never re-noises, so sigma = 0 is legal
     cfg = FusionConfig(m=1, use_refinement=False,
                        sigma=SigmaProfile("ddim_eta", eta=0.0))
-    out = fusion_step(np.zeros((2, 2)), SCHED_8.T, conditioned(), cfg, ORACLE_8,
-                      SCHED_8, SampleStreams(0, 2))
+    out = sample_trajectory(conditioned(), cfg, ORACLE_8, SCHED_8, 2, seed=0)
     assert np.all(np.isfinite(out))
 
 
@@ -487,18 +495,53 @@ def test_final_step_runs_refinement_only(independent_trajectory):
     assert a.tobytes() == b.tobytes()
 
 
-def test_fusion_step_runs_the_configured_mode():
-    # vanilla_cfg is one joint-guided reverse step, whatever m and gamma say
-    x = np.array([[0.4, -1.0], [2.0, 0.1], [-0.3, 0.6]])
-    t = 5
+def test_vanilla_cfg_is_one_joint_guided_step_per_t():
+    # vanilla_cfg is one joint-guided reverse step per t on the conditions as
+    # given, whatever m and gamma say: the trajectory equals that loop
+    # written out, on an oracle that evaluates every call afresh
     weights = GuidanceWeights(omega=3.0, omega1=1.5, omega2=0.5)
     vanilla = FusionConfig(m=2, gamma=0.3, weights=weights, mode="vanilla_cfg")
-    got = fusion_step(x, t, conditioned(), vanilla, ORACLE_8, SCHED_8,
-                      SampleStreams(9, 3))
-    eps = _joint_guided_eps(ORACLE_8, x, conditioned(), t, weights.omega)
-    want = ddim_step(x, t, eps, SCHED_8, sigma_at(SCHED_8, vanilla.sigma, t),
-                     SampleStreams(9, 3))
-    assert got.tobytes() == want.tobytes()
+    cond = conditioned()
+    got = sample_trajectory(cond, vanilla, ORACLE_8, SCHED_8, 3, seed=9)
+    oracle = MixtureOracle(WORLD, SCHED_8)
+    streams = SampleStreams(9, 3)
+    x = streams.standard_normal((3, 2))
+    sigmas = sigma_values(SCHED_8, vanilla.sigma)
+    for t in range(SCHED_8.T, 0, -1):
+        eps = cfg_single(oracle.predict_eps(x, cond, t),
+                         oracle.predict_eps(x, cond.nulled(), t), weights.omega)
+        x = ddim_step(x, t, eps, SCHED_8, sigmas[t - 1], streams)
+    assert got.tobytes() == x.tobytes()
+
+
+class _PassRecorder:
+    """ORACLE_8's predictions, with every announced condition tuple kept."""
+
+    d = 2
+
+    def __init__(self):
+        self.passes = []
+
+    def announce_pass(self, x_t, conds, t):
+        self.passes.append(conds)
+
+    def predict_eps(self, x_t, cond, t):
+        return ORACLE_8.predict_eps(x_t, cond, t)
+
+
+def test_every_step_announces_the_same_two_condition_tuples():
+    # the trajectory derives its pass conditions once, so a predictor's
+    # cache keyed by the condition objects hits at every step
+    cond = conditioned()
+    recorder = _PassRecorder()
+    sample_trajectory(cond, FusionConfig(m=2, gamma=0.3), recorder, SCHED_8, 2,
+                      seed=0)
+    joint, split = recorder.passes[0], recorder.passes[-1]
+    assert {id(conds) for conds in recorder.passes} == {id(joint), id(split)}
+    assert joint[0].gamma == 0.3 and joint[0].identity is cond.identity
+    assert joint[1].identity is None and joint[1].text is None
+    assert [c.identity is None for c in split] == [True, False, True]
+    assert [c.text is None for c in split] == [True, True, False]
 
 
 def test_gamma_reaches_the_predictor():

@@ -10,7 +10,6 @@ from fusionsampler.schedule import (
     DiffusionSchedule,
     SigmaProfile,
     build_schedule,
-    sigma_at,
     sigma_values,
 )
 
@@ -115,8 +114,7 @@ def test_schedule_arrays_are_read_only():
 def test_sigma_boundary_value():
     # alpha_bar = [1, 0.75, 0.375]
     s = build_schedule(T=2, beta_start=0.25, beta_end=0.5)
-    assert sigma_at(s, SigmaProfile("boundary"), 2) == 0.5
-    assert sigma_at(s, SigmaProfile("boundary"), 1) == 0.0
+    assert sigma_values(s, SigmaProfile("boundary")).tolist() == [0.0, 0.5]
 
 
 def test_sigma_ddim_eta_zero_is_deterministic():
@@ -129,28 +127,24 @@ def test_sigma_ddim_eta_one_formula_value():
     # alpha_bar = [1, 0.8, 0.5]
     s = build_schedule(T=2, beta_start=0.2, beta_end=0.375)
     assert_allclose(s.alpha_bar, [1.0, 0.8, 0.5], rtol=1e-15)
-    sig = sigma_at(s, SigmaProfile("ddim_eta", eta=1.0), 2)
-    assert_allclose(sig, 0.3872983346207417, rtol=1e-12)
+    sig = sigma_values(s, SigmaProfile("ddim_eta", eta=1.0))
+    assert sig[0] == 0.0
+    assert_allclose(sig[1], 0.3872983346207417, rtol=1e-12)
 
 
 def test_sigma_custom_roundtrip_and_validation():
     s = build_schedule(T=3, beta_start=0.1, beta_end=0.3)
     ok = SigmaProfile("custom", values=np.array([0.0, 0.1, 0.2]))
-    assert sigma_at(s, ok, 2) == 0.1
-    bad = SigmaProfile("custom", values=np.array([0.5, 0.1, 0.2]))
-    with pytest.raises(ValueError, match="violates"):
-        sigma_at(s, bad, 1)
+    assert sigma_values(s, ok).tolist() == [0.0, 0.1, 0.2]
+    # each value is bounded by its own t: 0.5 fails at t=1 alone, and 0.6
+    # at t=3 alone (1 - alpha_bar[2] = 0.28)
+    for values in ([0.5, 0.1, 0.2], [0.0, 0.1, 0.6]):
+        bad = SigmaProfile("custom", values=np.array(values))
+        with pytest.raises(ValueError, match="violates"):
+            sigma_values(s, bad)
     short = SigmaProfile("custom", values=np.array([0.0, 0.1]))
     with pytest.raises(ValueError, match="length"):
-        sigma_at(s, short, 1)
-
-
-def test_sigma_rejects_out_of_range_t():
-    s = build_schedule(T=4, beta_start=0.1, beta_end=0.2)
-    prof = SigmaProfile("boundary")
-    for t in (0, 5, -1):
-        with pytest.raises(ValueError, match="t must lie"):
-            sigma_at(s, prof, t)
+        sigma_values(s, short)
 
 
 def test_profile_validation():
@@ -162,6 +156,47 @@ def test_profile_validation():
         SigmaProfile("custom")
     with pytest.raises(ValueError, match="only valid"):
         SigmaProfile("boundary", values=np.array([0.1]))
+
+
+def _scalar_sigma(schedule, profile, t):
+    """sigma_t by the scalar formula of profile.kind, one t at a time."""
+    ab_t, ab_prev = schedule.alpha_bars(t)
+    if profile.kind == "boundary":
+        gap = 1.0 - ab_prev
+        sig = np.sqrt(gap)
+        while sig * sig > gap:  # the largest float whose square is feasible
+            sig = np.nextafter(sig, 0.0)
+        return float(sig)
+    if profile.kind == "ddim_eta":
+        return float(profile.eta * np.sqrt((1.0 - ab_prev) / (1.0 - ab_t))
+                     * np.sqrt(1.0 - ab_t / ab_prev))
+    return float(profile.values[t - 1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    T=st.integers(min_value=1, max_value=300),
+    beta_start=st.floats(min_value=1e-6, max_value=0.4),
+    spread=st.floats(min_value=0.0, max_value=3.0),
+    eta=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    linear=st.booleans(),
+)
+def test_sigma_values_equal_the_scalar_formulas(T, beta_start, spread, eta, seed,
+                                                linear):
+    # linear or random betas; custom values anywhere in their feasible range
+    rng = np.random.default_rng(seed)
+    if linear:
+        s = build_schedule(T=T, beta_start=beta_start,
+                           beta_end=min(beta_start * (1.0 + spread), 0.9))
+    else:
+        s = DiffusionSchedule(rng.uniform(1e-6, 0.5, T))
+    values = 0.999 * rng.uniform(size=T) * np.sqrt(1.0 - s.alpha_bar[:-1])
+    for prof in (SigmaProfile("boundary"), SigmaProfile("ddim_eta", eta=eta),
+                 SigmaProfile("ddim_eta", eta=1.0),
+                 SigmaProfile("custom", values=values)):
+        want = np.array([_scalar_sigma(s, prof, t) for t in range(1, T + 1)])
+        assert sigma_values(s, prof).tobytes() == want.tobytes()
 
 
 @settings(max_examples=50, deadline=None)
