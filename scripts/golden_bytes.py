@@ -97,6 +97,11 @@ CASES = [
      {**_TRAINING, "sampling": {"n_samples": 40},
       "sweep": {"lambdas": [0.0, 1.0, 10.0], "seeds": [0, 1]}}),
     ("ablate-conflict", "ablate", _CONFLICT),
+    # the replayed noise under a custom sigma, which validation bounds once
+    # per value and resolves once for all five variants
+    ("ablate-custom-sigma", "ablate",
+     {**_CONFLICT, "schedule": {"T": 20},
+      "sigma": {"kind": "custom", "values": _POSITIVE_SIGMA}}),
     ("ablate-builtin", "ablate", {}),
 ]
 

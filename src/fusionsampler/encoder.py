@@ -106,9 +106,11 @@ class TrainingConfig:
     def __post_init__(self):
         if not (np.isfinite(self.lam) and self.lam >= 0.0):
             raise ValueError(f"lam must be a nonnegative real, got {self.lam!r}")
-        if not isinstance(self.steps, (int, np.integer)) or self.steps < 0:
+        if (not isinstance(self.steps, (int, np.integer))
+                or isinstance(self.steps, bool) or self.steps < 0):
             raise ValueError(f"steps must be a nonnegative integer, got {self.steps!r}")
-        if not isinstance(self.batch, (int, np.integer)) or self.batch < 1:
+        if (not isinstance(self.batch, (int, np.integer))
+                or isinstance(self.batch, bool) or self.batch < 1):
             raise ValueError(f"batch must be a positive integer, got {self.batch!r}")
         if not (np.isfinite(self.lr) and self.lr > 0.0):
             raise ValueError(f"lr must be positive, got {self.lr!r}")

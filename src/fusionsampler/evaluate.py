@@ -207,12 +207,12 @@ def ablation_suite(cfg: RunConfig) -> list[dict]:
 
     Each seed's noise is drawn once and replayed to every variant, so rows
     compare the samplers and nothing else: the seed's SampleStreams record
-    it during the first variant, the next three replay it, and fusion, last
-    and the longest draw, replays it and then draws on. Each row equals a
-    run on fresh SampleStreams(seed, n) bit for bit. Rows come variant-major.
-    The independent variant is the two-stage sampler with m=0, so
-    fusion_no_fusion_stage is the same sampler and its rows repeat
-    independent's.
+    the first variant's draws, all of shape (n, d), the next three replay
+    them, and fusion, last and the longest, replays them and then draws on.
+    Each row equals a run on fresh SampleStreams(seed, n) bit for bit. Rows
+    come variant-major. The independent variant is the two-stage sampler
+    with m=0, so fusion_no_fusion_stage is the same sampler and its rows
+    repeat independent's.
     """
     if cfg.world is None or cfg.condition is None:
         raise ValueError("ablation_suite needs a config with world and condition")

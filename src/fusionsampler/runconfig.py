@@ -36,6 +36,7 @@ from fusionsampler.schedule import (
     SigmaProfile,
     build_schedule,
     check_sigma,
+    sigma_values,
 )
 from fusionsampler.worlds import WORLD_PRESETS
 
@@ -394,10 +395,11 @@ def validate_config(payload, mode: str | None = None) -> RunConfig:
     # fusion.use_refinement say; every other mode but train-encoder, and a
     # config validated without a mode, runs the sampler that fusion.mode names
     if mode != "train-encoder":
+        sigmas = sigma_values(schedule, sigma)  # resolved once for every sampler
         samplers = ([variant for _, variant in ablation_variants(fusion)]
                     if mode == "ablate" else [fusion])
         for sampler in samplers:
-            _construct(check_fusion_sigma, "sigma", sampler, schedule)
+            _construct(check_fusion_sigma, "sigma", sampler, sigmas)
     resolved = {
         "seed": seed,
         "world": payload.get("world"),

@@ -60,7 +60,8 @@ class FusionConfig:
     mode: str = "fusion"
 
     def __post_init__(self):
-        if not isinstance(self.m, (int, np.integer)) or self.m < 0:
+        if (not isinstance(self.m, (int, np.integer)) or isinstance(self.m, bool)
+                or self.m < 0):
             raise ValueError(f"m must be a nonnegative integer, got {self.m!r}")
         if not np.isfinite(self.gamma) or not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma!r}")
@@ -189,15 +190,14 @@ class SampleStreams:
     later draws, and an array held across later draws keeps its values.
 
     A stream made with replay=True lets several trajectories share its
-    values, each drawn once. Until its first rewind() it keeps every value
-    its generators produce, its tape, in blocks: each new block is as wide
-    as the tape so far (at least one buffer width, and at least the draw),
-    so no value is ever copied within the tape. rewind() serves the tape
-    again from its first value, as often as asked. A draw past the tape's
-    end takes fresh values from the generators, which sit exactly at the
-    tape's end, so every replay serves the values of a fresh
-    SampleStreams(seed, n). That draw frees the tape: its last block, the
-    widest, becomes the refill buffer, and a later rewind() raises.
+    draws. Until its first rewind() it keeps a copy of each draw it serves,
+    its tape. rewind() serves the tape again from its first draw, as often
+    as asked: each draw returns a fresh copy of the next recorded one, and
+    must ask for that draw's shape (ValueError otherwise). A draw past the
+    tape's end comes from the buffer, which sits exactly where recording
+    left it, so every replay serves the draws of a fresh
+    SampleStreams(seed, n). That draw frees the tape, and a later rewind()
+    raises.
     """
 
     _CHUNK = 64  # values drawn per stream at each refill
@@ -217,15 +217,14 @@ class SampleStreams:
             np.random.Generator(np.random.PCG64(state_words(words)))
             for words in _stream_state_words(seed, self.n)
         ]
-        self._width = min(self._CHUNK, self._BUFFER_VALUES // self.n)
-        # _buf holds generated values, served from column _pos on; on a
-        # replay stream it is block _block of the tape, a list of blocks
-        # that is None once the stream keeps no tape
-        self._buf = np.empty((self.n, 0 if replay else self._width))
+        # _buf holds generated values, served from column _pos on
+        self._buf = np.empty((self.n, min(self._CHUNK, self._BUFFER_VALUES // self.n)))
         self._pos = self._buf.shape[1]  # the buffer starts empty
+        # the recorded draws, None on a plain stream and once a draw has run
+        # past the tape's end; _next indexes the draw to replay next, None
+        # until rewind()
         self._tape = [] if replay else None
-        self._block = -1
-        self._recording = replay
+        self._next = None
 
     def standard_normal(self, shape) -> np.ndarray:
         if isinstance(shape, int) or len(shape) == 0 or shape[0] != self.n:
@@ -233,19 +232,23 @@ class SampleStreams:
         shape = tuple(shape)
         if any(dim < 0 for dim in shape[1:]):
             raise ValueError(f"negative dimensions are not allowed, got {shape!r}")
+        if self._next is not None:
+            if self._next < len(self._tape):
+                recorded = self._tape[self._next]
+                if recorded.shape != shape:
+                    raise ValueError(f"replayed draw {self._next} has shape"
+                                     f" {recorded.shape}, got {shape!r}")
+                self._next += 1
+                return recorded.copy()
+            self._tape = self._next = None  # past the tape's end: freed
         k = math.prod(shape[1:])
         if self._pos + k > self._buf.shape[1]:
-            if self._tape is not None:
-                return self._tape_draw(k).reshape(shape)
             self._refill(k)
         out = self._buf[:, self._pos:self._pos + k].reshape(shape).copy()
         self._pos += k
+        if self._tape is not None:
+            self._tape.append(out.copy())
         return out
-
-    def _fill(self, out: np.ndarray) -> None:
-        """Draw row i of out from stream i, one generator call per stream."""
-        for gen, row in zip(self._gens, out):
-            gen.standard_normal(out=row)
 
     def _refill(self, k: int) -> None:
         """Move the unserved values to the front, then draw each stream's
@@ -255,50 +258,18 @@ class SampleStreams:
         if k > self._buf.shape[1]:
             self._buf = np.empty((self.n, k))
         self._buf[:, :kept] = left
-        self._fill(self._buf[:, kept:])
+        for gen, row in zip(self._gens, self._buf[:, kept:]):
+            gen.standard_normal(out=row)
         self._pos = 0
 
-    def _tape_draw(self, k: int) -> np.ndarray:
-        """The next k values, as an (n, k) array, when they run past the
-        current tape block: from the blocks after it, from new blocks while
-        recording, and from the generators past the tape's end."""
-        parts = [self._buf[:, self._pos:]]
-        k -= parts[0].shape[1]
-        while k > 0:
-            self._block += 1
-            if self._block == len(self._tape):
-                if not self._recording:
-                    return self._go_live(parts, k)
-                recorded = sum(block.shape[1] for block in self._tape)
-                block = np.empty((self.n, max(recorded, k, self._width)))
-                self._fill(block)
-                self._tape.append(block)
-            self._buf = self._tape[self._block]
-            self._pos = min(k, self._buf.shape[1])
-            parts.append(self._buf[:, :self._pos])
-            k -= self._pos
-        return np.concatenate(parts, axis=1)
-
-    def _go_live(self, parts: list[np.ndarray], k: int) -> np.ndarray:
-        """Serve parts, the tape's last values, then k fresh ones; the
-        tape's last block becomes the refill buffer."""
-        head = np.concatenate(parts, axis=1)  # copied out before the reuse
-        self._buf = self._tape[-1] if self._tape else np.empty((self.n, self._width))
-        self._tape = None
-        self._pos = self._buf.shape[1]  # nothing left to keep
-        self._refill(k)
-        self._pos = k
-        return np.concatenate([head, self._buf[:, :k]], axis=1)
-
     def rewind(self) -> None:
-        """Serve the tape again from its first value (see the class
+        """Serve the tape again from its first draw (see the class
         docstring); raises RuntimeError once there is no tape."""
         if self._tape is None:
             raise RuntimeError(
                 "rewind needs a tape: only a stream made with replay=True keeps"
                 " one, until a draw past its end")
-        self._recording = False
-        self._block, self._buf, self._pos = -1, np.empty((self.n, 0)), 0
+        self._next = 0
 
 
 def _joint_guided_eps(predictor: NoisePredictor, x, conds: tuple, t: int,
@@ -318,22 +289,20 @@ def _split_guided_eps(predictor: NoisePredictor, x, conds: tuple, t: int,
     return cfg_independent(eps_uncond, eps_s, eps_c, w)
 
 
-def check_fusion_sigma(cfg: FusionConfig, schedule: DiffusionSchedule) -> np.ndarray:
-    """Resolve cfg.sigma on schedule and refuse a profile that cfg's fusion
-    stage cannot run; returns the sigma_t array (sigma_values).
+def check_fusion_sigma(cfg: FusionConfig, sigmas: np.ndarray) -> None:
+    """Refuse a sigma_t array (sigma_values of cfg.sigma) that cfg's fusion
+    stage cannot run.
 
     The stage re-noises with sigma_t, so fusion with m >= 1 and the
     refinement step needs sigma_t > 0 at every t >= 2; it does not run at
     t = 1. Raises ValueError naming the first t where sigma_t is 0.
     """
-    sigmas = sigma_values(schedule, cfg.sigma)
     if cfg.mode == "fusion" and cfg.m >= 1 and cfg.use_refinement:
         zeros = np.flatnonzero(sigmas[1:] == 0.0)
         if zeros.size:
             raise ValueError(
                 f"0 at t={zeros[0] + 2}, but fusion.m >= 1 with refinement"
                 " needs sigma_t > 0 at every t >= 2")
-    return sigmas
 
 
 def ablation_variants(base: FusionConfig) -> list[tuple[str, FusionConfig]]:
@@ -398,10 +367,10 @@ def sample_trajectory(cond: ConditionSet, cfg: FusionConfig,
     returns the (n_samples, d) samples.
 
     What stays fixed along the trajectory is resolved once, before the first
-    step: the sigma_t array (check_fusion_sigma, which refuses a profile the
-    fusion stage cannot run), and the condition tuples of the two guided
-    passes, which every step hands to the predictor as the same objects, so
-    that a predictor may cache per-pass work by them.
+    step: the sigma_t array (sigma_values; check_fusion_sigma refuses a
+    profile the fusion stage cannot run), and the condition tuples of the
+    two guided passes, which every step hands to the predictor as the same
+    objects, so that a predictor may cache per-pass work by them.
 
     The state check after each step is the one finiteness check on the
     sampling path: a non-finite value anywhere in step t raises RuntimeError
@@ -413,7 +382,9 @@ def sample_trajectory(cond: ConditionSet, cfg: FusionConfig,
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
-    sigmas = check_fusion_sigma(cfg, schedule).tolist()
+    sigmas = sigma_values(schedule, cfg.sigma)
+    check_fusion_sigma(cfg, sigmas)
+    sigmas = sigmas.tolist()
     fused = cond if cfg.mode == "vanilla_cfg" else cond.with_gamma(cfg.gamma)
     joint = (fused, fused.nulled())
     split = (cond.nulled(), cond.identity_only(), cond.text_only())

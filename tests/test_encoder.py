@@ -99,10 +99,13 @@ def test_regularization_shrinks_norm_and_costs_reconstruction():
 def test_training_config_validation_and_round_trip():
     with pytest.raises(ValueError, match="lam"):
         TrainingConfig(lam=-0.1)
-    with pytest.raises(ValueError, match="steps"):
-        TrainingConfig(steps=-1)
-    with pytest.raises(ValueError, match="batch"):
-        TrainingConfig(batch=0)
+    # True is an int to isinstance, but not a count
+    for steps in (-1, True, False):
+        with pytest.raises(ValueError, match="steps must be"):
+            TrainingConfig(steps=steps)
+    for batch in (0, True, False):
+        with pytest.raises(ValueError, match="batch must be"):
+            TrainingConfig(batch=batch)
     with pytest.raises(ValueError, match="lr"):
         TrainingConfig(lr=0.0)
     # a TrainingConfig's JSON form is the training section of the config

@@ -194,9 +194,9 @@ def test_ablation_m0_rows_equal_independent_rows():
 
 
 def test_ablation_rows_equal_fresh_trajectories_per_variant_and_seed(monkeypatch):
-    # at T=20 each short variant draws 40 values per row, so the tape ends
-    # mid-chunk; fusion (m=2) draws 192, replaying the tape and then running
-    # on live. The scores saturate at this size, so the samples they are
+    # at T=20 each short variant makes 20 draws of 2 values per row, x_T
+    # and one per step above t=1, which is the tape; fusion (m=2) makes 96,
+    # replaying the tape's 20 and then drawing on live. The scores saturate at this size, so the samples they are
     # read from are compared too.
     cfg = validate_config({
         "world": {"preset": "product"},

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from fusionsampler import runconfig, schedule
 from fusionsampler.artifacts import render_json
 from fusionsampler.cli import RUN_MODES
 from fusionsampler.evaluate import degeneration_benchmark
 from fusionsampler.runconfig import MODE_KEYS, ConfigError, validate_config
+from fusionsampler.schedule import check_sigma
 
 FULL = {
     "seed": 7,
@@ -275,6 +277,29 @@ def test_a_zero_sigma_is_refused_without_a_mode_where_the_fusion_stage_runs():
         validate_config(eta0)
     for fusion in ({"m": 0}, {"use_refinement": False}, {"mode": "vanilla_cfg"}):
         validate_config({**eta0, "fusion": fusion})
+
+
+def test_a_custom_sigma_is_bounded_twice_per_validation(monkeypatch):
+    # once per value with its key path, once resolving the profile for
+    # every sampler that mode runs; ablate's five variants used to resolve
+    # it five times, 600 bound checks at T=100
+    calls = []
+
+    def counting(sigma_t, alpha_bar_prev):
+        calls.append(sigma_t)
+        return check_sigma(sigma_t, alpha_bar_prev)
+
+    monkeypatch.setattr(runconfig, "check_sigma", counting)
+    monkeypatch.setattr(schedule, "check_sigma", counting)
+    ab = validate_config({}).schedule.alpha_bar
+    custom = {"sigma": {"kind": "custom",
+                        "values": [0.5 * (1.0 - a) ** 0.5 for a in ab[:-1]]}}
+    ablate = {**custom, "world": {"preset": "product"},
+              "condition": FULL["condition"]}
+    for payload, mode in ((ablate, "ablate"), (custom, "sample"), (custom, None)):
+        calls.clear()
+        validate_config(payload, mode)
+        assert len(calls) == 2 * 100, mode
 
 
 def test_omega_list_is_an_unknown_key():

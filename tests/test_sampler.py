@@ -50,8 +50,10 @@ def conditioned() -> ConditionSet:
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="nonnegative integer"):
-        FusionConfig(m=-1)
+    # True is an int to isinstance, but not a count
+    for m in (-1, True, False):
+        with pytest.raises(ValueError, match="m must be a nonnegative integer"):
+            FusionConfig(m=m)
     with pytest.raises(ValueError, match="gamma"):
         FusionConfig(gamma=1.5)
     with pytest.raises(ValueError, match="mode"):
@@ -202,29 +204,21 @@ def test_plain_streams_keep_their_buffer_and_refuse_rewind(cls, seed, n, tails):
 @given(
     seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**96)),
     n=st.integers(1, 40),
-    passes=st.lists(st.lists(st.sampled_from(TAILS), max_size=20),
-                    min_size=2, max_size=4),
+    recorded=st.lists(st.sampled_from(TAILS), max_size=20),
+    prefixes=st.lists(st.integers(0, 20), max_size=2),
 )
-@example(seed=2**32, n=2, passes=[[(2,)] * 20, [(2,)] * 20])
-@example(seed=7, n=3, passes=[[], [(3,)]])
-def test_replayed_streams_equal_fresh_streams(seed, n, passes):
+@example(seed=2**32, n=2, recorded=[(2,)] * 20, prefixes=[20])
+@example(seed=7, n=3, recorded=[], prefixes=[])
+def test_replayed_streams_equal_fresh_streams(seed, n, recorded, prefixes):
     # the first pass records the tape; each later one is rewound and
-    # replays at most what the first drew; the last then draws on past the
-    # tape's end, which frees it
-    def total(tails):
-        return sum(math.prod(tail) for tail in tails)
-
-    recorded = total(passes[0])
-    # the tape at most doubles what was drawn when it last grew
-    tape_bound = max(2 * recorded, CHUNK)
+    # replays a prefix of its draws, in their shapes; the last replays all
+    # of them and then draws on past the tape's end, which frees it
+    past_end = [(CHUNK + 5,), (3,), (2, 3)]
+    passes = [recorded, *(recorded[:k] for k in prefixes), recorded + past_end]
     streams = SampleStreams(seed, n, replay=True)
     for k, tails in enumerate(passes):
         if k:
             streams.rewind()
-            while total(tails) > recorded:
-                tails = tails[:-1]
-        if k == len(passes) - 1:
-            tails = [*tails, (tape_bound + 1,), (3,), (2, 3)]
         fresh = SampleStreams(seed, n)
         for tail in tails:
             got = streams.standard_normal((n, *tail))
@@ -234,6 +228,34 @@ def test_replayed_streams_equal_fresh_streams(seed, n, passes):
     # the stream runs on live, as the fresh one does
     assert streams.standard_normal((n, 5)).tobytes() == \
         fresh.standard_normal((n, 5)).tobytes()
+
+
+def test_replay_refuses_a_draw_of_another_shape():
+    streams = SampleStreams(4, 3, replay=True)
+    streams.standard_normal((3, 2))
+    streams.standard_normal((3, 4))
+    streams.rewind()
+    # the same values split otherwise are refused too
+    for shape in ((3, 4), (3, 1, 2), (3, 1)):
+        with pytest.raises(ValueError, match=r"replayed draw 0 has shape \(3, 2\)"):
+            streams.standard_normal(shape)
+    # a refused draw leaves the replay where it was
+    fresh = SampleStreams(4, 3)
+    for shape in ((3, 2), (3, 4)):
+        assert streams.standard_normal(shape).tobytes() == \
+            fresh.standard_normal(shape).tobytes()
+
+
+def test_writing_into_a_draw_cannot_change_its_replay():
+    streams = SampleStreams(6, 3, replay=True)
+    want = SampleStreams(6, 3).standard_normal((3, 2)).tobytes()
+    streams.standard_normal((3, 2))[:] = np.nan  # served while recording
+    streams.rewind()
+    replayed = streams.standard_normal((3, 2))
+    assert replayed.tobytes() == want
+    replayed[:] = np.nan  # served from the tape
+    streams.rewind()
+    assert streams.standard_normal((3, 2)).tobytes() == want
 
 
 def test_trajectory_draws_from_given_streams_of_its_seed_and_size():
